@@ -3,12 +3,12 @@ measurement distributions, readout error and sampling.
 
 Each gate is applied as a single channel superoperator (ideal unitary
 composed with depolarizing and thermal relaxation) over the density tensor,
-using a strided numba kernel when available and a numpy transpose fallback
-otherwise.
+by one transpose and one matrix product over the gate's axes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,115 +37,40 @@ class SimulationSizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# superoperator kernels
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit, prange
-
-    @njit(parallel=True, cache=True)
-    def _kernel_2q(flat, S, b0, b1, b2, b3, nbits):
-        ntasks = 1 << (nbits - 4)
-        m0, m1, m2, m3 = 1 << b0, 1 << b1, 1 << b2, 1 << b3
-        for c in prange(ntasks):
-            idx = c
-            low = idx & (m0 - 1)
-            idx = ((idx >> b0) << (b0 + 1)) | low
-            low = idx & (m1 - 1)
-            idx = ((idx >> b1) << (b1 + 1)) | low
-            low = idx & (m2 - 1)
-            idx = ((idx >> b2) << (b2 + 1)) | low
-            low = idx & (m3 - 1)
-            idx = ((idx >> b3) << (b3 + 1)) | low
-            buf = np.empty(16, dtype=np.complex128)
-            for j in range(16):
-                off = idx
-                if j & 8:
-                    off |= m3
-                if j & 4:
-                    off |= m2
-                if j & 2:
-                    off |= m1
-                if j & 1:
-                    off |= m0
-                buf[j] = flat[off]
-            out = S @ buf
-            for j in range(16):
-                off = idx
-                if j & 8:
-                    off |= m3
-                if j & 4:
-                    off |= m2
-                if j & 2:
-                    off |= m1
-                if j & 1:
-                    off |= m0
-                flat[off] = out[j]
-
-    @njit(parallel=True, cache=True)
-    def _kernel_1q(flat, S, b0, b1, nbits):
-        ntasks = 1 << (nbits - 2)
-        m0, m1 = 1 << b0, 1 << b1
-        for c in prange(ntasks):
-            idx = c
-            low = idx & (m0 - 1)
-            idx = ((idx >> b0) << (b0 + 1)) | low
-            low = idx & (m1 - 1)
-            idx = ((idx >> b1) << (b1 + 1)) | low
-            a0 = flat[idx]
-            a1 = flat[idx | m0]
-            a2 = flat[idx | m1]
-            a3 = flat[idx | m1 | m0]
-            flat[idx] = S[0, 0] * a0 + S[0, 1] * a1 + S[0, 2] * a2 + S[0, 3] * a3
-            flat[idx | m0] = S[1, 0] * a0 + S[1, 1] * a1 + S[1, 2] * a2 + S[1, 3] * a3
-            flat[idx | m1] = S[2, 0] * a0 + S[2, 1] * a1 + S[2, 2] * a2 + S[2, 3] * a3
-            flat[idx | m1 | m0] = S[3, 0] * a0 + S[3, 1] * a1 + S[3, 2] * a2 + S[3, 3] * a3
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
+# superoperator kernel
 
 
-def _apply_super_numpy(tensor: np.ndarray, S: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    ndim = tensor.ndim
-    k = len(axes)
-    perm = list(axes) + [a for a in range(ndim) if a not in axes]
-    tt = np.transpose(tensor, perm).reshape(2 ** k, -1)
-    tt = S @ tt
-    return np.transpose(tt.reshape((2,) * ndim), np.argsort(perm))
+@lru_cache(maxsize=1024)
+def _super_layout(ndim: int, axes: tuple[int, ...]):
+    """Transpose that brings ``axes`` to the front, its inverse, and the
+    full tensor shape: one entry per gate placement and register size."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    return perm, tuple(int(a) for a in np.argsort(perm)), (2,) * ndim
 
 
-#: below this tensor rank the kernel-launch overhead beats the numpy copies
-_NUMBA_MIN_BITS = 16
-
-
-def _apply_super(tensor: np.ndarray, S: np.ndarray, axes: Sequence[int], *,
-                 use_numba: bool = True) -> np.ndarray:
+def _apply_super(tensor: np.ndarray, S: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Apply superoperator ``S`` over the given tensor axes (most significant
-    first).  ``axes`` must be in ascending order for the numba path; callers
-    canonicalize gate matrices instead of reordering axes."""
-    if (_HAVE_NUMBA and use_numba and len(axes) in (2, 4)
-            and tensor.ndim >= _NUMBA_MIN_BITS):
-        nbits = tensor.ndim
-        flat = np.ascontiguousarray(tensor).reshape(-1)
-        if not flat.flags.writeable:  # the kernel works in place
-            flat = flat.copy()
-        # axis a <-> flat bit (nbits-1-a); ascending axes -> descending bits
-        bits = [nbits - 1 - a for a in reversed(axes)]
-        S = np.ascontiguousarray(S)
-        if len(axes) == 4:
-            _kernel_2q(flat, S, bits[0], bits[1], bits[2], bits[3], nbits)
-        else:
-            _kernel_1q(flat, S, bits[0], bits[1], nbits)
-        return flat.reshape(tensor.shape)
-    return _apply_super_numpy(tensor, S, axes)
+    first)."""
+    perm, inverse, shape = _super_layout(tensor.ndim, axes)
+    tt = np.transpose(tensor, perm).reshape(2 ** len(axes), -1)
+    tt = S @ tt
+    return np.transpose(tt.reshape(shape), inverse)
 
 
 # ---------------------------------------------------------------------------
 # channel superoperators
 
 
+def _conjugation_super(u: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> u rho u^dag on the (row, column) index pair:
+    ``np.kron(u, u.conj())``, built as the same elementwise products without
+    kron's generic reshaping."""
+    d = u.shape[0]
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+
+
 def _kraus_to_super(ks: Iterable[np.ndarray]) -> np.ndarray:
-    return sum(np.kron(K, K.conj()) for K in ks)
+    return sum(_conjugation_super(K) for K in ks)
 
 
 def thermal_relaxation_kraus(t1: float, t2: float, duration: float) -> list[np.ndarray]:
@@ -187,11 +112,11 @@ def _pair_super(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
     u = gate_matrix(gate)
     k = len(gate.qubits)
-    # canonicalize to ascending qubit order for the strided kernel
+    # canonicalize to ascending qubit order, the order evolve applies it in
     if k == 2 and gate.qubits[0] > gate.qubits[1]:
         from .circuit import _SWAP_MATRIX
         u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
-    S = np.kron(u, u.conj())
+    S = _conjugation_super(u)
     if noise is None or ideal:
         return S
     if k == 1:
@@ -245,14 +170,13 @@ class DensityMatrix:
 def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
            ideal_tags: Sequence[str] = ("xtalk",),
            max_qubits: int = DEFAULT_MAX_QUBITS,
-           use_numba: bool = True,
            initial: DensityMatrix | None = None) -> DensityMatrix:
     """Evolve |0...0><0...0| (or ``initial``, which is left unchanged)
     through the circuit.
 
-    For each gate the ideal unitary is applied, then (under noise) the
-    depolarizing channel on the gate's qubits, then thermal relaxation for
-    the gate's duration.  Gates whose tag is listed in ``ideal_tags`` are
+    Each gate is one superoperator: the ideal unitary, then (under noise)
+    the depolarizing channel on the gate's qubits, then thermal relaxation
+    for the gate's duration.  Gates whose tag is listed in ``ideal_tags`` are
     applied as ideal unitaries (default: the ZZ-crosstalk insertions, which
     model a coherent error).
     """
@@ -281,9 +205,8 @@ def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
         S = cache.get(key)
         if S is None:
             S = cache[key] = _gate_superop(g, noise, is_ideal)
-        qs = sorted(g.qubits)
-        axes = [q for q in qs] + [n + q for q in qs]
-        tensor = _apply_super(tensor, S, axes, use_numba=use_numba)
+        qs = tuple(sorted(g.qubits))
+        tensor = _apply_super(tensor, S, qs + tuple(n + q for q in qs))
     return DensityMatrix(n, tensor.reshape(2 ** n, 2 ** n))
 
 
@@ -456,9 +379,27 @@ def _parity_signs(width: int, mask_qubits: Iterable[int]) -> np.ndarray:
     return 1.0 - 2.0 * (acc % 2)
 
 
+@lru_cache(maxsize=64)
+def _diagonal(obs: PauliObservable) -> np.ndarray:
+    """Diagonal of ``obs.matrix()`` for an I/Z observable, bit for bit: the
+    coefficient-weighted parity signs, summed in the same term order."""
+    diag = np.zeros(2 ** obs.width)
+    for coeff, p in obs.terms:
+        diag += coeff * _parity_signs(obs.width, [i for i, ch in enumerate(p) if ch == "Z"])
+    diag.setflags(write=False)
+    return diag
+
+
 def expectation(state: "Distribution | DensityMatrix", obs: PauliObservable) -> float:
     """<O> against a Distribution (diagonal observables only) or a
-    DensityMatrix (any Pauli observable, as Tr(O rho))."""
+    DensityMatrix (any Pauli observable, as Tr(O rho)).
+
+    For an I/Z observable the density-matrix path reads only the diagonal
+    of rho. It returns the same float as ``np.trace(obs.matrix() @ rho).real``:
+    each product O_ii rho_ii is the one the matrix product forms, and the
+    complex diagonal is summed in the order ``np.trace`` sums it. Observables
+    with X or Y terms take the matrix product.
+    """
     if isinstance(state, Distribution):
         if not obs.is_diagonal():
             raise ValueError("distribution expectations require I/Z observables")
@@ -472,6 +413,8 @@ def expectation(state: "Distribution | DensityMatrix", obs: PauliObservable) -> 
     if isinstance(state, DensityMatrix):
         if obs.width != state.width:
             raise ValueError("observable width mismatch")
+        if obs.is_diagonal():
+            return float(np.sum(_diagonal(obs) * np.diagonal(state.matrix)).real)
         val = complex(np.trace(obs.matrix() @ state.matrix))
         return float(val.real)
     raise TypeError(f"cannot take expectation against {type(state).__name__}")

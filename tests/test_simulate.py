@@ -1,10 +1,27 @@
 """Density-matrix engine: channels, distributions, sampling, readout."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vdcut.circuit import Circuit, PauliObservable, cnot, h, measure, ry, x
+from vdcut.circuit import (
+    _SWAP_MATRIX,
+    Circuit,
+    PauliObservable,
+    cnot,
+    gate_matrix,
+    h,
+    measure,
+    ry,
+    rz,
+    rzz,
+    swap,
+    two_qubit,
+    x,
+)
 from vdcut.noise import NoiseModel, preset
 from vdcut.simulate import (
+    _gate_superop,
+    _kraus_to_super,
     Counts,
     DensityMatrix,
     Distribution,
@@ -20,7 +37,7 @@ from vdcut.simulate import (
     tv_distance,
 )
 
-from helpers import random_circuit
+from helpers import random_circuit, statevector
 
 
 def test_empty_circuit_ground_state():
@@ -60,13 +77,37 @@ def test_channels_preserve_density_matrix_invariants():
         dm.validate(atol=1e-10)
 
 
-def test_numba_and_numpy_paths_agree():
+def test_noiseless_evolve_matches_statevector():
     rng = np.random.default_rng(6)
-    nm = preset("basic")
-    c = random_circuit(3, 12, rng)
-    a = evolve(c, nm, use_numba=True).matrix
-    b = evolve(c, nm, use_numba=False).matrix
-    assert np.abs(a - b).max() < 1e-14
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            c = random_circuit(n, 16, rng)
+            psi = statevector(c)
+            assert np.abs(evolve(c).matrix - np.outer(psi, psi.conj())).max() < 1e-12
+
+
+def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_gate_superoperator_equals_kron_bit_for_bit():
+    rng = np.random.default_rng(12)
+    u4 = _random_unitary(4, rng)
+    gates = [ry(0.3, 0), rz(-1.1, 0), h(0), x(0), cnot(0, 1), cnot(1, 0),
+             rzz(0.7, 0, 1), rzz(0.7, 1, 0), swap(0, 1), swap(1, 0),
+             two_qubit(u4, 0, 1), two_qubit(u4, 1, 0)]
+    for g in gates:
+        u = gate_matrix(g)
+        if len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]:
+            u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
+        want = np.kron(u, u.conj()).tobytes()
+        assert _gate_superop(g, None, False).tobytes() == want, g
+        assert _gate_superop(g, preset("basic"), True).tobytes() == want, g
+    for d in (10e-9, 300e-9, 60e-6):
+        ks = thermal_relaxation_kraus(120e-6, 140e-6, d) + [_random_unitary(2, rng)]
+        want = sum(np.kron(k, k.conj()) for k in ks)
+        assert _kraus_to_super(ks).tobytes() == want.tobytes()
 
 
 def test_thermal_relaxation_fixed_point():
@@ -132,6 +173,22 @@ def test_expectation_maxcut_examples():
 
     mixed = DensityMatrix(2, np.eye(4) / 4)
     assert expectation(mixed, PauliObservable(((1.0, "ZZ"),))) == pytest.approx(0.0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_diagonal_expectation_equals_trace_bit_for_bit(seed, n):
+    """The I/Z density path returns the float of Tr(O rho) exactly, so the
+    optimizer that reads it follows the same path as with the matrix."""
+    rng = np.random.default_rng(seed)
+    dm = evolve(random_circuit(n, 4 * n, rng), preset("basic"))
+    terms = tuple(
+        (float(rng.choice([0.5, -0.5, rng.normal()])), "".join(rng.choice(["I", "Z"], n)))
+        for _ in range(int(rng.integers(1, 3 * n + 2))))
+    obs = PauliObservable(terms)
+    assert expectation(dm, obs) == float(np.trace(obs.matrix() @ dm.matrix).real)
+    mixed = PauliObservable(terms + ((0.25, "X" + "Z" * (n - 1)),))
+    assert expectation(dm, mixed) == float(np.trace(mixed.matrix() @ dm.matrix).real)
 
 
 def test_expectation_rejects_offdiagonal_on_distribution():
