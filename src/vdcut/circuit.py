@@ -11,7 +11,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -210,16 +210,6 @@ class CircuitDag:
     n_nodes: int
     edges: frozenset[tuple[int, int]]
     layers: tuple[int, ...]
-
-    def predecessors(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(a for a, b in self.edges if b == node))
-
-    def successors(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(b for a, b in self.edges if a == node))
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.layers) if self.layers else 0
 
 
 def build_dag(circuit: Circuit) -> CircuitDag:

@@ -1,8 +1,13 @@
 """Wire cutting: quasiprobability decomposition of a severed wire into
 measure-side and prepare-side fragments, exact reconstruction, the pairwise
-distillation pipelines with noiseless classical simulation of the
-diagonalizing gates, and recombination of the mitigated pairwise
-distributions into the full output."""
+distillation pipelines, and recombination of the mitigated pairwise
+distributions into the full output.
+
+A pairwise pipeline cuts both wires of a copy pair (i, n+i) just before
+their diagonalizing gate.  The noisy quantum part is then the single-copy
+fragment both copies share (the lightcone of qubit i), run in three
+measurement bases; the diagonalizing gate is simulated noiselessly on the
+prepared cut states."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -12,24 +17,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import (
-    MEASURE,
     Circuit,
-    CircuitError,
     Gate,
     PauliObservable,
     h,
     lightcone,
     measure,
     rz,
-    tensor_two_copies,
     x,
 )
 from .noise import NoiseModel
 from .runner import run_circuit
-from .simulate import DEFAULT_MAX_QUBITS, Distribution, marginal, sample
+from .simulate import Distribution, marginal
 from .transpile import CouplingMap
 from .vd import (
-    DIAG_TAG,
+    DIAG_UNITARY,
     SINGLET_OUTCOME,
     ParityEstimate,
     build_vd_circuit,
@@ -109,7 +111,6 @@ class FragmentJob:
     role: str            # "measure" or "prepare"
     variant: str         # basis letter or preparation state
     circuit: Circuit
-    noise_setting: str   # "device" or "classical"
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,12 @@ def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[FragmentJob], Recons
         ops = pre + basis_change_gates(basis, q)
         ops += [measure(b) for b in sorted({q, *j_bits})]
         jobs.append(FragmentJob("measure", basis,
-                                Circuit(circuit.width, tuple(ops)), "device"))
+                                Circuit(circuit.width, tuple(ops))))
     for state in PREP_STATES:
         ops = preparation_gates(state, q) + post
         ops += [measure(b) for b in k_bits]
         jobs.append(FragmentJob("prepare", state,
-                                Circuit(circuit.width, tuple(ops)), "device"))
+                                Circuit(circuit.width, tuple(ops))))
     plan = ReconstructionPlan(cut=cut, width=circuit.width,
                               j_measured=tuple(sorted({q, *j_bits})),
                               k_measured=k_bits)
@@ -300,52 +301,22 @@ class DiagonalSimulationCache:
 
 @dataclass
 class PairwisePipeline:
-    """All the pieces needed to produce one mitigated pairwise distribution:
-    the lightcone-pruned two-copy circuit (quantum part, runs on the noisy
-    device), the diagonalizing-gate subcircuit (classical part, runs
-    noiselessly), and the single-copy fragment both copies share."""
+    """One mitigated pairwise distribution in the making: the single-copy
+    fragment that both copies of pair ``pair_index`` share, and what running
+    it produced."""
 
     pair_index: int
-    quantum_part: Circuit
-    classical_part: Circuit
     copy_fragment: Circuit
     fragment_results: dict[str, Distribution] = field(default_factory=dict)
     fragment_stats: dict[str, int] = field(default_factory=dict)
-    pairwise: Distribution | None = None
-
-    def __post_init__(self):
-        if any(g.tag == DIAG_TAG for g in self.quantum_part.ops):
-            raise CircuitError("quantum part must not contain diagonalizing gates")
-        diags = [g for g in self.classical_part.ops if g.tag == DIAG_TAG]
-        if len(diags) != 1:
-            raise CircuitError("classical part must contain exactly one diagonalizing gate")
 
 
 def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
-    """One pipeline per qubit pair (i, n+i) of the distillation circuit: keep
-    only that pair's measurements, prune everything outside their lightcone,
-    and split the diagonalizing gate out for noiseless simulation."""
-    n = original.width
-    pipelines = []
-    for i in range(n):
-        vd = build_vd_circuit(original)
-        kept = tuple(g for g in vd.ops
-                     if g.kind != MEASURE or g.qubits[0] in (i, n + i))
-        pruned = lightcone(Circuit(vd.width, kept, vd.name), {i, n + i})
-        quantum_ops = tuple(g for g in pruned.ops
-                            if g.tag != DIAG_TAG and g.kind != MEASURE)
-        diag = next(g for g in pruned.ops if g.tag == DIAG_TAG)
-        classical = Circuit(2, (Gate(diag.kind, (0, 1), unitary=diag.unitary,
-                                     tag=DIAG_TAG),
-                                measure(0), measure(1)))
-        fragment = lightcone(original, {i})
-        pipelines.append(PairwisePipeline(
-            pair_index=i,
-            quantum_part=Circuit(vd.width, quantum_ops, name=f"pair{i}-quantum"),
-            classical_part=classical,
-            copy_fragment=Circuit(original.width, fragment.ops, name=f"pair{i}-copy"),
-        ))
-    return pipelines
+    """One pipeline per qubit pair (i, n+i) of the distillation circuit, each
+    holding the lightcone of qubit i in ``original``."""
+    return [PairwisePipeline(i, Circuit(original.width, lightcone(original, {i}).ops,
+                                        name=f"pair{i}-copy"))
+            for i in range(original.width)]
 
 
 def _fragment_variant(pipeline: PairwisePipeline, basis: str) -> Circuit:
@@ -359,8 +330,7 @@ def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
                  shots: int | None = None, *,
                  cmap: CouplingMap | None = None,
                  seed: int = 0,
-                 cache: DiagonalSimulationCache | None = None,
-                 max_qubits: int = DEFAULT_MAX_QUBITS) -> Distribution:
+                 cache: DiagonalSimulationCache | None = None) -> Distribution:
     """Execute one pipeline: the three single-copy fragments under the device
     noise model (shared between the two identical copies), the prepare-side
     variants on the noiseless classical simulator, and the double-cut
@@ -370,7 +340,7 @@ def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
     for bi, basis in enumerate(MEASURE_BASES):
         frag = _fragment_variant(pipeline, basis)
         rec = run_circuit(frag, noise=noise, cmap=cmap, shots=shots,
-                          seed=seed + 11 * bi + 3, max_qubits=max_qubits)
+                          seed=seed + 11 * bi + 3)
         dist = rec.output
         pipeline.fragment_results[basis] = dist
         if basis == "Z":
@@ -380,8 +350,7 @@ def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
         trace = float(dist.probs.sum())
         measures[basis] = (signed, trace)
 
-    diag = next(g for g in pipeline.classical_part.ops if g.tag == DIAG_TAG)
-    k_tensor = cache.tensor(np.asarray(diag.unitary))
+    k_tensor = cache.tensor(DIAG_UNITARY)
 
     raw = np.zeros(4)
     for t1 in _EQ5_TERMS:
@@ -394,9 +363,7 @@ def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
             if coeff == 0.0:
                 continue
             raw += coeff * np.einsum("a,b,aby->y", e1, e2, k_tensor)
-    result = _clamp_normalize(raw, 2, shots)
-    pipeline.pairwise = result
-    return result
+    return _clamp_normalize(raw, 2, shots)
 
 
 def _expansion_vector(eigenstate: str) -> np.ndarray:
@@ -464,8 +431,7 @@ def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
                               seed: int = 0,
                               unmitigated: Sequence[Distribution] | None = None,
                               cache: DiagonalSimulationCache | None = None,
-                              pipelines: list[PairwisePipeline] | None = None,
-                              max_qubits: int = DEFAULT_MAX_QUBITS) -> ParityEstimate:
+                              pipelines: list[PairwisePipeline] | None = None) -> ParityEstimate:
     """Full cut-enhanced distillation, one pass per parity group of ``obs``
     (see :func:`parity_groups`), on the group's rotated original: the uncut
     distillation circuit supplies the unmitigated joint distribution, the
@@ -486,8 +452,7 @@ def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
         group_seed = seed + 100_003 * gi
         if unmitigated is None:
             rec = run_circuit(build_vd_circuit(original, group.gates()), noise=noise,
-                              cmap=cmap, shots=shots, seed=group_seed,
-                              max_qubits=max_qubits)
+                              cmap=cmap, shots=shots, seed=group_seed)
             joint = rec.output
         else:
             joint = unmitigated[gi]
@@ -495,7 +460,7 @@ def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
         pairwise = [
             run_pairwise(p, noise, shots, cmap=cmap,
                          seed=group_seed + 1009 * (p.pair_index + 1),
-                         cache=cache, max_qubits=max_qubits)
+                         cache=cache)
             for p in group_pipelines
         ]
         if pipelines is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +20,16 @@ import numpy as np
 from .benchmarks import (
     AnsatzSpec,
     MaxCutProblem,
+    _entangling_pairs,
     maxcut_hamiltonian,
     optimize_parameters,
     ring_problem,
 )
-from .circuit import Circuit, PauliObservable, from_text, measure
+from .circuit import Circuit, from_text, measure
 from .cutting import PairwisePipeline, mitigated_expectation_cut
 from .noise import NOISELESS, NoiseModel, preset
 from .runner import Execution, run_circuit, run_circuits
-from .simulate import DEFAULT_MAX_QUBITS, expectation, evolve
+from .simulate import expectation, evolve
 from .transpile import coupling_map_for
 from .vd import (
     ParityEstimate,
@@ -74,18 +75,19 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        try:
+            preset(self.noise)
+            coupling_map_for(self.coupling_map, 2 * self.problem.n)
+            _entangling_pairs(self.problem.n, self.entanglement)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(self.parameters, str):
             object.__setattr__(self, "parameters",
                                tuple(float(v) for v in self.parameters))
 
     @staticmethod
-    def from_json(path: str) -> "ExperimentConfig":
-        with open(path) as f:
-            data = json.load(f)
-        return ExperimentConfig.from_dict(data)
-
-    @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        data = dict(data)
         spec = data.pop("problem", {"ring": 4})
         if "ring" in spec:
             problem = ring_problem(int(spec["ring"]))
@@ -163,8 +165,7 @@ def _prepare_circuit(config: ExperimentConfig, ansatz: AnsatzSpec,
     return ansatz.circuit(theta)
 
 
-def run_experiment(config: ExperimentConfig, *,
-                   max_qubits: int = DEFAULT_MAX_QUBITS) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the experiment matrix for one noise preset.
 
     The distillation methods measure every Hamiltonian term through the
@@ -196,8 +197,7 @@ def run_experiment(config: ExperimentConfig, *,
     started = time.perf_counter()
     if distilling:
         try:
-            runs = _distillation_runs(circuit, groups, distilling, seeds, noise, cmap,
-                                      shots, max_qubits)
+            runs = _distillation_runs(circuit, groups, distilling, seeds, noise, cmap, shots)
         except Exception as exc:  # recorded in every distillation cell
             shared_failure = exc
         else:
@@ -213,7 +213,7 @@ def run_experiment(config: ExperimentConfig, *,
                 raise shared_failure
             value, cnots, rzz = _run_method(
                 method, circuit, hamiltonian, groups, runs, noise, cmap, shots,
-                seeds[method], max_qubits)
+                seeds[method])
             cells.append(CellResult(
                 method=method, preset=config.noise, expectation=value,
                 abs_error=abs(value - ideal), cnots=cnots, rzz=rzz,
@@ -231,8 +231,7 @@ def run_experiment(config: ExperimentConfig, *,
                             shared_wall_time=shared_wall_time)
 
 
-def _distillation_runs(circuit, groups, methods, seeds, noise, cmap, shots,
-                       max_qubits) -> list[dict]:
+def _distillation_runs(circuit, groups, methods, seeds, noise, cmap, shots) -> list[dict]:
     """Every execution of every group's distillation circuit, in one batch;
     per group, keyed by use: ``"reference"``, ``"vd"``, ``"vd+cut"`` or a
     ZNE scale."""
@@ -252,8 +251,7 @@ def _distillation_runs(circuit, groups, methods, seeds, noise, cmap, shots,
                 jobs[gi, scale] = sampled("vd+zne", si, scale=scale)
         if "vd+cut" in methods:
             jobs[gi, "vd+cut"] = sampled("vd+cut")
-    records = run_circuits(list(jobs.values()), noise=noise, cmap=cmap,
-                           max_qubits=max_qubits)
+    records = run_circuits(list(jobs.values()), noise=noise, cmap=cmap)
     runs: list[dict] = [{} for _ in groups]
     for (gi, use), rec in zip(jobs, records):
         runs[gi][use] = rec
@@ -266,14 +264,12 @@ def _parity_estimate(groups, records, shots) -> ParityEstimate:
         for g, rec in zip(groups, records)))
 
 
-def _run_method(method, circuit, hamiltonian, groups, runs, noise, cmap, shots,
-                seed, max_qubits):
+def _run_method(method, circuit, hamiltonian, groups, runs, noise, cmap, shots, seed):
     """Value and per-execution gate counts of one cell."""
     if method == "none":
         bare = Circuit(circuit.width,
                        circuit.ops + tuple(measure(q) for q in range(circuit.width)))
-        rec = run_circuit(bare, noise=noise, cmap=cmap, shots=shots, seed=seed,
-                          max_qubits=max_qubits)
+        rec = run_circuit(bare, noise=noise, cmap=cmap, shots=shots, seed=seed)
         return expectation(rec.output, hamiltonian), (rec.cnots,), (rec.rzz_gates,)
 
     if method == "vd":
@@ -295,8 +291,7 @@ def _run_method(method, circuit, hamiltonian, groups, runs, noise, cmap, shots,
         pipelines: list[PairwisePipeline] = []
         est = mitigated_expectation_cut(
             circuit, hamiltonian, noise, shots, cmap=cmap, seed=seed,
-            unmitigated=[r["vd+cut"].output for r in runs], pipelines=pipelines,
-            max_qubits=max_qubits)
+            unmitigated=[r["vd+cut"].output for r in runs], pipelines=pipelines)
         return (est.mitigated, tuple(p.fragment_stats["cnots"] for p in pipelines),
                 tuple(p.fragment_stats["rzz"] for p in pipelines))
 
@@ -387,8 +382,3 @@ def _noise_doc(noise: NoiseModel | None) -> dict | None:
         "readout_crosstalk": noise.readout_crosstalk,
         "readout_pair": noise.readout_pair.tolist(),
     }
-
-
-def load_result_json(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)

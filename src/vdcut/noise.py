@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import CNOT, MEASURE, SWAP, TWO_QUBIT_UNITARY, Circuit, Gate, build_dag, rzz
+from .circuit import CNOT, SWAP, TWO_QUBIT_UNITARY, Circuit, Gate, build_dag, rzz
 
 CROSSTALK_TAG = "xtalk"
 

@@ -10,7 +10,6 @@ from typing import Sequence
 from .circuit import CNOT, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
-    DEFAULT_MAX_QUBITS,
     Counts,
     Distribution,
     apply_readout,
@@ -22,11 +21,6 @@ from .simulate import (
 from .transpile import CouplingMap, compact, decompose_to_basis, route
 from .vd import DIAG_TAG, PARITY_TAG
 from .zne import fold_diagonalizing
-
-#: routing effort for production executions; the in-order pass (0) gives the
-#: benchmark gate-count texture the result tables are calibrated against
-ROUTE_EFFORT = 0
-
 
 @dataclass(frozen=True)
 class ExecutionRecord:
@@ -93,8 +87,7 @@ def compile_circuit(circuit: Circuit, *,
         measured_logical = tuple(range(circuit.width))
     swaps = 0
     if cmap is not None:
-        rc = route(circuit, cmap, effort=ROUTE_EFFORT,
-                   stage_tags=(PARITY_TAG, DIAG_TAG))
+        rc = route(circuit, cmap, stage_tags=(PARITY_TAG, DIAG_TAG))
         rc, edges = compact(rc, cmap)
         swaps = rc.circuit.count(SWAP)
         body = rc.circuit
@@ -126,8 +119,7 @@ def run_circuit(circuit: Circuit, *,
                 shots: int | None = None,
                 seed: int = 0,
                 scale: int = 1,
-                ideal_diag: bool = False,
-                max_qubits: int = DEFAULT_MAX_QUBITS) -> ExecutionRecord:
+                ideal_diag: bool = False) -> ExecutionRecord:
     """Execute a logical circuit end to end.
 
     Measured bits are reported in ascending logical qubit order.  ``scale``
@@ -135,14 +127,13 @@ def run_circuit(circuit: Circuit, *,
     them atomic and noiseless (the noise-free-diagonalizing reference).
     """
     (record,) = run_circuits([Execution(circuit, scale, ideal_diag, shots, seed)],
-                             noise=noise, cmap=cmap, max_qubits=max_qubits)
+                             noise=noise, cmap=cmap)
     return record
 
 
 def run_circuits(executions: Sequence[Execution], *,
                  noise: NoiseModel | None = None,
-                 cmap: CouplingMap | None = None,
-                 max_qubits: int = DEFAULT_MAX_QUBITS) -> list[ExecutionRecord]:
+                 cmap: CouplingMap | None = None) -> list[ExecutionRecord]:
     """Execute variants of one register on one device under one noise model,
     with the same results as one :func:`run_circuit` call each.
 
@@ -172,13 +163,12 @@ def run_circuits(executions: Sequence[Execution], *,
             break
     first = next(iter(variants.values()))
     snapshot = evolve(Circuit(width, first.body.ops[:shared]), first.noise,
-                      ideal_tags=first.ideal_tags, max_qubits=max_qubits)
+                      ideal_tags=first.ideal_tags)
     dists: dict[tuple, Distribution] = {}
     for variant, c in variants.items():
         suffix = c.body.ops[shared:]
         dm = snapshot if not suffix else evolve(
-            Circuit(width, suffix), c.noise, ideal_tags=c.ideal_tags,
-            max_qubits=max_qubits, initial=snapshot)
+            Circuit(width, suffix), c.noise, ideal_tags=c.ideal_tags, initial=snapshot)
         dist = exact_probs(dm)
         del dm
         if c.positions:

@@ -7,6 +7,7 @@ by one transpose and one matrix product over the gate's axes.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -14,15 +15,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .circuit import (
-    MEASURE,
     TWO_QUBIT_UNITARY,
     Circuit,
     PauliObservable,
     gate_matrix,
 )
 from .noise import NoiseModel
-
-DEFAULT_MAX_QUBITS = 14
 
 _NEGATIVE_PROB_FLOOR = -1e-10
 
@@ -33,7 +31,7 @@ class SimulationError(RuntimeError):
 
 
 class SimulationSizeError(ValueError):
-    """Raised when a circuit exceeds the dense-simulation qubit cap."""
+    """Raised when a dense simulation would not fit in physical memory."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +165,25 @@ class DensityMatrix:
         return DensityMatrix(width, m)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _admit(width: int, snapshot: bool) -> None:
+    """Raise :class:`SimulationSizeError` unless evolving ``width`` qubits
+    fits in physical memory: a gate holds about three 16 * 4**width-byte
+    density tensors, plus the ``initial`` snapshot when there is one."""
+    need = (3 + snapshot) * 16 * 4 ** width
+    have = _physical_memory()
+    if need > have:
+        raise SimulationSizeError(
+            f"{width} qubits need about {need / 2 ** 30:.1f} GiB of density tensors; "
+            f"the host has {have / 2 ** 30:.1f} GiB")
+
+
 def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
            ideal_tags: Sequence[str] = ("xtalk",),
-           max_qubits: int = DEFAULT_MAX_QUBITS,
            initial: DensityMatrix | None = None) -> DensityMatrix:
     """Evolve |0...0><0...0| (or ``initial``, which is left unchanged)
     through the circuit.
@@ -178,11 +192,10 @@ def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
     the depolarizing channel on the gate's qubits, then thermal relaxation
     for the gate's duration.  Gates whose tag is listed in ``ideal_tags`` are
     applied as ideal unitaries (default: the ZZ-crosstalk insertions, which
-    model a coherent error).
+    model a coherent error).  Raises :class:`SimulationSizeError` before
+    allocating when the density tensors would not fit in physical memory.
     """
-    if circuit.width > max_qubits:
-        raise SimulationSizeError(
-            f"{circuit.width} qubits exceeds the dense cap of {max_qubits}")
+    _admit(circuit.width, snapshot=initial is not None)
     if circuit.has_measurements():
         raise ValueError("strip measurements before evolution (see exact_probs/sample)")
     n = circuit.width

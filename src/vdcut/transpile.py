@@ -1,6 +1,10 @@
 """Coupling maps, SWAP-insertion routing, and decomposition to the
-{RY, RZ, X, H, CNOT} basis (including canonical two-qubit synthesis with at
-most three CNOTs).
+{RY, RZ, X, H, CNOT} basis.
+
+Routing is one greedy pass that places gates in list order from a snake
+layout, optionally in two stages (see :func:`route`).  Two-qubit unitaries
+go through canonical synthesis with at most three CNOTs, checked against
+the target.
 """
 from __future__ import annotations
 
@@ -208,8 +212,8 @@ def path_placement(cmap: CouplingMap) -> list[int]:
     return order
 
 
-def _route_pass_inorder(body: list[Gate], width: int, cmap: CouplingMap,
-                        dist: np.ndarray, start_layout: list[int]) -> tuple[list[Gate], list[int]]:
+def _route_pass_inorder(body: list[Gate], cmap: CouplingMap, dist: np.ndarray,
+                        start_layout: list[int]) -> tuple[list[Gate], list[int]]:
     """Greedy in-order routing: gates are placed in list order; a blocked
     two-qubit gate triggers swaps (restricted to strict distance
     improvements) chosen by the summed distance of the next 20 unresolved
@@ -262,166 +266,21 @@ def _route_pass_inorder(body: list[Gate], width: int, cmap: CouplingMap,
     return out, l2p
 
 
-def _route_pass(body: list[Gate], width: int, cmap: CouplingMap,
-                dist: np.ndarray, start_layout: list[int]) -> tuple[list[Gate], list[int]]:
-    """One SABRE-style routing pass over a measureless gate list.
-
-    Gates are consumed in dependency order but any ready gate may execute
-    first; when every ready two-qubit gate is blocked, the swap minimizing
-    the summed front-layer distance (plus a half-weighted lookahead over
-    upcoming successors and an anti-oscillation decay) is inserted.
-    """
-    n_ops = len(body)
-    preds: list[list[int]] = [[] for _ in range(n_ops)]
-    succs: list[list[int]] = [[] for _ in range(n_ops)]
-    last: dict[int, int] = {}
-    for i, g in enumerate(body):
-        for q in g.qubits:
-            if q in last:
-                preds[i].append(last[q])
-                succs[last[q]].append(i)
-            last[q] = i
-    in_deg = [len(p) for p in preds]
-    ready = sorted(i for i in range(n_ops) if in_deg[i] == 0)
-
-    l2p = list(start_layout)
-    p2l = [0] * cmap.n_qubits
-    for logical, phys in enumerate(l2p):
-        p2l[phys] = logical
-
-    out: list[Gate] = []
-    decay = [0.0] * cmap.n_qubits
-    stall = 0
-
-    def emit(i: int) -> None:
-        nonlocal ready, stall
-        g = body[i]
-        out.append(Gate(g.kind, tuple(l2p[q] for q in g.qubits), angle=g.angle,
-                        unitary=g.unitary, tag=g.tag))
-        ready.remove(i)
-        for s in succs[i]:
-            in_deg[s] -= 1
-            if in_deg[s] == 0:
-                ready.append(s)
-        ready.sort()
-        stall = 0
-        for k in range(cmap.n_qubits):
-            decay[k] = 0.0
-
-    while ready:
-        # emit the lowest-index executable gate first: reproduces the input
-        # order whenever nothing is blocked
-        progressed = True
-        while progressed:
-            progressed = False
-            for i in list(ready):
-                g = body[i]
-                if len(g.qubits) == 1 or dist[l2p[g.qubits[0]], l2p[g.qubits[1]]] == 1:
-                    emit(i)
-                    progressed = True
-                    break
-        if not ready:
-            break
-        front = [i for i in ready if len(body[i].qubits) == 2]
-        extended: list[int] = []
-        layer = list(front)
-        while layer and len(extended) < _LOOKAHEAD:
-            nxt = sorted({s for i in layer for s in succs[i]
-                          if len(body[s].qubits) == 2 and s not in extended})
-            extended.extend(nxt)
-            layer = nxt
-        extended = extended[:_LOOKAHEAD]
-
-        candidates: set[tuple[int, int]] = set()
-        for i in front:
-            for lq in body[i].qubits:
-                pq = l2p[lq]
-                for nb in cmap.neighbors(pq):
-                    candidates.add((min(pq, nb), max(pq, nb)))
-
-        force = stall > 4 * cmap.n_qubits
-        first = front[0]
-        fa, fb = body[first].qubits
-        cur_first = dist[l2p[fa], l2p[fb]]
-        scored = []
-        for u, v in sorted(candidates):
-            trial = list(l2p)
-            lu, lv = p2l[u], p2l[v]
-            trial[lu], trial[lv] = trial[lv], trial[lu]
-            if force and dist[trial[fa], trial[fb]] >= cur_first:
-                continue
-            cost = sum(dist[trial[body[i].qubits[0]], trial[body[i].qubits[1]]]
-                       for i in front)
-            cost += 0.5 * sum(
-                dist[trial[body[i].qubits[0]], trial[body[i].qubits[1]]]
-                for i in extended)
-            cost += decay[u] + decay[v]
-            scored.append((cost, (u, v)))
-        score, (u, v) = min(scored)
-        out.append(swap_gate(u, v))
-        lu, lv = p2l[u], p2l[v]
-        l2p[lu], l2p[lv] = v, u
-        p2l[u], p2l[v] = lv, lu
-        decay[u] += 0.001
-        decay[v] += 0.001
-        stall += 1
-    return out, l2p
-
-
-def _interleaved_placement(width: int, cmap: CouplingMap) -> list[int]:
-    """Snake placement with the logical order riffled (0, h, 1, h+1, ...):
-    places qubit pairs (i, i+h) on neighboring path sites, which suits
-    two-register circuits."""
-    path = path_placement(cmap)
-    half = (width + 1) // 2
-    riffled = []
-    for k in range(half):
-        riffled.append(k)
-        if half + k < width:
-            riffled.append(half + k)
-    layout = [0] * cmap.n_qubits
-    for pos, logical in enumerate(riffled):
-        layout[logical] = path[pos]
-    rest = [p for p in path if p not in set(path[: len(riffled)])]
-    for logical, phys in zip(range(width, cmap.n_qubits), rest):
-        layout[logical] = phys
-    return layout
-
-
-def _mirror_placement(width: int, cmap: CouplingMap) -> list[int]:
-    """Snake placement with the upper logical half reversed, so two-register
-    circuits sit head-to-head along the path."""
-    path = path_placement(cmap)
-    half = (width + 1) // 2
-    layout = [0] * cmap.n_qubits
-    for logical in range(half):
-        layout[logical] = path[logical]
-    for j in range(width - half):
-        layout[half + j] = path[width - 1 - j]
-    for logical, phys in zip(range(width, cmap.n_qubits), path[width:]):
-        layout[logical] = phys
-    return layout
-
-
-def route(circuit: Circuit, cmap: CouplingMap, seed: int = 0, *,
-          effort: int = 0, stage_tags: Iterable[str] = ()) -> RoutedCircuit:
+def route(circuit: Circuit, cmap: CouplingMap, *,
+          stage_tags: Iterable[str] = ()) -> RoutedCircuit:
     """Insert SWAPs so every two-qubit gate acts on a coupling edge.
 
     The initial layout snakes the logical qubits along a DFS path of the
-    coupling graph (the identity on linear and fully-connected maps);
-    measurements are re-appended on final physical positions.  The default
-    pass places gates strictly in list order; ``effort > 0`` switches to
-    front-layer (SABRE-style) passes over a small portfolio of layout seeds,
-    refined by that many forward/backward pass pairs, keeping the
-    fewest-SWAP result.  Deterministic for a fixed seed (the heuristics draw
-    no randomness).
+    coupling graph (the identity on linear and fully-connected maps).  Gates
+    are placed strictly in list order; a blocked two-qubit gate gets the
+    SWAPs that the next 20 two-qubit gates favour.  Measurements are
+    re-appended on final physical positions.  Deterministic: the heuristic
+    draws no randomness.
 
-    With ``stage_tags`` (in-order pass only), the gates from the first one
-    carrying such a tag on form a second stage, routed from the layout the
-    first stage ends in: the first stage's routing then does not depend on
-    what follows it.
+    With ``stage_tags``, the gates from the first one carrying such a tag on
+    form a second stage, routed from the layout the first stage ends in: the
+    first stage's routing then does not depend on what follows it.
     """
-    del seed  # deterministic heuristic; parameter kept for interface stability
     n = circuit.width
     if n > cmap.n_qubits:
         raise RoutingError(f"circuit width {n} exceeds device size {cmap.n_qubits}")
@@ -430,37 +289,15 @@ def route(circuit: Circuit, cmap: CouplingMap, seed: int = 0, *,
     dist = cmap.distances()
     stage_tags = frozenset(stage_tags)
     split = next((i for i, g in enumerate(body) if g.tag in stage_tags), len(body))
-
-    if effort == 0:
-        start = path_placement(cmap)
-        out, mid_layout = _route_pass_inorder(body[:split], n, cmap, dist, start)
-        rest, final_layout = _route_pass_inorder(body[split:], n, cmap, dist, mid_layout)
-        out += rest
-        init_layout = start
-    elif stage_tags:
-        raise RoutingError("staged routing needs the in-order pass (effort 0)")
-    else:
-        seeds = [path_placement(cmap), _interleaved_placement(n, cmap),
-                 _mirror_placement(n, cmap)]
-        best: tuple[int, list[Gate], list[int], list[int]] | None = None
-        for start in seeds:
-            layout = list(start)
-            for attempt in range(effort + 1):
-                out, final = _route_pass(body, n, cmap, dist, layout)
-                swaps = sum(1 for g in out if g.kind == SWAP)
-                if best is None or swaps < best[0]:
-                    best = (swaps, out, list(layout), final)
-                if attempt >= effort:
-                    break
-                # reverse pass: routing the mirrored circuit from the final
-                # layout yields a layout adapted to the circuit's entry shape
-                _, layout = _route_pass(list(reversed(body)), n, cmap, dist, final)
-        _, out, init_layout, final_layout = best
+    start = path_placement(cmap)
+    out, mid_layout = _route_pass_inorder(body[:split], cmap, dist, start)
+    rest, final_layout = _route_pass_inorder(body[split:], cmap, dist, mid_layout)
+    out += rest
     for m in measures:
         out.append(measure(final_layout[m.qubits[0]], tag=m.tag))
     return RoutedCircuit(
         Circuit(cmap.n_qubits, tuple(out), circuit.name),
-        initial_layout=tuple(init_layout[:n]),
+        initial_layout=tuple(start[:n]),
         final_layout=tuple(final_layout[:n]),
     )
 
@@ -695,20 +532,21 @@ def _synthesize_two_qubit(u: np.ndarray, tag: str) -> list[Gate]:
         interior = [cnot(1, 0, tag=tag)] + inner + [cnot(1, 0, tag=tag)]
         return (_emit_1q(c, 0, tag) + _emit_1q(d, 1, tag) + interior
                 + _emit_1q(a, 0, tag) + _emit_1q(b, 1, tag))
-    # generic three-CNOT case, via the SWAP trick
+    return _synthesize_three_cnot(usu, tag)
+
+
+def _synthesize_three_cnot(usu: np.ndarray, tag: str) -> list[Gate]:
+    """Generic three-CNOT synthesis of an SU(4) matrix, via the SWAP trick."""
     swap_u = np.exp(1j * np.pi / 4) * (_SWAP4 @ usu)
     g = _gamma(_to_su4(swap_u))
     angles = np.sort(np.angle(np.linalg.eigvals(g)))
     ax, ay, az = angles[0], angles[1], angles[2]
     alpha, beta, delta = (ax + ay) / 2, (ax + az) / 2, (az + ay) / 2
-    ry_a = np.array([[np.cos(alpha / 2), -np.sin(alpha / 2)],
-                     [np.sin(alpha / 2), np.cos(alpha / 2)]], dtype=complex)
-    ry_b = np.array([[np.cos(beta / 2), -np.sin(beta / 2)],
-                     [np.sin(beta / 2), np.cos(beta / 2)]], dtype=complex)
-    rz_d = np.array([[np.exp(-1j * delta / 2), 0], [0, np.exp(1j * delta / 2)]])
+    ry_a = gate_matrix(ry(alpha, 0))
+    ry_b = gate_matrix(ry(beta, 0))
+    rz_d = gate_matrix(rz(delta, 0))
     vm = _CNOT10 @ np.kron(np.eye(2), ry_a) @ _CNOT01 @ np.kron(rz_d, ry_b) @ _CNOT10
-    v = _SWAP4 @ vm
-    a, b, c, d = _extract_prefactors(_to_su4(swap_u), _to_su4(v))
+    a, b, c, d = _extract_prefactors(_to_su4(swap_u), _to_su4(_SWAP4 @ vm))
     interior = ([cnot(1, 0, tag=tag), rz(delta, 0, tag=tag), ry(beta, 1, tag=tag),
                  cnot(0, 1, tag=tag), ry(alpha, 1, tag=tag), cnot(1, 0, tag=tag)])
     # the trailing SWAP of v cancels against swap_u, exchanging A and B
@@ -725,30 +563,12 @@ def _decompose_gate(gate: Gate) -> list[Gate]:
         local = None
     if local is None or _verify_distance(local, u) > 1e-9:
         # fall back to the generic synthesis path if a smaller template failed
-        local = _synthesize_two_qubit_forced3(u, gate.tag)
+        local = _synthesize_three_cnot(_to_su4(u), gate.tag)
         if _verify_distance(local, u) > 1e-9:
             raise DecompositionError("two-qubit synthesis exceeded 1e-9 tolerance")
     remap = {0: a, 1: b}
     return [Gate(g.kind, tuple(remap[q] for q in g.qubits), angle=g.angle,
                  unitary=g.unitary, tag=g.tag) for g in local]
-
-
-def _synthesize_two_qubit_forced3(u: np.ndarray, tag: str) -> list[Gate]:
-    usu = _to_su4(u)
-    swap_u = np.exp(1j * np.pi / 4) * (_SWAP4 @ usu)
-    g = _gamma(_to_su4(swap_u))
-    angles = np.sort(np.angle(np.linalg.eigvals(g)))
-    ax, ay, az = angles[0], angles[1], angles[2]
-    alpha, beta, delta = (ax + ay) / 2, (ax + az) / 2, (az + ay) / 2
-    ry_a = gate_matrix(ry(alpha, 0))
-    ry_b = gate_matrix(ry(beta, 0))
-    rz_d = gate_matrix(rz(delta, 0))
-    vm = _CNOT10 @ np.kron(np.eye(2), ry_a) @ _CNOT01 @ np.kron(rz_d, ry_b) @ _CNOT10
-    a, b, c, d = _extract_prefactors(_to_su4(swap_u), _to_su4(_SWAP4 @ vm))
-    interior = ([cnot(1, 0, tag=tag), rz(delta, 0, tag=tag), ry(beta, 1, tag=tag),
-                 cnot(0, 1, tag=tag), ry(alpha, 1, tag=tag), cnot(1, 0, tag=tag)])
-    return (_emit_1q(c, 0, tag) + _emit_1q(d, 1, tag) + interior
-            + _emit_1q(b, 0, tag) + _emit_1q(a, 1, tag))
 
 
 def _verify_distance(gates: Sequence[Gate], target: np.ndarray) -> float:

@@ -52,6 +52,10 @@ def test_run_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
+    for key, value in (("noise", "bogus"), ("coupling_map", "ring"),
+                       ("entanglement", "star")):
+        cfg.write_text(json.dumps({"problem": {"ring": 2}, key: value}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
 
 def test_overhead_sweep(tmp_path):

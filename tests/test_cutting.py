@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
-from vdcut.circuit import Circuit, cnot, h, measure, ry
+from vdcut.circuit import Circuit, cnot, h, lightcone, measure, ry
 from vdcut.cutting import (
     CutError,
     CutPoint,
@@ -26,7 +26,7 @@ from vdcut.simulate import (
     marginal,
     tv_distance,
 )
-from vdcut.vd import build_vd_circuit
+from vdcut.vd import DIAG_UNITARY, build_vd_circuit
 
 from helpers import random_circuit
 
@@ -128,12 +128,14 @@ def test_reconstruction_negativity_error():
 
 
 def test_pairwise_pipeline_structure():
-    orig = Circuit(1, (ry(0.9, 0),))
-    (pipe,) = build_pairwise_pipelines(orig)
-    assert pipe.quantum_part.width == 2
-    assert all(g.tag != "diag" for g in pipe.quantum_part.ops)
-    assert sum(1 for g in pipe.classical_part.ops if g.tag == "diag") == 1
-    assert pipe.classical_part.count("Measure") == 2
+    orig = Circuit(3, (ry(0.9, 0), cnot(0, 1), ry(0.4, 2), h(1)))
+    pipes = build_pairwise_pipelines(orig)
+    assert [p.pair_index for p in pipes] == [0, 1, 2]
+    for i, pipe in enumerate(pipes):
+        assert pipe.copy_fragment.width == orig.width
+        assert pipe.copy_fragment.ops == lightcone(orig, {i}).ops
+    assert pipes[0].copy_fragment.ops == (orig.ops[0], orig.ops[1])
+    assert pipes[2].copy_fragment.ops == (orig.ops[2],)
 
 
 def test_pairwise_fragment_counts():
@@ -147,8 +149,7 @@ def test_pairwise_fragment_counts():
     cache = DiagonalSimulationCache()
     run_pairwise(pipes[0], None, cache=cache)
     assert set(pipes[0].fragment_results) == {"X", "Y", "Z"}
-    assert cache.tensor(np.asarray(
-        [g for g in pipes[0].classical_part.ops if g.tag == "diag"][0].unitary)).shape == (4, 4, 4)
+    assert cache.tensor(DIAG_UNITARY).shape == (4, 4, 4)
 
 
 def test_pairwise_noiseless_matches_vd_marginals():

@@ -29,6 +29,11 @@ def test_config_validation():
         _fast_config(methods=("teleport",))
     with pytest.raises(ConfigError):
         _fast_config(shots=0)
+    for bad in ({"noise": "bogus"}, {"coupling_map": "ring"},
+                {"coupling_map": "heavyhex:x"}, {"entanglement": "star"},
+                {"problem": ring_problem(12), "coupling_map": "heavyhex:3"}):
+        with pytest.raises(ConfigError):
+            _fast_config(**bad)
 
 
 def test_config_from_dict_roundtrip():
@@ -46,6 +51,15 @@ def test_config_from_dict_roundtrip():
         ExperimentConfig.from_dict({"problem": {"ring": 3}, "bogus": 1})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"problem": {"shape": "star"}})
+
+
+def test_config_from_dict_leaves_its_argument_alone():
+    data = {"problem": {"ring": 3}, "methods": ["none"]}
+    first = ExperimentConfig.from_dict(data)
+    second = ExperimentConfig.from_dict(data)
+    assert first == second
+    assert second.problem.n == 3
+    assert data == {"problem": {"ring": 3}, "methods": ["none"]}
 
 
 def test_noiseless_none_method_is_exact():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdcut import simulate
 from vdcut.circuit import (
     _SWAP_MATRIX,
     Circuit,
@@ -58,9 +59,20 @@ def test_noiseless_purity():
     assert abs(evolve(c).purity() - 1.0) < 1e-10
 
 
-def test_width_cap():
+def test_width_cap(monkeypatch):
+    """Admission counts three density tensors (plus the snapshot) against
+    physical memory, and rejects before allocating anything."""
+    gib = 2 ** 30
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 7 * gib)
     with pytest.raises(SimulationSizeError):
-        evolve(Circuit(15), max_qubits=14)
+        evolve(Circuit(14))        # 3 x 4 GiB
+    simulate._admit(12, snapshot=True)    # table 2: 4 x 256 MiB
+    simulate._admit(13, snapshot=True)    # 4 x 1 GiB
+    three_tensors = 3 * 16 * 4 ** 10
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: three_tensors)
+    simulate._admit(10, snapshot=False)
+    with pytest.raises(SimulationSizeError):   # before the initial state's width is read
+        evolve(Circuit(10), initial=DensityMatrix.ground_state(2))
 
 
 def test_measurement_rejected_by_evolve():

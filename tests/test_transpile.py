@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import (
     Circuit,
     cnot,
@@ -14,6 +15,7 @@ from vdcut.circuit import (
     two_qubit,
 )
 from vdcut.simulate import evolve, exact_probs, marginal, tv_distance
+from vdcut.sweep import overhead_point
 from vdcut.transpile import (
     RoutingError,
     cnot_cost,
@@ -26,7 +28,7 @@ from vdcut.transpile import (
     linear,
     route,
 )
-from vdcut.vd import DIAG_UNITARY, build_vd_circuit
+from vdcut.vd import DIAG_TAG, DIAG_UNITARY, PARITY_TAG, build_vd_circuit, parity_groups
 
 from helpers import full_unitary, phase_distance, random_circuit
 
@@ -223,3 +225,32 @@ def test_vd_circuit_monotone_overhead():
     base = cnot_count(decompose_to_basis(route(orig, cmap).circuit))
     vd = cnot_count(decompose_to_basis(route(build_vd_circuit(orig), cmap).circuit))
     assert vd > base
+
+
+def test_staged_routing_gives_every_parity_group_the_same_preparation():
+    """Routing the measurement stage separately keeps the state preparation's
+    routing independent of the parity rotation that follows it."""
+    orig = real_amplitudes(4, 2, "circular", np.linspace(0.1, 1.2, 12))
+    cmap = heavy_hex(3)
+    groups = parity_groups(maxcut_hamiltonian(ring_problem(4)))
+    assert len(groups) == 2
+    prefixes = []
+    for group in groups:
+        rc = route(build_vd_circuit(orig, group.gates()), cmap,
+                   stage_tags=(PARITY_TAG, DIAG_TAG))
+        ops = rc.circuit.ops
+        split = next(i for i, g in enumerate(ops) if g.tag == PARITY_TAG)
+        prefixes.append([(g.kind, g.qubits, g.angle, g.tag) for g in ops[:split]])
+    assert prefixes[0] == prefixes[1]
+    assert any(kind == "SWAP" for kind, *_ in prefixes[0])
+
+
+@pytest.mark.parametrize("point, counts", [
+    ((4, 2, "full"), (8, 28)),
+    ((6, 4, "heavyhex:5"), (120, 291)),
+    ((8, 2, "heavyhex:5"), (88, 272)),
+    ((5, 2, "linear"), (46, 137)),
+])
+def test_overhead_point_cnot_counts(point, counts):
+    row = overhead_point(*point)
+    assert (row.cnot_original, row.cnot_vd) == counts
