@@ -7,10 +7,15 @@ A pairwise pipeline cuts both wires of a copy pair (i, n+i) just before
 their diagonalizing gate.  The noisy quantum part is then the single-copy
 fragment both copies share (the lightcone of qubit i), run in three
 measurement bases; the diagonalizing gate is simulated noiselessly on the
-prepared cut states."""
+prepared cut states.
+
+Planning and reconstruction are pure (:func:`cut_executions`,
+:func:`cut_estimate`), so a caller can batch the fragment runs with its other
+executions; :func:`run_pairwise` and :func:`mitigated_expectation_cut` run
+their own."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,13 +32,14 @@ from .circuit import (
     x,
 )
 from .noise import NoiseModel
-from .runner import run_circuit
+from .runner import Execution, run_circuit, run_circuits
 from .simulate import Distribution, marginal
 from .transpile import CouplingMap
 from .vd import (
     DIAG_UNITARY,
     SINGLET_OUTCOME,
     ParityEstimate,
+    ParityGroup,
     build_vd_circuit,
     estimate_from_distribution,
     parity_groups,
@@ -299,16 +305,23 @@ class DiagonalSimulationCache:
         return k
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairwisePipeline:
-    """One mitigated pairwise distribution in the making: the single-copy
-    fragment that both copies of pair ``pair_index`` share, and what running
-    it produced."""
+    """The single-copy fragment that both copies of pair ``pair_index``
+    share: the copy's lightcone of qubit ``pair_index``, up to the cut before
+    the pair's diagonalizing gate."""
 
     pair_index: int
     copy_fragment: Circuit
-    fragment_results: dict[str, Distribution] = field(default_factory=dict)
-    fragment_stats: dict[str, int] = field(default_factory=dict)
+
+    def executions(self, shots: int | None, seed: int) -> list[Execution]:
+        """The fragment measured on qubit ``pair_index`` in the X, Y and Z bases."""
+        i, base = self.pair_index, self.copy_fragment
+        return [Execution(Circuit(base.width,
+                                  base.ops + tuple(basis_change_gates(basis, i)) + (measure(i),),
+                                  name=f"pair{i}-{basis}"),
+                          shots=shots, seed=seed + 11 * bi + 3)
+                for bi, basis in enumerate(MEASURE_BASES)]
 
 
 def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
@@ -319,37 +332,13 @@ def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
             for i in range(original.width)]
 
 
-def _fragment_variant(pipeline: PairwisePipeline, basis: str) -> Circuit:
-    i = pipeline.pair_index
-    base = pipeline.copy_fragment
-    ops = list(base.ops) + basis_change_gates(basis, i) + [measure(i)]
-    return Circuit(base.width, tuple(ops), name=f"pair{i}-{basis}")
-
-
-def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
-                 shots: int | None = None, *,
-                 cmap: CouplingMap | None = None,
-                 seed: int = 0,
-                 cache: DiagonalSimulationCache | None = None) -> Distribution:
-    """Execute one pipeline: the three single-copy fragments under the device
-    noise model (shared between the two identical copies), the prepare-side
-    variants on the noiseless classical simulator, and the double-cut
-    reconstruction of the mitigated pairwise distribution."""
-    cache = cache if cache is not None else DiagonalSimulationCache()
-    measures: dict[str, tuple[float, float]] = {}
-    for bi, basis in enumerate(MEASURE_BASES):
-        frag = _fragment_variant(pipeline, basis)
-        rec = run_circuit(frag, noise=noise, cmap=cmap, shots=shots,
-                          seed=seed + 11 * bi + 3)
-        dist = rec.output
-        pipeline.fragment_results[basis] = dist
-        if basis == "Z":
-            pipeline.fragment_stats.update(cnots=rec.cnots, rzz=rec.rzz_gates,
-                                           swaps=rec.swaps)
-        signed = float(dist.probs[0] - dist.probs[1])
-        trace = float(dist.probs.sum())
-        measures[basis] = (signed, trace)
-
+def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,
+                          cache: DiagonalSimulationCache) -> Distribution:
+    """Double-cut reconstruction of one mitigated pairwise distribution from
+    the fragment's X, Y and Z outputs (shared between the two identical
+    copies) and the prepare-side variants simulated noiselessly."""
+    measures = {basis: (float(dist.probs[0] - dist.probs[1]), float(dist.probs.sum()))
+                for basis, dist in zip(MEASURE_BASES, outputs)}
     k_tensor = cache.tensor(DIAG_UNITARY)
 
     raw = np.zeros(4)
@@ -364,6 +353,18 @@ def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
                 continue
             raw += coeff * np.einsum("a,b,aby->y", e1, e2, k_tensor)
     return _clamp_normalize(raw, 2, shots)
+
+
+def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
+                 shots: int | None = None, *,
+                 cmap: CouplingMap | None = None,
+                 seed: int = 0,
+                 cache: DiagonalSimulationCache | None = None) -> Distribution:
+    """Execute one pipeline's three fragments under the device noise model
+    and reconstruct its mitigated pairwise distribution."""
+    records = run_circuits(pipeline.executions(shots, seed), noise=noise, cmap=cmap)
+    return pairwise_distribution([rec.output for rec in records], shots,
+                                 cache if cache is not None else DiagonalSimulationCache())
 
 
 def _expansion_vector(eigenstate: str) -> np.ndarray:
@@ -424,48 +425,45 @@ def recombine(unmitigated: Distribution,
 # top-level composition
 
 
-def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
-                              noise: NoiseModel | None = None,
-                              shots: int | None = None, *,
-                              cmap: CouplingMap | None = None,
-                              seed: int = 0,
-                              unmitigated: Sequence[Distribution] | None = None,
-                              cache: DiagonalSimulationCache | None = None,
-                              pipelines: list[PairwisePipeline] | None = None) -> ParityEstimate:
-    """Full cut-enhanced distillation, one pass per parity group of ``obs``
-    (see :func:`parity_groups`), on the group's rotated original: the uncut
-    distillation circuit supplies the unmitigated joint distribution, the
-    pairwise pipelines supply the mitigated pair marginals, and the
-    distillation post-processing weights are applied exactly to the
-    recombined distribution.
+def cut_executions(original: Circuit, groups: Sequence[ParityGroup],
+                   shots: int | None, seed: int) -> list[Execution]:
+    """Every fragment run of the cut method: group by group (on the group's
+    rotated original), pair by pair, in the X, Y and Z bases."""
+    return [ex for gi, group in enumerate(groups)
+            for p in build_pairwise_pipelines(group.rotated(original))
+            for ex in p.executions(shots, seed + 100_003 * gi + 1009 * (p.pair_index + 1))]
 
-    ``unmitigated`` optionally supplies the joint distributions, one per
-    group in order; executed pipelines are appended to ``pipelines`` when
-    it is given."""
-    groups = parity_groups(obs)
-    if unmitigated is not None and len(unmitigated) != len(groups):
-        raise ValueError(f"expected {len(groups)} unmitigated distributions, "
-                         f"got {len(unmitigated)}")
-    cache = cache if cache is not None else DiagonalSimulationCache()
+
+def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
+                 fragment_outputs: Sequence[Distribution],
+                 shots: int | None) -> ParityEstimate:
+    """The cut method's estimate from each group's unmitigated joint
+    distribution and the outputs of :func:`cut_executions`, in its order."""
+    cache = DiagonalSimulationCache()
+    outputs = iter(fragment_outputs)
     parts = []
-    for gi, group in enumerate(groups):
-        group_seed = seed + 100_003 * gi
-        if unmitigated is None:
-            rec = run_circuit(build_vd_circuit(original, group.gates()), noise=noise,
-                              cmap=cmap, shots=shots, seed=group_seed)
-            joint = rec.output
-        else:
-            joint = unmitigated[gi]
-        group_pipelines = build_pairwise_pipelines(group.rotated(original))
-        pairwise = [
-            run_pairwise(p, noise, shots, cmap=cmap,
-                         seed=group_seed + 1009 * (p.pair_index + 1),
-                         cache=cache)
-            for p in group_pipelines
-        ]
-        if pipelines is not None:
-            pipelines.extend(group_pipelines)
+    for group, joint in zip(groups, joints):
+        pairwise = [pairwise_distribution([next(outputs) for _ in MEASURE_BASES], shots, cache)
+                    for _ in range(joint.width // 2)]
         merged = recombine(joint, pairwise)
         parts.append(estimate_from_distribution(merged, group.observable, shots=shots,
                                                 singlet=SINGLET_OUTCOME))
     return ParityEstimate(tuple(parts))
+
+
+def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
+                              noise: NoiseModel | None = None,
+                              shots: int | None = None, *,
+                              cmap: CouplingMap | None = None,
+                              seed: int = 0) -> ParityEstimate:
+    """Full cut-enhanced distillation, one pass per parity group of ``obs``
+    (see :func:`parity_groups`), with the uncut distillation circuits' joint
+    distributions and the fragments run here (see :func:`cut_estimate`)."""
+    groups = parity_groups(obs)
+    joints = run_circuits([Execution(build_vd_circuit(original, group.gates()),
+                                     shots=shots, seed=seed + 100_003 * gi)
+                           for gi, group in enumerate(groups)], noise=noise, cmap=cmap)
+    fragments = run_circuits(cut_executions(original, groups, shots, seed),
+                             noise=noise, cmap=cmap)
+    return cut_estimate(groups, [rec.output for rec in joints],
+                        [rec.output for rec in fragments], shots)

@@ -11,6 +11,7 @@ no-mitigation cell reproduce the ideal value exactly.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,12 +24,13 @@ from .benchmarks import (
     _entangling_pairs,
     maxcut_hamiltonian,
     optimize_parameters,
+    parameter_count,
     ring_problem,
 )
 from .circuit import Circuit, from_text, measure
-from .cutting import PairwisePipeline, mitigated_expectation_cut
+from .cutting import cut_executions, cut_estimate
 from .noise import NOISELESS, NoiseModel, preset
-from .runner import Execution, run_circuit, run_circuits
+from .runner import Execution, ExecutionRecord, run_circuits
 from .simulate import expectation, evolve
 from .transpile import coupling_map_for
 from .vd import (
@@ -73,29 +75,40 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
+        for name in ("reps", "shots", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
         try:
             preset(self.noise)
             coupling_map_for(self.coupling_map, 2 * self.problem.n)
             _entangling_pairs(self.problem.n, self.entanglement)
-        except ValueError as exc:
+            maxcut_hamiltonian(self.problem)
+            if not isinstance(self.parameters, str):
+                object.__setattr__(self, "parameters",
+                                   tuple(float(v) for v in self.parameters))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        if not isinstance(self.parameters, str):
-            object.__setattr__(self, "parameters",
-                               tuple(float(v) for v in self.parameters))
+        count = parameter_count(self.problem.n, self.reps)
+        if (self.circuit_file is None and not isinstance(self.parameters, str)
+                and len(self.parameters) != count):
+            raise ConfigError(f"expected {count} parameters, got {len(self.parameters)}")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         data = dict(data)
         spec = data.pop("problem", {"ring": 4})
-        if "ring" in spec:
-            problem = ring_problem(int(spec["ring"]))
-        elif "edges" in spec:
-            problem = MaxCutProblem(int(spec["n"]),
-                                    tuple((a, b) for a, b in spec["edges"]))
-        else:
-            raise ConfigError("problem spec needs a 'ring' size or an 'n'/'edges' pair")
+        try:
+            if "ring" in spec:
+                problem = ring_problem(int(spec["ring"]))
+            elif "edges" in spec:
+                problem = MaxCutProblem(int(spec["n"]),
+                                        tuple((a, b) for a, b in spec["edges"]))
+            else:
+                raise ConfigError("it needs a 'ring' size or an 'n'/'edges' pair")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad problem spec {spec!r}: {exc}") from exc
         known = {
             "reps", "entanglement", "parameters", "noise", "methods", "shots",
             "seed", "coupling_map", "circuit_file", "out",
@@ -128,9 +141,9 @@ class CellResult:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Cells of one preset.  ``shared_wall_time`` covers the distillation
-    executions the cells share (see :func:`run_experiment`); each cell's
-    ``wall_time`` covers only its own work."""
+    """Cells of one preset.  ``shared_wall_time`` covers the batched
+    executions of both registers (see :func:`run_experiment`); each cell's
+    ``wall_time`` covers only its own post-processing."""
 
     config: ExperimentConfig
     ideal: float
@@ -170,13 +183,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     The distillation methods measure every Hamiltonian term through the
     parity rotation groups of :func:`parity_groups` and sum the groups'
-    mitigated values.  The executions they share (per group: the
-    noiseless-diag reference, scale 1 for vd, ZNE and the cut's unmitigated
-    joint distribution, and ZNE scales 3 and 5) run as one batch, so their
-    common compiled prefix is evolved once; each cell keeps its own
-    sampling seed.  Per-cell failures, a failed shared batch included, are
-    recorded in the cell's ``error`` field without aborting the remaining
-    methods.
+    mitigated values.  Every execution is planned up front, and each register
+    runs as one batch, so its common compiled prefix is evolved once (see
+    :func:`_plan`).  Each execution keeps its own sampling seed.  A failed
+    batch is recorded in the ``error`` field of every cell that reads one of
+    its records, without aborting the remaining methods.
     """
     ansatz = AnsatzSpec(config.problem.n, config.reps, config.entanglement)
     theta = _resolve_parameters(config, ansatz)
@@ -189,41 +200,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
              for mi, method in enumerate(config.methods)}
 
     ideal = expectation(evolve(circuit), hamiltonian)
-    distilling = [m for m in config.methods if m != "none"]
+    distilling = any(m != "none" for m in config.methods)
     groups = parity_groups(hamiltonian) if distilling else ()
-    runs: list[dict] = []
-    shared_failure = None
-    reference = None
+    records: dict[tuple, ExecutionRecord | Exception] = {}
     started = time.perf_counter()
-    if distilling:
+    for jobs in _plan(circuit, groups, config.methods, seeds, shots):
         try:
-            runs = _distillation_runs(circuit, groups, distilling, seeds, noise, cmap, shots)
-        except Exception as exc:  # recorded in every distillation cell
-            shared_failure = exc
-        else:
-            reference = _parity_estimate(
-                groups, [r["reference"] for r in runs], None).mitigated
+            records.update(zip(jobs, run_circuits(list(jobs.values()), noise=noise, cmap=cmap)))
+        except Exception as exc:  # recorded in every cell that reads the register
+            records.update(dict.fromkeys(jobs, exc))
     shared_wall_time = time.perf_counter() - started
+    reference = None
+    if distilling and not isinstance(records["reference", 0], Exception):
+        reference = _parity_estimate(groups, _take(records, "reference"), None).mitigated
 
     cells = []
     for method in config.methods:
         started = time.perf_counter()
+        value, counted, error = None, [], None
         try:
-            if method != "none" and shared_failure is not None:
-                raise shared_failure
-            value, cnots, rzz = _run_method(
-                method, circuit, hamiltonian, groups, runs, noise, cmap, shots,
-                seeds[method])
-            cells.append(CellResult(
-                method=method, preset=config.noise, expectation=value,
-                abs_error=abs(value - ideal), cnots=cnots, rzz=rzz,
-                wall_time=time.perf_counter() - started))
+            value, counted = _run_method(method, hamiltonian, groups, records, shots)
         except Exception as exc:  # per-cell failure; matrix completes
-            cells.append(CellResult(
-                method=method, preset=config.noise, expectation=None,
-                abs_error=None, cnots=(), rzz=(),
-                wall_time=time.perf_counter() - started,
-                error=f"{type(exc).__name__}: {exc}"))
+            error = f"{type(exc).__name__}: {exc}"
+        cells.append(CellResult(
+            method=method, preset=config.noise, expectation=value,
+            abs_error=None if error else abs(value - ideal),
+            cnots=tuple(rec.cnots for rec in counted),
+            rzz=tuple(rec.rzz_gates for rec in counted),
+            wall_time=time.perf_counter() - started, error=error))
     return ExperimentResult(config=config, ideal=ideal,
                             reference_noiseless_diag=reference,
                             parameters=tuple(float(v) for v in theta),
@@ -231,11 +235,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             shared_wall_time=shared_wall_time)
 
 
-def _distillation_runs(circuit, groups, methods, seeds, noise, cmap, shots) -> list[dict]:
-    """Every execution of every group's distillation circuit, in one batch;
-    per group, keyed by use: ``"reference"``, ``"vd"``, ``"vd+cut"`` or a
-    ZNE scale."""
-    jobs = {}
+def _plan(circuit, groups, methods, seeds, shots) -> list[dict]:
+    """Every execution of the experiment keyed by (use, *index), one dict per
+    register that runs.  The copies register holds, per group, the
+    noiseless-diag reference, the scale-1 runs of vd and of the cut's
+    unmitigated joint distribution, and the ZNE scales.  The single-copy
+    register holds the bare circuit and the cut's fragments."""
+    copies: dict[tuple, Execution] = {}
     for gi, group in enumerate(groups):
         vd = build_vd_circuit(circuit, group.gates())
 
@@ -243,19 +249,33 @@ def _distillation_runs(circuit, groups, methods, seeds, noise, cmap, shots) -> l
             return Execution(vd, scale=scale, shots=shots,
                              seed=_derive_seed(seeds[method], gi, *key))
 
-        jobs[gi, "reference"] = Execution(vd, ideal_diag=True)
+        copies["reference", gi] = Execution(vd, ideal_diag=True)
         if "vd" in methods:
-            jobs[gi, "vd"] = sampled("vd")
+            copies["vd", gi] = sampled("vd")
         if "vd+zne" in methods:
             for si, scale in enumerate(ZNE_SCALES):
-                jobs[gi, scale] = sampled("vd+zne", si, scale=scale)
+                copies["vd+zne", gi, si] = sampled("vd+zne", si, scale=scale)
         if "vd+cut" in methods:
-            jobs[gi, "vd+cut"] = sampled("vd+cut")
-    records = run_circuits(list(jobs.values()), noise=noise, cmap=cmap)
-    runs: list[dict] = [{} for _ in groups]
-    for (gi, use), rec in zip(jobs, records):
-        runs[gi][use] = rec
-    return runs
+            copies["vd+cut", gi] = sampled("vd+cut")
+    single: dict[tuple, Execution] = {}
+    if "none" in methods:
+        bare = Circuit(circuit.width,
+                       circuit.ops + tuple(measure(q) for q in range(circuit.width)))
+        single[("none",)] = Execution(bare, shots=shots, seed=seeds["none"])
+    if "vd+cut" in methods:
+        single.update((("cut", k), ex) for k, ex in
+                      enumerate(cut_executions(circuit, groups, shots, seeds["vd+cut"])))
+    return [jobs for jobs in (copies, single) if jobs]
+
+
+def _take(records, use) -> list[ExecutionRecord]:
+    """The records of one use in plan order; raises the exception that
+    stopped their batch instead."""
+    found = [rec for key, rec in records.items() if key[0] == use]
+    for rec in found:
+        if isinstance(rec, Exception):
+            raise rec
+    return found
 
 
 def _parity_estimate(groups, records, shots) -> ParityEstimate:
@@ -264,36 +284,30 @@ def _parity_estimate(groups, records, shots) -> ParityEstimate:
         for g, rec in zip(groups, records)))
 
 
-def _run_method(method, circuit, hamiltonian, groups, runs, noise, cmap, shots, seed):
-    """Value and per-execution gate counts of one cell."""
+def _run_method(method, hamiltonian, groups, records, shots):
+    """Value of one cell, and the records whose gate counts it lists."""
     if method == "none":
-        bare = Circuit(circuit.width,
-                       circuit.ops + tuple(measure(q) for q in range(circuit.width)))
-        rec = run_circuit(bare, noise=noise, cmap=cmap, shots=shots, seed=seed)
-        return expectation(rec.output, hamiltonian), (rec.cnots,), (rec.rzz_gates,)
+        (rec,) = _take(records, "none")
+        return expectation(rec.output, hamiltonian), [rec]
 
     if method == "vd":
-        records = [r["vd"] for r in runs]
-        value = _parity_estimate(groups, records, shots).mitigated
-        return (value, tuple(rec.cnots for rec in records),
-                tuple(rec.rzz_gates for rec in records))
+        counted = _take(records, "vd")
+        return _parity_estimate(groups, counted, shots).mitigated, counted
 
     if method == "vd+zne":
+        counted = _take(records, "vd+zne")
         scaled = []
-        for scale in ZNE_SCALES:
-            est = _parity_estimate(groups, [r[scale] for r in runs], shots)
+        for si, scale in enumerate(ZNE_SCALES):
+            est = _parity_estimate(groups, counted[si::len(ZNE_SCALES)], shots)
             scaled.append(ScaledRun(scale, est.mitigated, est.mitigated_se))
-        records = [r[scale] for r in runs for scale in ZNE_SCALES]
-        return (extrapolate_linear(scaled), tuple(rec.cnots for rec in records),
-                tuple(rec.rzz_gates for rec in records))
+        return extrapolate_linear(scaled), counted
 
     if method == "vd+cut":
-        pipelines: list[PairwisePipeline] = []
-        est = mitigated_expectation_cut(
-            circuit, hamiltonian, noise, shots, cmap=cmap, seed=seed,
-            unmitigated=[r["vd+cut"].output for r in runs], pipelines=pipelines)
-        return (est.mitigated, tuple(p.fragment_stats["cnots"] for p in pipelines),
-                tuple(p.fragment_stats["rzz"] for p in pipelines))
+        joints = _take(records, "vd+cut")
+        fragments = _take(records, "cut")
+        est = cut_estimate(groups, [rec.output for rec in joints],
+                           [rec.output for rec in fragments], shots)
+        return est.mitigated, fragments[2::3]  # each pair's Z-basis run
 
     raise ConfigError(f"unknown method {method!r}")
 

@@ -184,10 +184,6 @@ class RoutedCircuit:
     initial_layout: tuple[int, ...]
     final_layout: tuple[int, ...]
 
-    @property
-    def logical_width(self) -> int:
-        return len(self.initial_layout)
-
 
 _LOOKAHEAD = 20
 

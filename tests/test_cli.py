@@ -53,8 +53,14 @@ def test_run_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
     for key, value in (("noise", "bogus"), ("coupling_map", "ring"),
-                       ("entanglement", "star")):
-        cfg.write_text(json.dumps({"problem": {"ring": 2}, key: value}))
+                       ("entanglement", "star"), ("shots", "100"),
+                       ("parameters", [0.1, 0.2, 0.3]), ("parameters", [0.1, 0.2, 0.3, "x"]),
+                       ("parameters", [0.1, 0.2, 0.3, None])):
+        cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, key: value}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    for problem in ({"ring": 1}, {"n": 3, "edges": [[0, 0]]}, {"n": 3, "edges": []},
+                    {"edges": [[0, 1]]}, 4):
+        cfg.write_text(json.dumps({"problem": problem}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
 

@@ -1,4 +1,6 @@
 """Wire cutting, pairwise pipelines, and recombination."""
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from vdcut.cutting import (
     CutPoint,
     DiagonalSimulationCache,
     ReconstructionError,
+    basis_change_gates,
     build_pairwise_pipelines,
     cut_wire,
     mitigated_expectation_cut,
@@ -146,9 +149,16 @@ def test_pairwise_fragment_counts():
     orig = real_amplitudes(3, 2, "circular", theta)
     pipes = build_pairwise_pipelines(orig)
     assert len(pipes) == 3
+    for pipe in pipes:
+        i = pipe.pair_index
+        executions = pipe.executions(shots=100, seed=5)
+        assert [ex.circuit.ops for ex in executions] == [
+            lightcone(orig, {i}).ops + tuple(basis_change_gates(basis, i)) + (measure(i),)
+            for basis in ("X", "Y", "Z")]
+        assert [(ex.shots, ex.seed) for ex in executions] == [(100, 8), (100, 19), (100, 30)]
+    with pytest.raises(FrozenInstanceError):
+        pipes[0].pair_index = 1
     cache = DiagonalSimulationCache()
-    run_pairwise(pipes[0], None, cache=cache)
-    assert set(pipes[0].fragment_results) == {"X", "Y", "Z"}
     assert cache.tensor(DIAG_UNITARY).shape == (4, 4, 4)
 
 

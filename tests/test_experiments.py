@@ -31,7 +31,9 @@ def test_config_validation():
         _fast_config(shots=0)
     for bad in ({"noise": "bogus"}, {"coupling_map": "ring"},
                 {"coupling_map": "heavyhex:x"}, {"entanglement": "star"},
-                {"problem": ring_problem(12), "coupling_map": "heavyhex:3"}):
+                {"problem": ring_problem(12), "coupling_map": "heavyhex:3"},
+                {"shots": "100"}, {"reps": "1"}, {"seed": "x"},
+                {"parameters": (0.1, 0.2)}, {"parameters": (0.1, "x", 0.3, 0.4)}):
         with pytest.raises(ConfigError):
             _fast_config(**bad)
 
@@ -79,6 +81,52 @@ def test_matrix_completeness_and_error_recording():
         assert cell.error is None, cell.error
         assert cell.abs_error == pytest.approx(abs(cell.expectation - res.ideal),
                                                abs=1e-12)
+
+
+def test_register_failure_fails_only_the_cells_that_read_it(monkeypatch):
+    """With memory for the 2-qubit single-copy register but not for the
+    4-qubit copies register, the none cell keeps its value and every
+    distillation cell records the refusal."""
+    from vdcut import simulate
+
+    methods = ("none", "vd", "vd+zne", "vd+cut")
+    fits = run_experiment(_fast_config(methods=methods))
+    # three 4-qubit density tensors do not fit; 2 qubits plus a snapshot do
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 16 * 4 ** 4 - 1)
+    res = run_experiment(_fast_config(methods=methods))
+    none, *distilled = res.cells
+    assert none.error is None
+    assert (none.expectation, none.cnots) == (fits.cells[0].expectation, fits.cells[0].cnots)
+    for cell in distilled:
+        assert cell.expectation is None
+        assert cell.error.startswith("SimulationSizeError"), (cell.method, cell.error)
+    assert res.reference_noiseless_diag is None
+
+
+def test_experiment_runs_one_batch_per_register(monkeypatch):
+    """The four-method matrix runs two batches, the copies register and the
+    single-copy register, and none of the one-off executors."""
+    from vdcut import cutting, experiments, runner
+
+    batches = []
+    real = experiments.run_circuits
+
+    def counting(executions, **kwargs):
+        batches.append(len(executions))
+        return real(executions, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("one-off executor called")
+
+    monkeypatch.setattr(experiments, "run_circuits", counting)
+    for module, name in ((runner, "run_circuit"), (cutting, "run_circuit"),
+                         (cutting, "run_pairwise"), (cutting, "mitigated_expectation_cut")):
+        monkeypatch.setattr(module, name, forbidden)
+    res = run_experiment(_fast_config(methods=("none", "vd", "vd+zne", "vd+cut")))
+    assert all(cell.error is None for cell in res.cells)
+    # ring-2 has one parity group: reference, vd, 3 ZNE scales and the cut's
+    # joint run; then the bare circuit and 2 pairs x 3 bases of fragments
+    assert batches == [6, 7]
 
 
 def test_zne_cell_reports_three_scales():

@@ -3,6 +3,8 @@ separate runs."""
 import numpy as np
 
 from vdcut.benchmarks import real_amplitudes
+from vdcut.circuit import Circuit, measure
+from vdcut.cutting import build_pairwise_pipelines
 from vdcut.noise import preset
 from vdcut.runner import Execution, run_circuit, run_circuits
 from vdcut.transpile import coupling_map_for
@@ -14,20 +16,30 @@ def test_batch_matches_separate_runs():
     vd = build_vd_circuit(orig)
     noise = preset("basic+gct")
     cmap = coupling_map_for("heavyhex:3", 4)
-    executions = [Execution(vd, ideal_diag=True),
-                  Execution(vd, shots=500, seed=1),
-                  Execution(vd, scale=3, shots=500, seed=2),
-                  Execution(vd, shots=500, seed=3)]
-    batch = run_circuits(executions, noise=noise, cmap=cmap)
-    for ex, rec in zip(executions, batch):
-        alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, shots=ex.shots,
-                            seed=ex.seed, scale=ex.scale, ideal_diag=ex.ideal_diag)
-        assert np.array_equal(rec.distribution.probs, alone.distribution.probs)
-        assert (rec.counts is None) == (alone.counts is None)
-        if rec.counts is not None:
-            assert np.array_equal(rec.counts.values, alone.counts.values)
-        assert (rec.cnots, rec.rzz_gates, rec.swaps) == (alone.cnots, alone.rzz_gates,
-                                                         alone.swaps)
+    copies = [Execution(vd, ideal_diag=True),
+              Execution(vd, shots=500, seed=1),
+              Execution(vd, scale=3, shots=500, seed=2),
+              Execution(vd, shots=500, seed=3)]
+    # distinct circuits of one register: the bare circuit and the X/Y/Z
+    # fragments of both pairs, as an experiment's single-copy batch holds them
+    bare = Circuit(2, orig.ops + (measure(0), measure(1)))
+    single = [Execution(bare, shots=500, seed=4)] + [
+        ex for pipe in build_pairwise_pipelines(orig)
+        for ex in pipe.executions(500, 5 + 100 * pipe.pair_index)]
+    assert len(single) == 7
+    batches = [run_circuits(executions, noise=noise, cmap=cmap)
+               for executions in (copies, single)]
+    for executions, batch in zip((copies, single), batches):
+        for ex, rec in zip(executions, batch, strict=True):
+            alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, shots=ex.shots,
+                                seed=ex.seed, scale=ex.scale, ideal_diag=ex.ideal_diag)
+            assert np.array_equal(rec.distribution.probs, alone.distribution.probs)
+            assert (rec.counts is None) == (alone.counts is None)
+            if rec.counts is not None:
+                assert np.array_equal(rec.counts.values, alone.counts.values)
+            assert (rec.cnots, rec.rzz_gates, rec.swaps) == (alone.cnots, alone.rzz_gates,
+                                                             alone.swaps)
+    batch = batches[0]
     # the two scale-1 executions share one evolution but keep their own seeds
     assert np.array_equal(batch[1].distribution.probs, batch[3].distribution.probs)
     assert not np.array_equal(batch[1].counts.values, batch[3].counts.values)
