@@ -72,12 +72,10 @@ from .transpile import (
     route,
 )
 from .vd import (
-    DiagonalizingGate,
     ParityEstimate,
     ParityGroup,
     VDEstimate,
     build_vd_circuit,
-    diagonalizing_gate,
     estimate_from_counts,
     estimate_from_distribution,
     oracle_mitigated_expectation,

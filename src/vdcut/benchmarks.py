@@ -88,12 +88,15 @@ def real_amplitudes(n: int, reps: int = 2, entanglement: str = "circular",
     ``parameters`` defaults to zeros (useful for structural studies)."""
     if n < 1:
         raise CircuitError("ansatz needs at least one qubit")
+    if reps < 0:
+        raise CircuitError(f"reps must be >= 0, got {reps}")
     count = parameter_count(n, reps)
     if parameters is None:
         parameters = np.zeros(count)
     parameters = np.asarray(parameters, dtype=float)
     if parameters.shape != (count,):
         raise CircuitError(f"expected {count} parameters, got {parameters.shape}")
+    pairs = _entangling_pairs(n, entanglement)
     ops: list[Gate] = []
     k = 0
     for layer in range(reps + 1):
@@ -101,7 +104,7 @@ def real_amplitudes(n: int, reps: int = 2, entanglement: str = "circular",
             ops.append(ry(float(parameters[k]), q))
             k += 1
         if layer < reps and n >= 2:
-            for a, b in _entangling_pairs(n, entanglement):
+            for a, b in pairs:
                 ops.append(cnot(a, b))
     return Circuit(n, tuple(ops), name=f"ra{n}x{reps}")
 

@@ -14,27 +14,49 @@ import sys
 import numpy as np
 
 from .benchmarks import AnsatzSpec, MaxCutProblem, maxcut_hamiltonian, optimize_parameters, ring_problem
+from .circuit import CircuitError
 from .cutting import CutPoint, cut_wire, run_cut
 from .experiments import ConfigError, ExperimentConfig, emit, run_experiment
 from .noise import PRESETS
 from .simulate import evolve, exact_probs, expectation, tv_distance
 from .sweep import overhead_sweep, write_sweep_csv
+from .transpile import coupling_map_for
 
 
-def _parse_range(spec: str) -> list[int]:
-    """``a..b`` (inclusive) or a comma list like ``2,4,8``."""
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(v) for v in spec.split(",")]
+def _parse_range(spec: str, minimum: int) -> list[int]:
+    """``a..b`` (inclusive) or a comma list like ``2,4,8``, each value at
+    least ``minimum``."""
+    try:
+        if ".." in spec:
+            a, b = spec.split("..", 1)
+            values = list(range(int(a), int(b) + 1))
+        else:
+            values = [int(v) for v in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad range {spec!r}: {exc}") from exc
+    if not values or min(values) < minimum:
+        raise ConfigError(f"range {spec!r} must be non-empty with values >= {minimum}")
+    return values
 
 
 def _parse_graph(spec: str) -> MaxCutProblem:
-    if spec.startswith("ring:"):
-        return ring_problem(int(spec.split(":", 1)[1]))
-    with open(spec) as f:
-        data = json.load(f)
-    return MaxCutProblem(int(data["n"]), tuple((a, b) for a, b in data["edges"]))
+    try:
+        if spec.startswith("ring:"):
+            return ring_problem(int(spec.split(":", 1)[1]))
+        with open(spec) as f:
+            data = json.load(f)
+        return MaxCutProblem(int(data["n"]), tuple((a, b) for a, b in data["edges"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad graph {spec!r}: {exc!r}") from exc
+
+
+def _parse_ansatz(n: int, reps: int, entanglement: str) -> AnsatzSpec:
+    ansatz = AnsatzSpec(n, reps=reps, entanglement=entanglement)
+    try:
+        ansatz.circuit(None)
+    except CircuitError as exc:
+        raise ConfigError(str(exc)) from exc
+    return ansatz
 
 
 def _cmd_run(args) -> int:
@@ -61,8 +83,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = overhead_sweep(_parse_range(args.qubits), _parse_range(args.layers),
-                          args.map)
+    qubits = _parse_range(args.qubits, 1)
+    layers = _parse_range(args.layers, 0)
+    try:
+        coupling_map_for(args.map, 2 * max(qubits))
+    except ValueError as exc:
+        raise ConfigError(f"bad map {args.map!r}: {exc}") from exc
+    rows = overhead_sweep(qubits, layers, args.map)
     write_sweep_csv(rows, args.out)
     print(f"{len(rows)} sweep points -> {args.out}")
     return 0
@@ -70,7 +97,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     problem = _parse_graph(args.graph)
-    ansatz = AnsatzSpec(problem.n, reps=args.reps, entanglement=args.entanglement)
+    ansatz = _parse_ansatz(problem.n, args.reps, args.entanglement)
     theta = optimize_parameters(problem, ansatz, seed=args.seed)
     value = expectation(evolve(ansatz.circuit(theta)),
                         maxcut_hamiltonian(problem))

@@ -37,7 +37,6 @@ from .simulate import Distribution, marginal
 from .transpile import CouplingMap
 from .vd import (
     DIAG_UNITARY,
-    SINGLET_OUTCOME,
     ParityEstimate,
     ParityGroup,
     build_vd_circuit,
@@ -446,8 +445,7 @@ def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
         pairwise = [pairwise_distribution([next(outputs) for _ in MEASURE_BASES], shots, cache)
                     for _ in range(joint.width // 2)]
         merged = recombine(joint, pairwise)
-        parts.append(estimate_from_distribution(merged, group.observable, shots=shots,
-                                                singlet=SINGLET_OUTCOME))
+        parts.append(estimate_from_distribution(merged, group.observable, shots=shots))
     return ParityEstimate(tuple(parts))
 
 

@@ -21,10 +21,10 @@ import numpy as np
 from .benchmarks import (
     AnsatzSpec,
     MaxCutProblem,
-    _entangling_pairs,
     maxcut_hamiltonian,
     optimize_parameters,
     parameter_count,
+    real_amplitudes,
     ring_problem,
 )
 from .circuit import Circuit, from_text, measure
@@ -83,7 +83,7 @@ class ExperimentConfig:
         try:
             preset(self.noise)
             coupling_map_for(self.coupling_map, 2 * self.problem.n)
-            _entangling_pairs(self.problem.n, self.entanglement)
+            real_amplitudes(self.problem.n, self.reps, self.entanglement)
             maxcut_hamiltonian(self.problem)
             if not isinstance(self.parameters, str):
                 object.__setattr__(self, "parameters",
@@ -164,8 +164,15 @@ def _resolve_parameters(config: ExperimentConfig, ansatz: AnsatzSpec) -> np.ndar
     if config.parameters == "optimize":
         return optimize_parameters(config.problem, ansatz,
                                    seed=_derive_seed(config.seed, 0xA11))
-    with open(config.parameters) as f:
-        return np.array(json.load(f)["parameters"], dtype=float)
+    try:
+        with open(config.parameters) as f:
+            theta = np.array(json.load(f)["parameters"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameters file {config.parameters}: {exc!r}") from exc
+    if config.circuit_file is None and theta.shape != (ansatz.parameter_count,):
+        raise ConfigError(f"parameters file {config.parameters}: expected "
+                          f"{ansatz.parameter_count} parameters, got shape {theta.shape}")
+    return theta
 
 
 def _prepare_circuit(config: ExperimentConfig, ansatz: AnsatzSpec,

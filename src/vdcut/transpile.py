@@ -2,12 +2,15 @@
 {RY, RZ, X, H, CNOT} basis.
 
 Routing is one greedy pass that places gates in list order from a snake
-layout, optionally in two stages (see :func:`route`).  Two-qubit unitaries
-go through canonical synthesis with at most three CNOTs, checked against
-the target.
+layout, optionally in two stages (see :func:`route`).  The diagonalizing
+gate of virtual distillation is the only explicit two-qubit unitary the
+package builds; it decomposes to a pinned three-CNOT form checked once
+against its matrix, and any other explicit unitary is refused (see
+:func:`decompose_to_basis`).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,12 +26,11 @@ from .circuit import (
     Gate,
     cnot,
     gate_matrix,
-    h,
     measure,
-    ry,
     rz,
     swap as swap_gate,
 )
+from .vd import DIAG_TAG, DIAG_UNITARY, diag_basis_gates
 
 
 class RoutingError(ValueError):
@@ -36,7 +38,8 @@ class RoutingError(ValueError):
 
 
 class DecompositionError(RuntimeError):
-    """Raised when a two-qubit synthesis fails its accuracy check."""
+    """Raised for an explicit two-qubit unitary without a basis form, or when
+    the diagonalizing gate's basis form fails its accuracy check."""
 
 
 # ---------------------------------------------------------------------------
@@ -323,263 +326,38 @@ def compact(rc: RoutedCircuit, cmap: CouplingMap) -> tuple[RoutedCircuit, tuple[
 
 
 # ---------------------------------------------------------------------------
-# single-qubit ZYZ synthesis
+# basis decomposition
 
 
-def _zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (a, b, c) with U ~ RZ(a) RY(b) RZ(c) up to global phase."""
-    det = np.linalg.det(u)
-    su = u / np.sqrt(det)
-    cb = abs(su[0, 0])
-    sb = abs(su[1, 0])
-    beta = 2 * np.arctan2(sb, cb)
-    if sb < 1e-12:
-        return -2 * np.angle(su[0, 0]), 0.0, 0.0
-    if cb < 1e-12:
-        return 2 * np.angle(su[1, 0]), np.pi, 0.0
-    alpha = np.angle(su[1, 0]) - np.angle(su[0, 0])
-    gamma = -np.angle(su[0, 0]) - np.angle(su[1, 0])
-    return alpha, beta, gamma
-
-
-def _wrap_angle(a: float) -> float:
-    return float((a + np.pi) % (2 * np.pi) - np.pi)
-
-
-def _emit_1q(u: np.ndarray, q: int, tag: str) -> list[Gate]:
-    a, b, c = _zyz_angles(u)
-    gates = []
-    for kind, theta in (("RZ", c), ("RY", b), ("RZ", a)):
-        theta = _wrap_angle(theta)
-        if abs(theta) < 1e-12:
-            continue
-        gates.append(Gate(kind, (q,), angle=theta, tag=tag))
-    return gates
-
-
-# ---------------------------------------------------------------------------
-# two-qubit canonical (Cartan / magic-basis) synthesis
-
-_MAGIC = np.array(
-    [[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]],
-    dtype=complex) / np.sqrt(2)
-_MAGIC_DAG = _MAGIC.conj().T
-_CNOT01 = gate_matrix(cnot(0, 1))
-_CNOT10 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
 _SWAP4 = gate_matrix(swap_gate(0, 1))
 
 
-def _to_su4(u: np.ndarray) -> np.ndarray:
-    return u * np.exp(-1j * np.angle(np.linalg.det(u)) / 4)
-
-
-def _gamma(u_su4: np.ndarray) -> np.ndarray:
-    m = _MAGIC_DAG @ u_su4 @ _MAGIC
-    return m @ m.T
-
-
-def cnot_cost(u: np.ndarray) -> int:
-    """Minimal CNOT count of a two-qubit unitary (0..3), via the spectrum of
-    the magic-basis invariant gamma(U)."""
-    g = _gamma(_to_su4(u))
-    tr = np.trace(g)
-    if abs(tr - 4) < 1e-9 or abs(tr + 4) < 1e-9:
-        return 0
-    evs = np.sort(np.linalg.eigvals(g).imag)
-    if abs(tr) < 1e-9 and np.allclose(evs, [-1, -1, 1, 1], atol=1e-7):
-        return 1
-    if abs(tr.imag) < 1e-9:
-        return 2
-    return 3
-
-
-def _simdiag(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Real orthogonal O with O^T m O diagonal for complex symmetric unitary
-    m (whose real and imaginary parts commute)."""
-    are, aim = m.real, m.imag
-    w, o = np.linalg.eigh(are)
-    i = 0
-    dim = m.shape[0]
-    while i < dim:
-        j = i
-        while j < dim and abs(w[j] - w[i]) < tol:
-            j += 1
-        if j - i > 1:
-            blk = o[:, i:j]
-            sub = blk.T @ aim @ blk
-            _, r = np.linalg.eigh((sub + sub.T) / 2)
-            o[:, i:j] = blk @ r
-        i = j
-    return o
-
-
-def _kron_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor m = A (x) B for m in the SU(2)xSU(2) image (largest-entry
-    anchored extraction)."""
-    a, b = max(((i, j) for i in range(4) for j in range(4)), key=lambda t: abs(m[t]))
-    f1 = np.zeros((2, 2), dtype=complex)
-    f2 = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            f1[(a >> 1) ^ i, (b >> 1) ^ j] = m[a ^ (i << 1), b ^ (j << 1)]
-            f2[(a & 1) ^ i, (b & 1) ^ j] = m[a ^ i, b ^ j]
-    d1, d2 = np.linalg.det(f1), np.linalg.det(f2)
-    if abs(d1) < 1e-12 or abs(d2) < 1e-12:
-        raise DecompositionError("matrix is not a Kronecker product")
-    return f1 / np.sqrt(d1), f2 / np.sqrt(d2)
-
-
-def _match_columns(p: np.ndarray, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Permute columns of p so du (its eigenvalues) lines up with dv."""
-    perm = []
-    used: set[int] = set()
-    for target in dv:
-        best, best_d = None, np.inf
-        for k, val in enumerate(du):
-            if k in used:
-                continue
-            dd = abs(val - target)
-            if dd < best_d:
-                best, best_d = k, dd
-        used.add(best)
-        perm.append(best)
-    return p[:, perm]
-
-
-def _extract_prefactors(u4: np.ndarray, v4: np.ndarray):
-    """A, B, C, D in SU(2) with u4 = (A x B) v4 (C x D); u4, v4 in SU(4) and
-    in the same magic-basis double coset."""
-    u = _MAGIC_DAG @ u4 @ _MAGIC
-    v = _MAGIC_DAG @ v4 @ _MAGIC
-    uuT = u @ u.T
-    vvT = v @ v.T
-    p = _simdiag(uuT)
-    q = _simdiag(vvT)
-    du = np.diag(p.T @ uuT @ p)
-    dv = np.diag(q.T @ vvT @ q)
-    p = _match_columns(p, du, dv)
-    if np.linalg.det(p) < 0:
-        p[:, 0] = -p[:, 0]
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    g = p @ q.T
-    hm = v.conj().T @ g.T @ u
-    if np.abs(hm.imag).max() > 1e-8:
-        raise DecompositionError("prefactor extraction failed (H not real)")
-    ab = _MAGIC @ g @ _MAGIC_DAG
-    cd = _MAGIC @ hm @ _MAGIC_DAG
-    a, b = _kron_factor(ab)
-    c, d = _kron_factor(cd)
-    return a, b, c, d
-
-
-def _rx_gates(theta: float, q: int, tag: str) -> list[Gate]:
-    return [h(q, tag=tag), rz(theta, q, tag=tag), h(q, tag=tag)]
-
-
-def _interior_matrix(gates: Sequence[Gate]) -> np.ndarray:
+@functools.cache
+def _check_diag_basis_form() -> None:
+    """Check the pinned basis form against DIAG_UNITARY up to global phase,
+    once per process."""
     m = np.eye(4, dtype=complex)
-    for g in gates:
+    for g in diag_basis_gates(0, 1, DIAG_TAG):
         u = gate_matrix(g)
         if len(g.qubits) == 1:
             u = np.kron(u, np.eye(2)) if g.qubits[0] == 0 else np.kron(np.eye(2), u)
         elif g.qubits == (1, 0):
             u = _SWAP4 @ u @ _SWAP4
         m = u @ m
-    return m
-
-
-def _synthesize_two_qubit(u: np.ndarray, tag: str) -> list[Gate]:
-    """Gate list over local qubits (0, 1) realizing u up to global phase."""
-    usu = _to_su4(u)
-    cost = cnot_cost(u)
-    if cost == 0:
-        a, b = _kron_factor(usu)
-        return _emit_1q(a, 0, tag) + _emit_1q(b, 1, tag)
-    if cost == 1:
-        v = _to_su4(_CNOT01)
-        a, b, c, d = _extract_prefactors(usu, v)
-        interior = [cnot(0, 1, tag=tag)]
-        return (_emit_1q(c, 0, tag) + _emit_1q(d, 1, tag) + interior
-                + _emit_1q(a, 0, tag) + _emit_1q(b, 1, tag))
-    if cost == 2:
-        g = _gamma(usu)
-        evs = np.linalg.eigvals(g)
-        if np.allclose(np.sort(evs.real), [-1, -1, 1, 1], atol=1e-7) \
-                and np.abs(evs.imag).max() < 1e-7:
-            s_gate = np.array([[1, 0], [0, 1j]], dtype=complex)
-            sx = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-            inner_mat = np.kron(s_gate, sx)
-            inner = [rz(np.pi / 2, 0, tag=tag)] + _rx_gates(np.pi / 2, 1, tag)
-        else:
-            ang0 = np.angle(evs[0])
-            ang1 = np.angle(evs[1])
-            if abs(ang0 + ang1) < 1e-9:
-                ang1 = np.angle(evs[2])
-            delta = (ang0 + ang1) / 2
-            phi = (ang0 - ang1) / 2
-            rx = np.array([[np.cos(phi / 2), -1j * np.sin(phi / 2)],
-                           [-1j * np.sin(phi / 2), np.cos(phi / 2)]])
-            rz_m = np.array([[np.exp(-1j * delta / 2), 0], [0, np.exp(1j * delta / 2)]])
-            inner_mat = np.kron(rz_m, rx)
-            inner = [rz(delta, 0, tag=tag)] + _rx_gates(phi, 1, tag)
-        v = _CNOT10 @ inner_mat @ _CNOT10
-        a, b, c, d = _extract_prefactors(usu, _to_su4(v))
-        interior = [cnot(1, 0, tag=tag)] + inner + [cnot(1, 0, tag=tag)]
-        return (_emit_1q(c, 0, tag) + _emit_1q(d, 1, tag) + interior
-                + _emit_1q(a, 0, tag) + _emit_1q(b, 1, tag))
-    return _synthesize_three_cnot(usu, tag)
-
-
-def _synthesize_three_cnot(usu: np.ndarray, tag: str) -> list[Gate]:
-    """Generic three-CNOT synthesis of an SU(4) matrix, via the SWAP trick."""
-    swap_u = np.exp(1j * np.pi / 4) * (_SWAP4 @ usu)
-    g = _gamma(_to_su4(swap_u))
-    angles = np.sort(np.angle(np.linalg.eigvals(g)))
-    ax, ay, az = angles[0], angles[1], angles[2]
-    alpha, beta, delta = (ax + ay) / 2, (ax + az) / 2, (az + ay) / 2
-    ry_a = gate_matrix(ry(alpha, 0))
-    ry_b = gate_matrix(ry(beta, 0))
-    rz_d = gate_matrix(rz(delta, 0))
-    vm = _CNOT10 @ np.kron(np.eye(2), ry_a) @ _CNOT01 @ np.kron(rz_d, ry_b) @ _CNOT10
-    a, b, c, d = _extract_prefactors(_to_su4(swap_u), _to_su4(_SWAP4 @ vm))
-    interior = ([cnot(1, 0, tag=tag), rz(delta, 0, tag=tag), ry(beta, 1, tag=tag),
-                 cnot(0, 1, tag=tag), ry(alpha, 1, tag=tag), cnot(1, 0, tag=tag)])
-    # the trailing SWAP of v cancels against swap_u, exchanging A and B
-    return (_emit_1q(c, 0, tag) + _emit_1q(d, 1, tag) + interior
-            + _emit_1q(b, 0, tag) + _emit_1q(a, 1, tag))
-
-
-def _decompose_gate(gate: Gate) -> list[Gate]:
-    u = np.array(gate.unitary)
-    a, b = gate.qubits
-    try:
-        local = _synthesize_two_qubit(u, gate.tag)
-    except DecompositionError:
-        local = None
-    if local is None or _verify_distance(local, u) > 1e-9:
-        # fall back to the generic synthesis path if a smaller template failed
-        local = _synthesize_three_cnot(_to_su4(u), gate.tag)
-        if _verify_distance(local, u) > 1e-9:
-            raise DecompositionError("two-qubit synthesis exceeded 1e-9 tolerance")
-    remap = {0: a, 1: b}
-    return [Gate(g.kind, tuple(remap[q] for q in g.qubits), angle=g.angle,
-                 unitary=g.unitary, tag=g.tag) for g in local]
-
-
-def _verify_distance(gates: Sequence[Gate], target: np.ndarray) -> float:
-    m = _interior_matrix(gates)
-    d = np.trace(m.conj().T @ target)
-    return float(abs(abs(d) - 4))
+    if abs(abs(np.trace(m.conj().T @ DIAG_UNITARY)) - 4) > 1e-9:
+        raise DecompositionError("the diagonalizing gate's basis form misses 1e-9 tolerance")
 
 
 def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circuit:
     """Rewrite to {RY, RZ, X, H, CNOT} (measurements pass through).
 
-    SWAP becomes three CNOTs, RZZ becomes CNOT-RZ-CNOT, and explicit
-    two-qubit unitaries go through the canonical magic-basis synthesis with
-    at most three CNOTs.  Gates whose tag is in ``keep_tags`` are left
-    untouched.  Idempotent on already-decomposed circuits.
+    SWAP becomes three CNOTs and RZZ becomes CNOT-RZ-CNOT.  The only
+    explicit unitary with a basis form is the diagonalizing gate (value-equal
+    to ``DIAG_UNITARY``, its adjoint included): it becomes the pinned
+    three-CNOT list ``vd.DIAG_BASIS_FORM`` on its qubits, with its tag.  Any
+    other explicit unitary raises :class:`DecompositionError`.  Gates whose
+    tag is in ``keep_tags`` are left untouched.  Idempotent on
+    already-decomposed circuits.
     """
     keep = frozenset(keep_tags)
     out: list[Gate] = []
@@ -593,7 +371,12 @@ def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circu
             a, b = g.qubits
             out.extend([cnot(a, b, tag=g.tag), rz(g.angle, b, tag=g.tag), cnot(a, b, tag=g.tag)])
         elif g.kind == TWO_QUBIT_UNITARY:
-            out.extend(_decompose_gate(g))
+            if not np.array_equal(g.unitary, DIAG_UNITARY):
+                raise DecompositionError(
+                    f"explicit unitary on {g.qubits} has no basis form: only the "
+                    "diagonalizing gate is supported")
+            _check_diag_basis_form()
+            out.extend(diag_basis_gates(*g.qubits, g.tag))
         else:
             out.append(g)
     return Circuit(circuit.width, tuple(out), circuit.name)

@@ -2,6 +2,12 @@
 diagonalizing gates, exact matrix-power oracles, and measurement
 post-processing estimators.
 
+The copies are joined by one fixed two-qubit gate per qubit pair,
+:data:`DIAG_UNITARY`, which diagonalizes the pair swap.  It is the only
+explicit unitary the package builds, so its {RY, RZ, CNOT} form is a
+constant here, :data:`DIAG_BASIS_FORM`, which the basis decomposition emits
+in its place (see :func:`vdcut.transpile.decompose_to_basis`).
+
 The estimator computes, for a Pauli-Z string T over outcome bits
 (z_i, z_i') of each qubit pair:
 
@@ -31,6 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import (
+    CNOT,
+    RY,
+    RZ,
     Circuit,
     CircuitError,
     Gate,
@@ -63,8 +72,23 @@ DIAG_UNITARY.setflags(write=False)
 
 SINGLET_OUTCOME = "10"
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+#: DIAG_UNITARY in the {RY, RZ, CNOT} basis, up to global phase, as
+#: (kind, local qubits, angle) over the gate's qubits (a, b) = (0, 1): three
+#: CNOTs and the angles of a canonical (magic-basis) synthesis, kept as that
+#: synthesis emitted them.  The numerically zero RZ stays: under noise it
+#: carries a one-qubit relaxation step.
+DIAG_BASIS_FORM = (
+    (RY, (0,), -np.pi),
+    (RZ, (1,), -np.pi),
+    (CNOT, (1, 0), None),
+    (RZ, (0,), -2.2371143170757385e-17),
+    (RY, (1,), -0.7853981633974484),
+    (CNOT, (0, 1), None),
+    (RY, (1,), -0.7853981633974484),
+    (CNOT, (1, 0), None),
+    (RZ, (0,), -np.pi),
+    (RY, (1,), -np.pi),
+)
 
 
 class EstimatorError(RuntimeError):
@@ -72,38 +96,15 @@ class EstimatorError(RuntimeError):
     insignificant (|den| < 10 * SE) or exactly degenerate."""
 
 
-@dataclass(frozen=True)
-class DiagonalizingGate:
-    """A two-qubit unitary that diagonalizes the pair-swap operator, plus the
-    computational outcome carrying swap eigenvalue -1."""
-
-    unitary: np.ndarray
-    singlet_outcome: str
-
-    def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex)
-        d = u @ _SWAP @ u.conj().T
-        off = d - np.diag(np.diag(d))
-        if np.abs(off).max() > 1e-10:
-            raise CircuitError("gate does not diagonalize the pair swap")
-        spectrum = np.real(np.diag(d))
-        if sorted(np.round(spectrum).astype(int)) != [-1, 1, 1, 1]:
-            raise CircuitError(f"swap spectrum {spectrum} is not (+1,+1,+1,-1)")
-        minus = int(np.argmin(spectrum))
-        if format(minus, "02b") != self.singlet_outcome:
-            raise CircuitError(
-                f"singlet outcome {self.singlet_outcome!r} does not match "
-                f"eigenvalue -1 at {format(minus, '02b')!r}")
-        u.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
-
-
-def diagonalizing_gate() -> DiagonalizingGate:
-    return DiagonalizingGate(DIAG_UNITARY, SINGLET_OUTCOME)
-
-
 def diag_gate_on(a: int, b: int) -> Gate:
     return two_qubit(DIAG_UNITARY, a, b, tag=DIAG_TAG)
+
+
+def diag_basis_gates(a: int, b: int, tag: str) -> list[Gate]:
+    """:data:`DIAG_BASIS_FORM` on qubits (a, b), every gate tagged ``tag``."""
+    qubits = (a, b)
+    return [Gate(kind, tuple(qubits[q] for q in local), angle=angle, tag=tag)
+            for kind, local, angle in DIAG_BASIS_FORM]
 
 
 def build_vd_circuit(original: Circuit, rotation: Sequence[Gate] = ()) -> Circuit:
@@ -342,9 +343,10 @@ class ParityEstimate:
         return float(np.sqrt(sum(p.mitigated_se ** 2 for p in self.parts)))
 
 
-def _pair_weight_tables(n: int, singlet: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-outcome (over 2n bits) arrays: per-pair swap signs and the two
-    copy bits, as (n, 4^n)-shaped tables."""
+def _pair_weight_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-outcome (over 2n bits) arrays: per-pair swap signs (-1 on
+    :data:`SINGLET_OUTCOME`) and the two copy bits, as (n, 4^n)-shaped
+    tables."""
     width = 2 * n
     idx = np.arange(2 ** width)
     z = np.empty((n, idx.size), dtype=np.int8)
@@ -352,13 +354,13 @@ def _pair_weight_tables(n: int, singlet: str) -> tuple[np.ndarray, np.ndarray, n
     for i in range(n):
         z[i] = (idx >> (width - 1 - i)) & 1
         zp[i] = (idx >> (width - 1 - (n + i))) & 1
-    sb0, sb1 = int(singlet[0]), int(singlet[1])
+    sb0, sb1 = int(SINGLET_OUTCOME[0]), int(SINGLET_OUTCOME[1])
     s = np.where((z == sb0) & (zp == sb1), -1.0, 1.0)
     return s, z, zp
 
 
 def _estimate(weight_probs: np.ndarray, width: int, obs: PauliObservable,
-              shots: int | None, singlet: str) -> VDEstimate:
+              shots: int | None) -> VDEstimate:
     if width % 2:
         raise ValueError("VD outcomes must span an even number of qubits")
     n = width // 2
@@ -366,7 +368,7 @@ def _estimate(weight_probs: np.ndarray, width: int, obs: PauliObservable,
         raise ValueError(f"observable width {obs.width} != {n} system qubits")
     if not obs.is_diagonal():
         raise ValueError("sampled estimation supports I/Z observables only")
-    s, z, zp = _pair_weight_tables(n, singlet)
+    s, z, zp = _pair_weight_tables(n)
     den_w = s.prod(axis=0)
     num_w = np.zeros(den_w.shape)
     for coeff, pauli in obs.terms:
@@ -390,16 +392,13 @@ def _estimate(weight_probs: np.ndarray, width: int, obs: PauliObservable,
     return VDEstimate(num, den, num_se, den_se, shots)
 
 
-def estimate_from_counts(counts: Counts, obs: PauliObservable,
-                         singlet: str = SINGLET_OUTCOME) -> VDEstimate:
+def estimate_from_counts(counts: Counts, obs: PauliObservable) -> VDEstimate:
     """Post-process shot counts from a build_vd_circuit execution."""
-    return _estimate(counts.values / counts.shots, counts.width, obs,
-                     counts.shots, singlet)
+    return _estimate(counts.values / counts.shots, counts.width, obs, counts.shots)
 
 
 def estimate_from_distribution(dist: Distribution, obs: PauliObservable,
-                               shots: int | None = None,
-                               singlet: str = SINGLET_OUTCOME) -> VDEstimate:
+                               shots: int | None = None) -> VDEstimate:
     """Exact weighting of a (possibly reconstructed) outcome distribution;
     ``shots`` sets the nominal sample size used for the standard errors."""
-    return _estimate(dist.probs, dist.width, obs, shots, singlet)
+    return _estimate(dist.probs, dist.width, obs, shots)

@@ -62,6 +62,29 @@ def test_run_bad_config_exit_code(tmp_path):
                     {"edges": [[0, 1]]}, 4):
         cfg.write_text(json.dumps({"problem": problem}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": -1, "parameters": []}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    params = tmp_path / "params.json"
+    for text in ('{"parameters": [0.1, 0.2, 0.3]}', '{"parameters": [0.1, 0.2, "x", 0.4]}',
+                 '{"angles": [0.1, 0.2, 0.3, 0.4]}', '{"parameters": [0.1,'):
+        params.write_text(text)
+        cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1,
+                                   "parameters": str(params)}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["overhead-sweep", "--map", "mesh", "--qubits", "3", "--layers", "1"],
+    ["overhead-sweep", "--map", "heavyhex:3", "--qubits", "16", "--layers", "1"],
+    ["overhead-sweep", "--map", "full", "--qubits", "4..x", "--layers", "1"],
+    ["optimize", "--graph", "ring:1"],
+    ["optimize", "--graph", "ring:2", "--entanglement", "star"],
+    ["optimize", "--graph", "ring:2", "--reps", "-2"],
+])
+def test_sweep_and_optimize_bad_arguments_exit_code(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_overhead_sweep(tmp_path):

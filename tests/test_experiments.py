@@ -1,4 +1,5 @@
 """Experiment orchestration: config parsing, method cells, persistence."""
+import hashlib
 import json
 
 import numpy as np
@@ -33,7 +34,8 @@ def test_config_validation():
                 {"coupling_map": "heavyhex:x"}, {"entanglement": "star"},
                 {"problem": ring_problem(12), "coupling_map": "heavyhex:3"},
                 {"shots": "100"}, {"reps": "1"}, {"seed": "x"},
-                {"parameters": (0.1, 0.2)}, {"parameters": (0.1, "x", 0.3, 0.4)}):
+                {"parameters": (0.1, 0.2)}, {"parameters": (0.1, "x", 0.3, 0.4)},
+                {"reps": -1, "parameters": ()}):
         with pytest.raises(ConfigError):
             _fast_config(**bad)
 
@@ -156,6 +158,20 @@ def test_determinism_byte_identical_csv(tmp_path):
     p1 = emit(run_experiment(cfg), str(tmp_path / "a"))[0]
     p2 = emit(run_experiment(cfg), str(tmp_path / "b"))[0]
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("noise, digest", [
+    ("basic+gct+rct", "2738cefea33d99019e6f09718675b54ea4dd910287295f85e2fd2e35042e99dd"),
+    ("noiseless", "e4cccff9f3e95bf0fc86084b32530f78291b40add2036ff5d9aba104b402188c"),
+])
+def test_csv_bytes_pinned(noise, digest, tmp_path):
+    """The CSV of a ring-3 matrix on heavyhex:3 keeps its bytes: a change
+    meant to keep every output must not move a single one."""
+    cfg = ExperimentConfig(problem=ring_problem(3), reps=1,
+                           parameters=(0.3, 1.1, 0.7, 0.2, 2.0, -0.4), noise=noise,
+                           shots=10_000, seed=5, coupling_map="heavyhex:3")
+    csv_path = emit(run_experiment(cfg), str(tmp_path / "run"))[0]
+    assert hashlib.sha256(open(csv_path, "rb").read()).hexdigest() == digest
 
 
 def test_emit_csv_and_json(tmp_path):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vdcut.circuit import Circuit, CircuitError, PauliObservable, cnot, h, ry
+from vdcut.circuit import Circuit, PauliObservable, cnot, h, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import (
     DensityMatrix,
@@ -14,11 +14,9 @@ from vdcut.simulate import (
 from vdcut.vd import (
     DIAG_UNITARY,
     SINGLET_OUTCOME,
-    DiagonalizingGate,
     EstimatorError,
     VDEstimate,
     build_vd_circuit,
-    diagonalizing_gate,
     dominant_eigenstate_expectation,
     eigen_spectrum,
     estimate_from_counts,
@@ -32,20 +30,12 @@ SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def test_diagonalizing_gate_invariants():
-    g = diagonalizing_gate()
-    d = g.unitary @ SWAP @ g.unitary.conj().T
+    d = DIAG_UNITARY @ SWAP @ DIAG_UNITARY.conj().T
     off = d - np.diag(np.diag(d))
     assert np.abs(off).max() < 1e-14
     spec = np.real(np.diag(d))
     assert sorted(np.round(spec).astype(int).tolist()) == [-1, 1, 1, 1]
     assert spec[int(SINGLET_OUTCOME, 2)] == pytest.approx(-1.0)
-
-
-def test_diagonalizing_gate_validation_rejects_wrong_outcome():
-    with pytest.raises(CircuitError):
-        DiagonalizingGate(DIAG_UNITARY, "11")
-    with pytest.raises(CircuitError):
-        DiagonalizingGate(np.eye(4), "10")  # identity does not diagonalize
 
 
 def test_build_vd_circuit_structure():
