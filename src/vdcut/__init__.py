@@ -45,7 +45,7 @@ from .experiments import (
     run_experiment,
 )
 from .noise import NOISELESS, NoiseModel, insert_zz_crosstalk, load_noise_config, preset
-from .runner import Execution, ExecutionRecord, run_circuit, run_circuits
+from .runner import Batch, BatchStats, Execution, ExecutionRecord, run_circuit, run_circuits
 from .simulate import (
     Counts,
     DensityMatrix,

@@ -361,7 +361,7 @@ def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
                  cache: DiagonalSimulationCache | None = None) -> Distribution:
     """Execute one pipeline's three fragments under the device noise model
     and reconstruct its mitigated pairwise distribution."""
-    records = run_circuits(pipeline.executions(shots, seed), noise=noise, cmap=cmap)
+    records = run_circuits(pipeline.executions(shots, seed), noise=noise, cmap=cmap).records
     return pairwise_distribution([rec.output for rec in records], shots,
                                  cache if cache is not None else DiagonalSimulationCache())
 
@@ -463,5 +463,5 @@ def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
                            for gi, group in enumerate(groups)], noise=noise, cmap=cmap)
     fragments = run_circuits(cut_executions(original, groups, shots, seed),
                              noise=noise, cmap=cmap)
-    return cut_estimate(groups, [rec.output for rec in joints],
-                        [rec.output for rec in fragments], shots)
+    return cut_estimate(groups, [rec.output for rec in joints.records],
+                        [rec.output for rec in fragments.records], shots)

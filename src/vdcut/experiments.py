@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .benchmarks import (
 from .circuit import Circuit, from_text, measure
 from .cutting import cut_executions, cut_estimate
 from .noise import NOISELESS, NoiseModel, preset
-from .runner import Execution, ExecutionRecord, run_circuits
+from .runner import BatchStats, Execution, ExecutionRecord, run_circuits
 from .simulate import expectation, evolve
 from .transpile import coupling_map_for
 from .vd import (
@@ -127,7 +127,9 @@ class ExperimentConfig:
 class CellResult:
     """Outcome of one (method, preset) cell.  ``cnots`` and ``rzz`` hold one
     count per execution; distillation methods list them group by group
-    (per group: one run for vd, the ZNE scales, or one fragment per pair)."""
+    (per group: one run for vd, the ZNE scales, or one fragment per pair).
+    ``estimates`` holds a distillation cell's parity estimate per ZNE scale
+    (scale 1 only, outside vd+zne), kept when its mitigation fails too."""
 
     method: str
     preset: str
@@ -137,13 +139,15 @@ class CellResult:
     rzz: tuple[int, ...]
     wall_time: float
     error: str | None = None
+    estimates: tuple[tuple[int, ParityEstimate], ...] = ()
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     """Cells of one preset.  ``shared_wall_time`` covers the batched
     executions of both registers (see :func:`run_experiment`); each cell's
-    ``wall_time`` covers only its own post-processing."""
+    ``wall_time`` covers only its own post-processing.  ``registers`` holds
+    what each batch that ran evolved."""
 
     config: ExperimentConfig
     ideal: float
@@ -152,6 +156,7 @@ class ExperimentResult:
     cells: tuple[CellResult, ...]
     parity_groups: tuple[ParityGroup, ...] = ()
     shared_wall_time: float = 0.0
+    registers: tuple[BatchStats, ...] = ()
 
 
 def _derive_seed(base: int, *key: int) -> int:
@@ -191,10 +196,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     The distillation methods measure every Hamiltonian term through the
     parity rotation groups of :func:`parity_groups` and sum the groups'
     mitigated values.  Every execution is planned up front, and each register
-    runs as one batch, so its common compiled prefix is evolved once (see
-    :func:`_plan`).  Each execution keeps its own sampling seed.  A failed
-    batch is recorded in the ``error`` field of every cell that reads one of
-    its records, without aborting the remaining methods.
+    runs as one batch, so each compiled prefix its executions share is
+    evolved once (see :func:`_plan` and :func:`~vdcut.runner.run_circuits`).
+    Each execution keeps its own sampling seed.  A failed batch is recorded
+    in the ``error`` field of every cell that reads one of its records,
+    without aborting the remaining methods.
     """
     ansatz = AnsatzSpec(config.problem.n, config.reps, config.entanglement)
     theta = _resolve_parameters(config, ansatz)
@@ -210,12 +216,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     distilling = any(m != "none" for m in config.methods)
     groups = parity_groups(hamiltonian) if distilling else ()
     records: dict[tuple, ExecutionRecord | Exception] = {}
+    registers = []
     started = time.perf_counter()
     for jobs in _plan(circuit, groups, config.methods, seeds, shots):
         try:
-            records.update(zip(jobs, run_circuits(list(jobs.values()), noise=noise, cmap=cmap)))
+            batch = run_circuits(list(jobs.values()), noise=noise, cmap=cmap)
         except Exception as exc:  # recorded in every cell that reads the register
             records.update(dict.fromkeys(jobs, exc))
+            continue
+        records.update(zip(jobs, batch.records))
+        registers.append(batch.stats)
     shared_wall_time = time.perf_counter() - started
     reference = None
     if distilling and not isinstance(records["reference", 0], Exception):
@@ -224,9 +234,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cells = []
     for method in config.methods:
         started = time.perf_counter()
-        value, counted, error = None, [], None
+        value, counted, scaled, error = None, [], {}, None
         try:
-            value, counted = _run_method(method, hamiltonian, groups, records, shots)
+            if method == "none":
+                (rec,) = _take(records, "none")
+                value, counted = expectation(rec.output, hamiltonian), [rec]
+            else:
+                scaled, found = _distill(method, groups, records, shots)
+                value, counted = _mitigate(scaled), found
         except Exception as exc:  # per-cell failure; matrix completes
             error = f"{type(exc).__name__}: {exc}"
         cells.append(CellResult(
@@ -234,12 +249,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             abs_error=None if error else abs(value - ideal),
             cnots=tuple(rec.cnots for rec in counted),
             rzz=tuple(rec.rzz_gates for rec in counted),
-            wall_time=time.perf_counter() - started, error=error))
+            wall_time=time.perf_counter() - started, error=error,
+            estimates=tuple(scaled.items())))
     return ExperimentResult(config=config, ideal=ideal,
                             reference_noiseless_diag=reference,
                             parameters=tuple(float(v) for v in theta),
                             cells=tuple(cells), parity_groups=groups,
-                            shared_wall_time=shared_wall_time)
+                            shared_wall_time=shared_wall_time,
+                            registers=tuple(registers))
 
 
 def _plan(circuit, groups, methods, seeds, shots) -> list[dict]:
@@ -291,32 +308,48 @@ def _parity_estimate(groups, records, shots) -> ParityEstimate:
         for g, rec in zip(groups, records)))
 
 
-def _run_method(method, hamiltonian, groups, records, shots):
-    """Value of one cell, and the records whose gate counts it lists."""
-    if method == "none":
-        (rec,) = _take(records, "none")
-        return expectation(rec.output, hamiltonian), [rec]
-
+def _distill(method, groups, records, shots) -> tuple[dict[int, ParityEstimate], list]:
+    """A distillation cell's parity estimate per ZNE scale (scale 1 only,
+    outside vd+zne), and the records whose gate counts it lists."""
     if method == "vd":
         counted = _take(records, "vd")
-        return _parity_estimate(groups, counted, shots).mitigated, counted
+        return {1: _parity_estimate(groups, counted, shots)}, counted
 
     if method == "vd+zne":
         counted = _take(records, "vd+zne")
-        scaled = []
-        for si, scale in enumerate(ZNE_SCALES):
-            est = _parity_estimate(groups, counted[si::len(ZNE_SCALES)], shots)
-            scaled.append(ScaledRun(scale, est.mitigated, est.mitigated_se))
-        return extrapolate_linear(scaled), counted
+        return {scale: _parity_estimate(groups, counted[si::len(ZNE_SCALES)], shots)
+                for si, scale in enumerate(ZNE_SCALES)}, counted
 
     if method == "vd+cut":
         joints = _take(records, "vd+cut")
         fragments = _take(records, "cut")
         est = cut_estimate(groups, [rec.output for rec in joints],
                            [rec.output for rec in fragments], shots)
-        return est.mitigated, fragments[2::3]  # each pair's Z-basis run
+        return {1: est}, fragments[2::3]  # each pair's Z-basis run
 
     raise ConfigError(f"unknown method {method!r}")
+
+
+def _mitigate(scaled: dict[int, ParityEstimate]) -> float:
+    """The cell's value: the one estimate, or its zero-noise extrapolation
+    over the ZNE scales."""
+    if len(scaled) == 1:
+        (est,) = scaled.values()
+        return est.mitigated
+    return extrapolate_linear([ScaledRun(scale, est.mitigated, est.mitigated_se)
+                               for scale, est in scaled.items()])
+
+
+def _diagnostics(cell: CellResult) -> list[dict]:
+    """Per ZNE scale and parity group, the estimate that decides whether
+    the distillation can be trusted; ``den_over_se`` below 10 raises
+    ``EstimatorError`` (``None`` for exact estimates)."""
+    return [{"scale": scale, "group": gi,
+             "numerator": p.numerator, "numerator_se": p.numerator_se,
+             "denominator": p.denominator, "denominator_se": p.denominator_se,
+             "den_over_se": (abs(p.denominator) / p.denominator_se
+                             if p.denominator_se else None)}
+            for scale, est in cell.estimates for gi, p in enumerate(est.parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +401,7 @@ def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
             for g in result.parity_groups
         ],
         "shared_wall_time": result.shared_wall_time,
+        "registers": [asdict(stats) for stats in result.registers],
         "noise_parameters": _noise_doc(noise),
         "cells": [
             {
@@ -379,6 +413,7 @@ def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
                 "rzz": list(c.rzz),
                 "wall_time": c.wall_time,
                 "error": c.error,
+                "diagnostics": _diagnostics(c),
             }
             for c in result.cells
         ],

@@ -4,14 +4,16 @@ apply readout error, and return the measured-bit distribution (exact or
 sampled) together with gate statistics."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .circuit import CNOT, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
     Counts,
+    DensityMatrix,
     Distribution,
+    admit,
     apply_readout,
     evolve,
     exact_probs,
@@ -127,20 +129,116 @@ def run_circuit(circuit: Circuit, *,
     them atomic and noiseless (the noise-free-diagonalizing reference).
     """
     (record,) = run_circuits([Execution(circuit, scale, ideal_diag, shots, seed)],
-                             noise=noise, cmap=cmap)
+                             noise=noise, cmap=cmap).records
     return record
+
+
+@dataclass(frozen=True)
+class BatchStats:
+    """What one :func:`run_circuits` call evolved on its register: the number
+    of distinct compiled variants, the ops they hold together
+    (``ops_requested``), the ops their prefix trie evolved (``ops_evolved``)
+    and the most snapshots the trie held during one evolution."""
+
+    width: int
+    variants: int
+    ops_requested: int
+    ops_evolved: int
+    max_snapshots: int
+
+
+@dataclass(frozen=True)
+class Batch:
+    """The records of one :func:`run_circuits` call, in execution order."""
+
+    records: tuple[ExecutionRecord, ...]
+    stats: BatchStats
+
+
+@dataclass(eq=False)
+class _Node:
+    """A prefix-trie node: ops ``start:end`` of ``variant``'s compiled body
+    lead to it from ``parent``.  ``leaves`` are the variants whose compiled
+    body ends here, ``size`` counts the ops of the subtree, and ``last`` is
+    the position of the last child in evolution order."""
+
+    parent: "_Node | None"
+    start: int
+    end: int
+    variant: tuple
+    leaves: list[tuple]
+    children: list["_Node"] = field(default_factory=list)
+    size: int = 0
+    last: int = -1
+
+
+def _trie(variants: list[tuple], parent: _Node | None = None, start: int = 0) -> _Node:
+    """The trie of ``variants`` (keys ``(op_keys, positions)``) below
+    ``start``: each edge is a maximal run of ops all its variants share,
+    and children are sorted smallest subtree first."""
+    first, _ = variants[0]
+    shortest = min(len(ops) for ops, _ in variants)
+    end = start
+    while end < shortest and all(ops[end] == first[end] for ops, _ in variants):
+        end += 1
+    node = _Node(parent, start, end, variants[0],
+                 [v for v in variants if len(v[0]) == end])
+    branches: dict[tuple, list[tuple]] = {}
+    for v in variants:
+        if len(v[0]) > end:
+            branches.setdefault(v[0][end], []).append(v)
+    node.children = sorted((_trie(group, node, end) for group in branches.values()),
+                           key=lambda child: child.size)
+    node.size = end - start + sum(child.size for child in node.children)
+    return node
+
+
+def _depth_first(root: _Node) -> list[_Node]:
+    """Nodes in evolution order: each node before its children, siblings
+    smallest subtree first.  Sets each node's ``last``."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.parent is not None:
+            node.parent.last = len(order)
+        order.append(node)
+        stack.extend(reversed(node.children))
+    return order
+
+
+def _max_snapshots(order: list[_Node]) -> int:
+    """The most node states held during one evolution of ``order``: a node
+    with children is held from its own evolution until its last child's
+    evolution ends, the way :func:`run_circuits` holds them."""
+    held: list[_Node] = []
+    peak = 0
+    for i, node in enumerate(order):
+        peak = max(peak, len(held))
+        held = [h for h in held if h.last != i]
+        if node.children:
+            held.append(node)
+    return peak
 
 
 def run_circuits(executions: Sequence[Execution], *,
                  noise: NoiseModel | None = None,
-                 cmap: CouplingMap | None = None) -> list[ExecutionRecord]:
+                 cmap: CouplingMap | None = None) -> Batch:
     """Execute variants of one register on one device under one noise model,
     with the same results as one :func:`run_circuit` call each.
 
-    Executions of the same circuit object share its compilation.  Each
-    distinct compiled circuit is evolved once: the longest compiled prefix
-    that all of them share is evolved once, and each suffix resumes from
-    that snapshot.  Sampling uses each execution's own shots and seed.
+    Executions of the same circuit object share its compilation.  The
+    distinct compiled variants form a trie over their op keys, walked depth
+    first: each edge, a maximal run of ops that all variants below it share,
+    is evolved once from its parent's state, and a variant is measured at the
+    node where its ops end.  Siblings run smallest subtree first, and a
+    node's state is dropped once its last (largest) child has evolved from
+    it, so only the states of nodes with children still to run are held.
+    The batch is admitted as a whole before anything is allocated: those
+    snapshots at their most, plus the two buffers of one evolution, the
+    first of which becomes its result (see :func:`~vdcut.simulate.evolve`).
+    Resuming from a snapshot replays the same ops, so every distribution is
+    bit-identical to a separate run.  Sampling uses each execution's own
+    shots and seed.
     """
     compiled: dict[tuple, CompiledCircuit] = {}
     for ex in executions:
@@ -155,26 +253,26 @@ def run_circuits(executions: Sequence[Execution], *,
         raise ValueError("executions must compile to one register width")
     (width,) = widths
 
-    op_keys = [ops for ops, _ in variants]
-    shared = min(map(len, op_keys))
-    for i, column in enumerate(zip(*op_keys)):
-        if any(k != column[0] for k in column):
-            shared = i
-            break
-    first = next(iter(variants.values()))
-    snapshot = evolve(Circuit(width, first.body.ops[:shared]), first.noise,
-                      ideal_tags=first.ideal_tags)
+    order = _depth_first(_trie(list(variants)))
+    stats = BatchStats(width=width, variants=len(variants),
+                       ops_requested=sum(len(ops) for ops, _ in variants),
+                       ops_evolved=sum(node.end - node.start for node in order),
+                       max_snapshots=_max_snapshots(order))
+    admit(width, stats.max_snapshots + 2)
+    states: dict[_Node, DensityMatrix] = {}
     dists: dict[tuple, Distribution] = {}
-    for variant, c in variants.items():
-        suffix = c.body.ops[shared:]
-        dm = snapshot if not suffix else evolve(
-            Circuit(width, suffix), c.noise, ideal_tags=c.ideal_tags, initial=snapshot)
-        dist = exact_probs(dm)
+    for i, node in enumerate(order):
+        c, parent = variants[node.variant], node.parent
+        dm = evolve(Circuit(width, c.body.ops[node.start:node.end]), c.noise,
+                    ideal_tags=c.ideal_tags,
+                    initial=None if parent is None else states[parent])
+        if parent is not None and parent.last == i:
+            del states[parent]
+        for variant in node.leaves:
+            dists[variant] = _measure(dm, variants[variant])
+        if node.children:
+            states[node] = dm
         del dm
-        if c.positions:
-            dist = marginal(dist, c.positions)
-        dists[variant] = apply_readout(dist, c.noise, physical=c.positions)
-    del snapshot
 
     records = []
     for ex in executions:
@@ -185,4 +283,12 @@ def run_circuits(executions: Sequence[Execution], *,
             counts=sample(dist, ex.shots, ex.seed) if ex.shots is not None else None,
             measured=c.measured, cnots=c.body.count(CNOT), rzz_gates=c.body.count(RZZ),
             swaps=c.swaps, width=c.body.width))
-    return records
+    return Batch(tuple(records), stats)
+
+
+def _measure(dm: DensityMatrix, c: CompiledCircuit) -> Distribution:
+    """The readout distribution of ``c``'s measured qubits in state ``dm``."""
+    dist = exact_probs(dm)
+    if c.positions:
+        dist = marginal(dist, c.positions)
+    return apply_readout(dist, c.noise, physical=c.positions)

@@ -3,7 +3,11 @@ measurement distributions, readout error and sampling.
 
 Each gate is applied as a single channel superoperator (ideal unitary
 composed with depolarizing and thermal relaxation) over the density tensor,
-by one transpose and one matrix product over the gate's axes.
+by one transpose and one matrix product over the gate's axes.  An evolution
+holds two full-size buffers and reuses them for every gate: the gate's axes
+are transposed to the front into buffer A, and the matrix product writes
+buffer B, which the next gate reads through a transposed view.  The result
+is copied out of B into A, so no third tensor is allocated.
 """
 from __future__ import annotations
 
@@ -40,19 +44,24 @@ class SimulationSizeError(ValueError):
 
 @lru_cache(maxsize=1024)
 def _super_layout(ndim: int, axes: tuple[int, ...]):
-    """Transpose that brings ``axes`` to the front, its inverse, and the
-    full tensor shape: one entry per gate placement and register size."""
+    """Transpose that brings ``axes`` to the front and its inverse: one
+    entry per gate placement and register size."""
     perm = axes + tuple(a for a in range(ndim) if a not in axes)
-    return perm, tuple(int(a) for a in np.argsort(perm)), (2,) * ndim
+    return perm, tuple(int(a) for a in np.argsort(perm))
 
 
-def _apply_super(tensor: np.ndarray, S: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+def _apply_super(tensor: np.ndarray, S: np.ndarray, axes: tuple[int, ...],
+                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Apply superoperator ``S`` over the given tensor axes (most significant
-    first)."""
-    perm, inverse, shape = _super_layout(tensor.ndim, axes)
-    tt = np.transpose(tensor, perm).reshape(2 ** len(axes), -1)
-    tt = S @ tt
-    return np.transpose(tt.reshape(shape), inverse)
+    first).  The transposed input is copied into buffer ``a`` and the product
+    written to buffer ``b``, both contiguous and of ``tensor``'s shape;
+    returns a view of ``b``.  ``tensor`` may be the previous call's view of
+    ``b``, but not of ``a``."""
+    perm, inverse = _super_layout(tensor.ndim, axes)
+    np.copyto(a, np.transpose(tensor, perm))
+    rows = S.shape[0]
+    np.matmul(S, a.reshape(rows, -1), out=b.reshape(rows, -1))
+    return np.transpose(b, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +179,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _admit(width: int, snapshot: bool) -> None:
-    """Raise :class:`SimulationSizeError` unless evolving ``width`` qubits
-    fits in physical memory: a gate holds about three 16 * 4**width-byte
-    density tensors, plus the ``initial`` snapshot when there is one."""
-    need = (3 + snapshot) * 16 * 4 ** width
+def admit(width: int, tensors: int) -> None:
+    """Raise :class:`SimulationSizeError` unless ``tensors`` density tensors
+    of ``width`` qubits (16 * 4**width bytes each) fit in physical memory."""
+    need = tensors * 16 * 4 ** width
     have = _physical_memory()
     if need > have:
         raise SimulationSizeError(
-            f"{width} qubits need about {need / 2 ** 30:.1f} GiB of density tensors; "
-            f"the host has {have / 2 ** 30:.1f} GiB")
+            f"{tensors} density tensors of {width} qubits need about "
+            f"{need / 2 ** 30:.1f} GiB; the host has {have / 2 ** 30:.1f} GiB")
 
 
 def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
@@ -192,20 +200,27 @@ def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
     the depolarizing channel on the gate's qubits, then thermal relaxation
     for the gate's duration.  Gates whose tag is listed in ``ideal_tags`` are
     applied as ideal unitaries (default: the ZZ-crosstalk insertions, which
-    model a coherent error).  Raises :class:`SimulationSizeError` before
-    allocating when the density tensors would not fit in physical memory.
+    model a coherent error).
+
+    The evolution holds two buffers, A for each gate's transposed input and
+    B for its output (the ground state starts in B), and the result is
+    copied from B into A.  With ``initial`` that is three density tensors at
+    the peak; the call raises :class:`SimulationSizeError` before allocating
+    when they would not fit in physical memory.
     """
-    _admit(circuit.width, snapshot=initial is not None)
+    admit(circuit.width, 2 + (initial is not None))
     if circuit.has_measurements():
         raise ValueError("strip measurements before evolution (see exact_probs/sample)")
     n = circuit.width
-    if initial is None:
-        tensor = DensityMatrix.ground_state(n).matrix.reshape((2,) * (2 * n))
-    elif initial.width != n:
+    if initial is not None and initial.width != n:
         raise ValueError(f"initial state has {initial.width} qubits, circuit {n}")
+    a = np.empty((2,) * (2 * n), dtype=complex)
+    b = np.zeros((2,) * (2 * n), dtype=complex)
+    if initial is None:
+        b.flat[0] = 1.0
+        tensor = b
     else:
         tensor = initial.matrix.reshape((2,) * (2 * n))
-        tensor.flags.writeable = False
     ideal = frozenset(ideal_tags)
     cache: dict = {}
     for g in circuit.ops:
@@ -219,8 +234,9 @@ def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
         if S is None:
             S = cache[key] = _gate_superop(g, noise, is_ideal)
         qs = tuple(sorted(g.qubits))
-        tensor = _apply_super(tensor, S, qs + tuple(n + q for q in qs))
-    return DensityMatrix(n, tensor.reshape(2 ** n, 2 ** n))
+        tensor = _apply_super(tensor, S, qs + tuple(n + q for q in qs), a, b)
+    np.copyto(a, tensor)
+    return DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
 
 
 # ---------------------------------------------------------------------------

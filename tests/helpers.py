@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import MEASURE, Circuit, Gate, gate_matrix
+from vdcut.noise import NoiseModel
+from vdcut.runner import Execution
+from vdcut.simulate import _gate_superop
+from vdcut.vd import build_vd_circuit, parity_groups
 
 
 def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -69,3 +74,37 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     d = np.trace(u.conj().T @ v)
     dim = u.shape[0]
     return float(abs(abs(d) - dim))
+
+
+def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
+                     ideal_tags: tuple[str, ...] = ("xtalk",),
+                     initial: np.ndarray | None = None) -> np.ndarray:
+    """Density matrix after ``circuit``: per gate one transpose, reshape and
+    ``S @ tt`` into a fresh array, the kernel that evolve's two reused
+    buffers must reproduce byte for byte."""
+    n = circuit.width
+    if initial is None:
+        initial = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        initial[0, 0] = 1.0
+    tensor = initial.reshape((2,) * (2 * n))
+    for g in circuit.ops:
+        S = _gate_superop(g, noise, g.tag in ideal_tags)
+        qs = sorted(g.qubits)
+        axes = qs + [n + q for q in qs]
+        perm = axes + [a for a in range(2 * n) if a not in axes]
+        tt = np.transpose(tensor, perm).reshape(2 ** len(axes), -1)
+        tensor = np.transpose((S @ tt).reshape((2,) * (2 * n)), np.argsort(perm))
+    return tensor.reshape(2 ** n, 2 ** n)
+
+
+def copies_register(n: int, reps: int = 2) -> list[Execution]:
+    """An experiment's copies register for the ring-``n`` problem without
+    sampling: per parity group, the noiseless-diag reference and the ZNE
+    scales 1, 3 and 5."""
+    orig = real_amplitudes(n, reps, "circular", np.linspace(0.1, 1.3, n * (reps + 1)))
+    executions = []
+    for group in parity_groups(maxcut_hamiltonian(ring_problem(n))):
+        vd = build_vd_circuit(orig, group.gates())
+        executions += [Execution(vd, ideal_diag=True)] + [
+            Execution(vd, scale=scale) for scale in (1, 3, 5)]
+    return executions

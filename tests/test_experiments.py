@@ -191,6 +191,27 @@ def test_emit_csv_and_json(tmp_path):
         assert stored["expectation"] == pytest.approx(cell.expectation)
 
 
+def test_json_records_registers_and_estimator_diagnostics(tmp_path):
+    """The JSON records what each register's batch evolved, and every
+    distillation cell's per-group estimates, so a refused denominator can
+    be read from the file; at 10 shots vd's is below 10 standard errors."""
+    res = run_experiment(_fast_config(shots=10))
+    doc = json.load(open(emit(res, str(tmp_path / "run"))[1]))
+    assert [(r["width"], r["variants"]) for r in doc["registers"]] == [(4, 4), (2, 7)]
+    for r in doc["registers"]:
+        assert r["ops_evolved"] < r["ops_requested"]
+        assert r["max_snapshots"] >= 1
+    cells = {c["method"]: c for c in doc["cells"]}
+    assert cells["none"]["diagnostics"] == []
+    assert cells["vd"]["error"].startswith("EstimatorError")
+    (diag,) = cells["vd"]["diagnostics"]
+    assert diag["den_over_se"] == abs(diag["denominator"]) / diag["denominator_se"] < 10
+    assert [(d["scale"], d["group"]) for d in cells["vd+zne"]["diagnostics"]] == [
+        (1, 0), (3, 0), (5, 0)]
+    (cut,) = cells["vd+cut"]["diagnostics"]
+    assert cells["vd+cut"]["error"] is None and cut["den_over_se"] >= 10
+
+
 def test_reference_noiseless_diag_present_for_vd_methods():
     res = run_experiment(_fast_config(methods=("vd",)))
     assert res.reference_noiseless_diag is not None

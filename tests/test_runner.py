@@ -1,14 +1,19 @@
 """Batched execution: shared compiled prefixes give the same results as
 separate runs."""
+import weakref
+
 import numpy as np
 
+from vdcut import runner
 from vdcut.benchmarks import real_amplitudes
 from vdcut.circuit import Circuit, measure
 from vdcut.cutting import build_pairwise_pipelines
 from vdcut.noise import preset
-from vdcut.runner import Execution, run_circuit, run_circuits
+from vdcut.runner import Execution, compile_circuit, run_circuit, run_circuits
 from vdcut.transpile import coupling_map_for
 from vdcut.vd import build_vd_circuit
+
+from helpers import copies_register
 
 
 def test_batch_matches_separate_runs():
@@ -27,7 +32,7 @@ def test_batch_matches_separate_runs():
         ex for pipe in build_pairwise_pipelines(orig)
         for ex in pipe.executions(500, 5 + 100 * pipe.pair_index)]
     assert len(single) == 7
-    batches = [run_circuits(executions, noise=noise, cmap=cmap)
+    batches = [run_circuits(executions, noise=noise, cmap=cmap).records
                for executions in (copies, single)]
     for executions, batch in zip((copies, single), batches):
         for ex, rec in zip(executions, batch, strict=True):
@@ -43,3 +48,43 @@ def test_batch_matches_separate_runs():
     # the two scale-1 executions share one evolution but keep their own seeds
     assert np.array_equal(batch[1].distribution.probs, batch[3].distribution.probs)
     assert not np.array_equal(batch[1].counts.values, batch[3].counts.values)
+
+
+def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
+    """The ring-4 copies register branches at the groups, at the noiseless
+    diagonalizing gates and at each ZNE fold.  The batch evolves each
+    distinct op-key prefix once, fewer ops than one shared prefix plus every
+    suffix, holds no more snapshots than it admitted, and gives the bits of
+    separate runs."""
+    executions = copies_register(4)
+    noise = preset("basic+gct")
+    cmap = coupling_map_for("heavyhex:3", 8)
+    keys = [compile_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
+                            ideal_diag=ex.ideal_diag).op_keys() for ex in executions]
+    prefixes = {tuple(k[:i]) for k in keys for i in range(1, len(k) + 1)}
+    common = next((i for i, column in enumerate(zip(*keys)) if len(set(column)) > 1),
+                  min(map(len, keys)))
+    one_prefix = common + sum(len(k) - common for k in keys)
+
+    real = runner.evolve
+    evolved, alive, crowded = [], [], []
+
+    def tracking(circuit, *args, **kwargs):
+        evolved.append(len(circuit.ops))
+        crowded.append(sum(ref() is not None for ref in alive))
+        dm = real(circuit, *args, **kwargs)
+        alive.append(weakref.ref(dm))
+        return dm
+
+    monkeypatch.setattr(runner, "evolve", tracking)
+    batch = run_circuits(executions, noise=noise, cmap=cmap)
+    monkeypatch.undo()
+    stats = batch.stats
+    assert (stats.width, stats.variants) == (8, 8)
+    assert stats.ops_requested == sum(map(len, keys))
+    assert sum(evolved) == stats.ops_evolved == len(prefixes) < one_prefix
+    assert max(crowded) == stats.max_snapshots == 2
+    for ex, rec in zip(executions, batch.records, strict=True):
+        alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
+                            ideal_diag=ex.ideal_diag)
+        assert rec.distribution.probs.tobytes() == alone.distribution.probs.tobytes()

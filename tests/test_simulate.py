@@ -38,7 +38,13 @@ from vdcut.simulate import (
     tv_distance,
 )
 
-from helpers import random_circuit, statevector
+from helpers import (
+    copies_register,
+    random_circuit,
+    random_density_matrix,
+    reference_evolve,
+    statevector,
+)
 
 
 def test_empty_circuit_ground_state():
@@ -60,19 +66,62 @@ def test_noiseless_purity():
 
 
 def test_width_cap(monkeypatch):
-    """Admission counts three density tensors (plus the snapshot) against
-    physical memory, and rejects before allocating anything."""
+    """Admission counts evolve's two buffers (plus ``initial``), and a
+    batch's held snapshots on top, against physical memory, and rejects
+    before allocating anything."""
+    from vdcut import runner
+    from vdcut.noise import preset
+    from vdcut.transpile import coupling_map_for
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
     gib = 2 ** 30
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 7 * gib)
     with pytest.raises(SimulationSizeError):
-        evolve(Circuit(14))        # 3 x 4 GiB
-    simulate._admit(12, snapshot=True)    # table 2: 4 x 256 MiB
-    simulate._admit(13, snapshot=True)    # 4 x 1 GiB
-    three_tensors = 3 * 16 * 4 ** 10
-    monkeypatch.setattr(simulate, "_physical_memory", lambda: three_tensors)
-    simulate._admit(10, snapshot=False)
+        evolve(Circuit(14))        # 2 x 4 GiB
+    # table 2: 12 qubits, two snapshots plus two buffers of 256 MiB
+    monkeypatch.setattr(runner, "evolve", admitted)
+    with pytest.raises(Admitted):
+        runner.run_circuits(copies_register(6), noise=preset("basic+gct+rct"),
+                            cmap=coupling_map_for("linear", 12))
+    monkeypatch.undo()
+
+    # the ring-4 copies register holds two snapshots: each of its evolutions
+    # fits in three 8-qubit tensors, the batch does not, and is refused
+    # before its first evolution
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 16 * 4 ** 8)
+    simulate.admit(8, 3)
+    monkeypatch.setattr(runner, "evolve", admitted)
+    with pytest.raises(SimulationSizeError):
+        runner.run_circuits(copies_register(4), noise=preset("basic+gct"),
+                            cmap=coupling_map_for("heavyhex:3", 8))
+    monkeypatch.undo()
+
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 2 * 16 * 4 ** 10)
+    evolve(Circuit(10))
     with pytest.raises(SimulationSizeError):   # before the initial state's width is read
         evolve(Circuit(10), initial=DensityMatrix.ground_state(2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume):
+    """The two-buffer kernel computes every gate as a fresh transpose and
+    product would, byte for byte, and leaves ``initial`` unchanged."""
+    rng = np.random.default_rng(seed)
+    noise = preset("basic")
+    c = random_circuit(n, int(rng.integers(0, 4 * n + 1)), rng)
+    initial = DensityMatrix(n, random_density_matrix(n, rng)) if resume else None
+    before = None if initial is None else initial.matrix.copy()
+    got = evolve(c, noise, initial=initial)
+    want = reference_evolve(c, noise, initial=before)
+    assert got.matrix.tobytes() == want.tobytes()
+    if resume:
+        assert initial.matrix.tobytes() == before.tobytes()
 
 
 def test_measurement_rejected_by_evolve():
