@@ -7,16 +7,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .circuit import CNOT, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
+    Block,
     Counts,
     DensityMatrix,
     Distribution,
+    FusedCircuit,
+    _block_superop,
+    _gate_superop,
     admit,
     apply_readout,
     evolve,
     exact_probs,
+    fuse,
     marginal,
     sample,
 )
@@ -137,13 +144,16 @@ def run_circuit(circuit: Circuit, *,
 class BatchStats:
     """What one :func:`run_circuits` call evolved on its register: the number
     of distinct compiled variants, the ops they hold together
-    (``ops_requested``), the ops their prefix trie evolved (``ops_evolved``)
-    and the most snapshots the trie held during one evolution."""
+    (``ops_requested``), the fused blocks their prefix trie evolved
+    (``blocks_evolved``, one full-tensor pass each) and the ops in those
+    blocks (``ops_evolved``), and the most snapshots the trie held during
+    one evolution."""
 
     width: int
     variants: int
     ops_requested: int
     ops_evolved: int
+    blocks_evolved: int
     max_snapshots: int
 
 
@@ -157,10 +167,10 @@ class Batch:
 
 @dataclass(eq=False)
 class _Node:
-    """A prefix-trie node: ops ``start:end`` of ``variant``'s compiled body
-    lead to it from ``parent``.  ``leaves`` are the variants whose compiled
-    body ends here, ``size`` counts the ops of the subtree, and ``last`` is
-    the position of the last child in evolution order."""
+    """A prefix-trie node: blocks ``start:end`` of ``variant``'s fused body
+    lead to it from ``parent``.  ``leaves`` are the variants whose fused
+    body ends here, ``size`` counts the blocks of the subtree, and ``last``
+    is the position of the last child in evolution order."""
 
     parent: "_Node | None"
     start: int
@@ -173,8 +183,8 @@ class _Node:
 
 
 def _trie(variants: list[tuple], parent: _Node | None = None, start: int = 0) -> _Node:
-    """The trie of ``variants`` (keys ``(op_keys, positions)``) below
-    ``start``: each edge is a maximal run of ops all its variants share,
+    """The trie of ``variants`` (keys ``(block keys, positions)``) below
+    ``start``: each edge is a maximal run of blocks all its variants share,
     and children are sorted smallest subtree first."""
     first, _ = variants[0]
     shortest = min(len(ops) for ops, _ in variants)
@@ -224,21 +234,28 @@ def run_circuits(executions: Sequence[Execution], *,
                  noise: NoiseModel | None = None,
                  cmap: CouplingMap | None = None) -> Batch:
     """Execute variants of one register on one device under one noise model,
-    with the same results as one :func:`run_circuit` call each.
+    with the results of one :func:`run_circuit` call each.
 
-    Executions of the same circuit object share its compilation.  The
-    distinct compiled variants form a trie over their op keys, walked depth
-    first: each edge, a maximal run of ops that all variants below it share,
-    is evolved once from its parent's state, and a variant is measured at the
-    node where its ops end.  Siblings run smallest subtree first, and a
-    node's state is dropped once its last (largest) child has evolved from
-    it, so only the states of nodes with children still to run are held.
-    The batch is admitted as a whole before anything is allocated: those
-    snapshots at their most, plus the two buffers of one evolution, the
-    first of which becomes its result (see :func:`~vdcut.simulate.evolve`).
-    Resuming from a snapshot replays the same ops, so every distribution is
-    bit-identical to a separate run.  Sampling uses each execution's own
-    shots and seed.
+    Executions of the same circuit object share its compilation.  Under
+    noise, each distinct compiled variant is fused
+    (:func:`~vdcut.simulate.fuse`) into blocks of one qubit or one pair,
+    keyed by their ops' keys.  A noiseless batch keeps one block per op:
+    its outputs are exact, not sampled, so they keep the rounding of
+    evolving op by op to the last bit.  The variants
+    form a trie over their block keys, walked depth first: each edge, a
+    maximal run of blocks that all variants below it share, is evolved once
+    from its parent's state as a :class:`~vdcut.simulate.FusedCircuit`, and a
+    variant is measured at the node where its blocks end.  Every distinct
+    gate superoperator and every distinct block is built once per batch,
+    when the first trie node that holds it is evolved.  Siblings run
+    smallest subtree first, and a node's state is dropped once its last
+    (largest) child has evolved from it, so only the states of nodes with
+    children still to run are held.  The batch is admitted as a whole before
+    anything is allocated: those snapshots at their most, plus the two
+    buffers of one evolution, the first of which becomes its result (see
+    :func:`~vdcut.simulate.evolve`).  A fused variant's distribution
+    differs from evolving its ops one by one only by rounding.  Sampling
+    uses each execution's own shots and seed.
     """
     compiled: dict[tuple, CompiledCircuit] = {}
     for ex in executions:
@@ -246,25 +263,50 @@ def run_circuits(executions: Sequence[Execution], *,
         if key not in compiled:
             compiled[key] = compile_circuit(ex.circuit, noise=noise, cmap=cmap,
                                             scale=ex.scale, ideal_diag=ex.ideal_diag)
-    variant_of = {key: (tuple(c.op_keys()), c.positions) for key, c in compiled.items()}
+    gates, variant_of = {}, {}
+    for key, c in compiled.items():
+        op_keys = c.op_keys()
+        gates.update(zip(op_keys, c.body.ops))
+        if noise is None:
+            grouped = [(tuple(sorted(g.qubits)), [i]) for i, g in enumerate(c.body.ops)]
+        else:
+            grouped = fuse(c.body.ops)
+        blocks = tuple((qubits, tuple(op_keys[i] for i in members))
+                       for qubits, members in grouped)
+        variant_of[key] = (blocks, c.positions)
     variants = {variant_of[key]: c for key, c in compiled.items()}
     widths = {c.body.width for c in variants.values()}
     if len(widths) != 1:
         raise ValueError("executions must compile to one register width")
     (width,) = widths
 
+    superops: dict[tuple, np.ndarray] = {}
+    built: dict[tuple, Block] = {}
+
+    def block(key: tuple) -> Block:
+        # op keys are (kind, qubits, angle, unitary, ideal); see CompiledCircuit.op_keys
+        if key not in built:
+            qubits, op_keys = key
+            for k in op_keys:
+                if k not in superops:
+                    superops[k] = _gate_superop(gates[k], noise, k[-1])
+            built[key] = Block(qubits, _block_superop(
+                qubits, ((k[1], superops[k]) for k in op_keys)))
+        return built[key]
+
     order = _depth_first(_trie(list(variants)))
+    edges = [node.variant[0][node.start:node.end] for node in order]
     stats = BatchStats(width=width, variants=len(variants),
-                       ops_requested=sum(len(ops) for ops, _ in variants),
-                       ops_evolved=sum(node.end - node.start for node in order),
+                       ops_requested=sum(len(c.body.ops) for c in variants.values()),
+                       ops_evolved=sum(len(k[1]) for edge in edges for k in edge),
+                       blocks_evolved=sum(map(len, edges)),
                        max_snapshots=_max_snapshots(order))
     admit(width, stats.max_snapshots + 2)
     states: dict[_Node, DensityMatrix] = {}
     dists: dict[tuple, Distribution] = {}
-    for i, node in enumerate(order):
-        c, parent = variants[node.variant], node.parent
-        dm = evolve(Circuit(width, c.body.ops[node.start:node.end]), c.noise,
-                    ideal_tags=c.ideal_tags,
+    for i, (node, edge) in enumerate(zip(order, edges)):
+        parent = node.parent
+        dm = evolve(FusedCircuit(width, tuple(map(block, edge))),
                     initial=None if parent is None else states[parent])
         if parent is not None and parent.last == i:
             del states[parent]

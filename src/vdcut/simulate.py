@@ -1,26 +1,34 @@
 """Dense density-matrix simulation with configurable noise channels,
 measurement distributions, readout error and sampling.
 
-Each gate is applied as a single channel superoperator (ideal unitary
-composed with depolarizing and thermal relaxation) over the density tensor,
-by one transpose and one matrix product over the gate's axes.  An evolution
-holds two full-size buffers and reuses them for every gate: the gate's axes
-are transposed to the front into buffer A, and the matrix product writes
-buffer B, which the next gate reads through a transposed view.  The result
-is copied out of B into A, so no third tensor is allocated.
+An evolution is a sequence of blocks, each one superoperator over at most
+two qubits, applied to the density tensor by one transpose and one matrix
+product over the block's axes.  A plain :class:`Circuit` is one block per
+gate: the gate's channel superoperator (ideal unitary composed with
+depolarizing and thermal relaxation).  :func:`fuse` groups a circuit's ops
+into blocks of one qubit or one pair, whose superoperator is the product of
+their ops' channels, so a fused circuit makes one full-tensor pass per block
+instead of one per op.
+
+An evolution holds two full-size buffers and reuses them for every block:
+the block's axes are transposed to the front into buffer A, and the matrix
+product writes buffer B, which the next block reads through a transposed
+view.  The result is copied out of B into A, so no third tensor is
+allocated.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import (
     TWO_QUBIT_UNITARY,
     Circuit,
+    Gate,
     PauliObservable,
     gate_matrix,
 )
@@ -35,7 +43,7 @@ class SimulationError(RuntimeError):
 
 
 class SimulationSizeError(ValueError):
-    """Raised when a dense simulation would not fit in physical memory."""
+    """Raised when a dense simulation would not fit in memory."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +146,93 @@ def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# blocks and fusion
+
+
+class Block(NamedTuple):
+    """One step of an evolution: ``superop`` over ``qubits`` (ascending),
+    with index order (rows, then columns, most significant qubit first)."""
+
+    qubits: tuple[int, ...]
+    superop: np.ndarray
+
+
+@dataclass(frozen=True)
+class FusedCircuit:
+    """A ``width``-qubit evolution given as its blocks (see :func:`fuse`)."""
+
+    width: int
+    ops: tuple[Block, ...]
+
+
+def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Group ``ops`` into blocks in one greedy pass, as ``(qubits, indices)``
+    with the block's qubits ascending and its ops' indices in circuit order.
+
+    A single-qubit op joins the latest block on its qubit.  A two-qubit op
+    joins the latest block on its pair when that block is on exactly that
+    pair; otherwise it opens a new pair block, which absorbs the latest
+    block on either qubit if that block holds single-qubit ops only.  Every
+    op moves only past blocks that share none of its qubits, so applying the
+    blocks in the returned order is the circuit.
+    """
+    blocks: list[tuple[tuple[int, ...], list[int]] | None] = []
+    latest: dict[int, int] = {}
+    for i, g in enumerate(ops):
+        qubits = tuple(sorted(g.qubits))
+        held = [latest.get(q) for q in qubits]
+        if held[0] is not None and (len(held) == 1 or held[0] == held[1]):
+            blocks[held[0]][1].append(i)
+            continue
+        members = []
+        if len(qubits) == 2:
+            for j in held:
+                if j is not None and len(blocks[j][0]) == 1:
+                    members += blocks[j][1]
+                    blocks[j] = None
+        for q in qubits:
+            latest[q] = len(blocks)
+        blocks.append((qubits, sorted(members) + [i]))
+    return [b for b in blocks if b is not None]
+
+
+_IDENTITY_SUPER = np.eye(4, dtype=complex)
+
+
+def _block_superop(qubits: tuple[int, ...],
+                   parts: Iterable[tuple[tuple[int, ...], np.ndarray]]) -> np.ndarray:
+    """Superoperator of a block on ``qubits`` whose ops, in circuit order,
+    have the qubits and channel superoperators ``parts``: their product, the
+    first op rightmost.  A single-qubit op of a pair block is embedded on its
+    side of the pair with :func:`_pair_super`."""
+    S = None
+    for gate_qubits, s in parts:
+        if len(gate_qubits) < len(qubits):
+            s = (_pair_super(s, _IDENTITY_SUPER) if gate_qubits[0] == qubits[0]
+                 else _pair_super(_IDENTITY_SUPER, s))
+        S = s if S is None else s @ S
+    return S
+
+
+def _gate_blocks(ops: Iterable[Gate], noise: NoiseModel | None,
+                 ideal: frozenset[str]) -> Iterable[tuple[tuple[int, ...], np.ndarray]]:
+    """One ``(qubits, superop)`` block per gate, each distinct superoperator
+    built once."""
+    cache: dict = {}
+    for g in ops:
+        is_ideal = g.tag in ideal
+        if g.kind == TWO_QUBIT_UNITARY:
+            key = (g.unitary.tobytes(), g.qubits[0] > g.qubits[1], is_ideal)
+        else:
+            key = (g.kind, g.angle, g.qubits[0] > g.qubits[1] if len(g.qubits) == 2 else False,
+                   is_ideal)
+        S = cache.get(key)
+        if S is None:
+            S = cache[key] = _gate_superop(g, noise, is_ideal)
+        yield tuple(sorted(g.qubits)), S
+
+
+# ---------------------------------------------------------------------------
 # density matrices
 
 
@@ -179,38 +274,62 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+@lru_cache(maxsize=1)
+def _cgroup_memory_limit() -> int | None:
+    """This process's cgroup-v2 ``memory.max`` in bytes, or None when no
+    such limit is set (no cgroup-v2 memory controller, or ``max``).  Read
+    once per process: reading it costs more than a small evolution."""
+    try:
+        with open("/proc/self/cgroup") as f:
+            path = next(line[3:].strip() for line in f if line.startswith("0::"))
+        with open(os.path.join("/sys/fs/cgroup", path.lstrip("/"), "memory.max")) as f:
+            limit = f.read().strip()
+    except (OSError, StopIteration):
+        return None
+    return None if limit == "max" else int(limit)
+
+
 def admit(width: int, tensors: int) -> None:
     """Raise :class:`SimulationSizeError` unless ``tensors`` density tensors
-    of ``width`` qubits (16 * 4**width bytes each) fit in physical memory."""
+    of ``width`` qubits (16 * 4**width bytes each) fit in the memory this
+    process may use: physical memory, or the cgroup limit when smaller."""
     need = tensors * 16 * 4 ** width
     have = _physical_memory()
+    limit = _cgroup_memory_limit()
+    if limit is not None:
+        have = min(have, limit)
     if need > have:
         raise SimulationSizeError(
             f"{tensors} density tensors of {width} qubits need about "
-            f"{need / 2 ** 30:.1f} GiB; the host has {have / 2 ** 30:.1f} GiB")
+            f"{need / 2 ** 30:.1f} GiB; {have / 2 ** 30:.1f} GiB is available")
 
 
-def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
+def evolve(circuit: Circuit | FusedCircuit, noise: NoiseModel | None = None, *,
            ideal_tags: Sequence[str] = ("xtalk",),
            initial: DensityMatrix | None = None) -> DensityMatrix:
     """Evolve |0...0><0...0| (or ``initial``, which is left unchanged)
-    through the circuit.
+    through the circuit's blocks, in order.
 
-    Each gate is one superoperator: the ideal unitary, then (under noise)
-    the depolarizing channel on the gate's qubits, then thermal relaxation
-    for the gate's duration.  Gates whose tag is listed in ``ideal_tags`` are
-    applied as ideal unitaries (default: the ZZ-crosstalk insertions, which
-    model a coherent error).
+    A :class:`Circuit` is one block per gate: the ideal unitary, then (under
+    noise) the depolarizing channel on the gate's qubits, then thermal
+    relaxation for the gate's duration.  Gates whose tag is listed in
+    ``ideal_tags`` are applied as ideal unitaries (default: the
+    ZZ-crosstalk insertions, which model a coherent error).  A
+    :class:`FusedCircuit` carries its blocks' superoperators already, so
+    ``noise`` and ``ideal_tags`` do not apply to it.
 
-    The evolution holds two buffers, A for each gate's transposed input and
+    The evolution holds two buffers, A for each block's transposed input and
     B for its output (the ground state starts in B), and the result is
     copied from B into A.  With ``initial`` that is three density tensors at
     the peak; the call raises :class:`SimulationSizeError` before allocating
-    when they would not fit in physical memory.
+    when they would not fit in memory (see :func:`admit`).
     """
     admit(circuit.width, 2 + (initial is not None))
-    if circuit.has_measurements():
-        raise ValueError("strip measurements before evolution (see exact_probs/sample)")
+    blocks = circuit.ops
+    if isinstance(circuit, Circuit):
+        if circuit.has_measurements():
+            raise ValueError("strip measurements before evolution (see exact_probs/sample)")
+        blocks = _gate_blocks(circuit.ops, noise, frozenset(ideal_tags))
     n = circuit.width
     if initial is not None and initial.width != n:
         raise ValueError(f"initial state has {initial.width} qubits, circuit {n}")
@@ -221,19 +340,7 @@ def evolve(circuit: Circuit, noise: NoiseModel | None = None, *,
         tensor = b
     else:
         tensor = initial.matrix.reshape((2,) * (2 * n))
-    ideal = frozenset(ideal_tags)
-    cache: dict = {}
-    for g in circuit.ops:
-        is_ideal = g.tag in ideal
-        if g.kind == TWO_QUBIT_UNITARY:
-            key = (g.unitary.tobytes(), g.qubits[0] > g.qubits[1], is_ideal)
-        else:
-            key = (g.kind, g.angle, g.qubits[0] > g.qubits[1] if len(g.qubits) == 2 else False,
-                   is_ideal)
-        S = cache.get(key)
-        if S is None:
-            S = cache[key] = _gate_superop(g, noise, is_ideal)
-        qs = tuple(sorted(g.qubits))
+    for qs, S in blocks:
         tensor = _apply_super(tensor, S, qs + tuple(n + q for q in qs), a, b)
     np.copyto(a, tensor)
     return DensityMatrix(n, a.reshape(2 ** n, 2 ** n))

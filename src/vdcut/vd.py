@@ -385,11 +385,20 @@ def _estimate(weight_probs: np.ndarray, width: int, obs: PauliObservable,
     if shots is None:
         num_se = den_se = 0.0
     else:
-        var_num = max(float(weight_probs @ num_w ** 2) - num ** 2, 0.0)
-        var_den = max(float(weight_probs @ den_w ** 2) - den ** 2, 0.0)
-        num_se = float(np.sqrt(var_num / shots))
-        den_se = float(np.sqrt(var_den / shots))
+        num_se = _sampled_se(weight_probs, num_w, num, shots)
+        den_se = _sampled_se(weight_probs, den_w, den, shots)
     return VDEstimate(num, den, num_se, den_se, shots)
+
+
+def _sampled_se(weight_probs: np.ndarray, w: np.ndarray, mean: float, shots: int) -> float:
+    """Standard error of the mean of weights ``w`` over ``shots`` draws from
+    ``weight_probs``.  A variance of exactly 0 (every shot on outcomes of one
+    weight) says nothing about the spread, so it is floored at the
+    resolution of one shot, max|w| / shots."""
+    var = max(float(weight_probs @ w ** 2) - mean ** 2, 0.0)
+    if var == 0.0:
+        return float(np.abs(w).max()) / shots
+    return float(np.sqrt(var / shots))
 
 
 def estimate_from_counts(counts: Counts, obs: PauliObservable) -> VDEstimate:

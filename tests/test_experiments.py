@@ -199,7 +199,7 @@ def test_json_records_registers_and_estimator_diagnostics(tmp_path):
     doc = json.load(open(emit(res, str(tmp_path / "run"))[1]))
     assert [(r["width"], r["variants"]) for r in doc["registers"]] == [(4, 4), (2, 7)]
     for r in doc["registers"]:
-        assert r["ops_evolved"] < r["ops_requested"]
+        assert r["blocks_evolved"] < r["ops_evolved"] < r["ops_requested"]
         assert r["max_snapshots"] >= 1
     cells = {c["method"]: c for c in doc["cells"]}
     assert cells["none"]["diagnostics"] == []
@@ -210,6 +210,20 @@ def test_json_records_registers_and_estimator_diagnostics(tmp_path):
         (1, 0), (3, 0), (5, 0)]
     (cut,) = cells["vd+cut"]["diagnostics"]
     assert cells["vd+cut"]["error"] is None and cut["den_over_se"] >= 10
+
+
+def test_single_shot_denominator_is_refused(tmp_path):
+    """One shot gives a sampled variance of 0; its standard error is floored
+    at one shot's resolution, so the denominator cannot pass the 10-SE check
+    and the JSON reports a finite den/SE."""
+    res = run_experiment(_fast_config(shots=1))
+    doc = json.load(open(emit(res, str(tmp_path / "run"))[1]))
+    cells = {c["method"]: c for c in doc["cells"]}
+    for method in ("vd", "vd+zne"):
+        assert cells[method]["error"].startswith("EstimatorError"), method
+        for diag in cells[method]["diagnostics"]:
+            assert diag["denominator_se"] == 1.0
+            assert diag["den_over_se"] == abs(diag["denominator"]) == 1.0
 
 
 def test_reference_noiseless_diag_present_for_vd_methods():

@@ -10,6 +10,7 @@ from vdcut.circuit import Circuit, measure
 from vdcut.cutting import build_pairwise_pipelines
 from vdcut.noise import preset
 from vdcut.runner import Execution, compile_circuit, run_circuit, run_circuits
+from vdcut.simulate import fuse
 from vdcut.transpile import coupling_map_for
 from vdcut.vd import build_vd_circuit
 
@@ -50,18 +51,30 @@ def test_batch_matches_separate_runs():
     assert not np.array_equal(batch[1].counts.values, batch[3].counts.values)
 
 
-def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
-    """The ring-4 copies register branches at the groups, at the noiseless
-    diagonalizing gates and at each ZNE fold.  The batch evolves each
-    distinct op-key prefix once, fewer ops than one shared prefix plus every
-    suffix, holds no more snapshots than it admitted, and gives the bits of
-    separate runs."""
-    executions = copies_register(4)
+def _compiled_register():
     noise = preset("basic+gct")
     cmap = coupling_map_for("heavyhex:3", 8)
-    keys = [compile_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
-                            ideal_diag=ex.ideal_diag).op_keys() for ex in executions]
-    prefixes = {tuple(k[:i]) for k in keys for i in range(1, len(k) + 1)}
+    executions = copies_register(4)
+    compiled = [compile_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
+                                ideal_diag=ex.ideal_diag) for ex in executions]
+    return executions, noise, cmap, compiled
+
+
+def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
+    """The ring-4 copies register branches at the groups, at the noiseless
+    diagonalizing gates and at each ZNE fold.  Each variant is fused into
+    blocks, and the batch evolves each distinct block-key prefix once, in
+    fewer full-tensor passes than the distinct op-key prefixes it would
+    take unfused and fewer ops than one shared prefix plus every suffix,
+    holds no more snapshots than it admitted, and gives the bits of
+    separate runs."""
+    executions, noise, cmap, compiled = _compiled_register()
+    keys = [c.op_keys() for c in compiled]
+    blocks = [tuple((qubits, tuple(k[i] for i in members))
+                    for qubits, members in fuse(c.body.ops))
+              for c, k in zip(compiled, keys)]
+    op_prefixes = {tuple(k[:i]) for k in keys for i in range(1, len(k) + 1)}
+    block_prefixes = {tuple(b[:i]) for b in blocks for i in range(1, len(b) + 1)}
     common = next((i for i, column in enumerate(zip(*keys)) if len(set(column)) > 1),
                   min(map(len, keys)))
     one_prefix = common + sum(len(k) - common for k in keys)
@@ -82,9 +95,45 @@ def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
     stats = batch.stats
     assert (stats.width, stats.variants) == (8, 8)
     assert stats.ops_requested == sum(map(len, keys))
-    assert sum(evolved) == stats.ops_evolved == len(prefixes) < one_prefix
+    assert sum(evolved) == stats.blocks_evolved == len(block_prefixes) < len(op_prefixes)
+    assert stats.ops_evolved == sum(len(p[-1][1]) for p in block_prefixes) < one_prefix
     assert max(crowded) == stats.max_snapshots == 2
     for ex, rec in zip(executions, batch.records, strict=True):
         alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
                             ideal_diag=ex.ideal_diag)
         assert rec.distribution.probs.tobytes() == alone.distribution.probs.tobytes()
+
+
+def test_batch_builds_each_gate_superoperator_once(monkeypatch):
+    """Every distinct op key of the register's variants has its channel
+    superoperator built once per batch, however many blocks hold it."""
+    executions, noise, cmap, compiled = _compiled_register()
+    distinct = {k for c in compiled for k in c.op_keys()}
+    real = runner._gate_superop
+    built = []
+
+    def counting(gate, noise, ideal):
+        built.append((gate.kind, gate.qubits, gate.angle,
+                      None if gate.unitary is None else gate.unitary.tobytes(), ideal))
+        return real(gate, noise, ideal)
+
+    monkeypatch.setattr(runner, "_gate_superop", counting)
+    run_circuits(executions, noise=noise, cmap=cmap)
+    assert len(built) == len(set(built)) == len(distinct)
+    assert set(built) == distinct
+
+
+def test_noiseless_batch_evolves_one_block_per_op():
+    """Noiseless outputs are exact, not sampled, so a noiseless batch is not
+    fused: each variant's distribution has the bits of evolving its compiled
+    body gate by gate."""
+    from vdcut.simulate import evolve, exact_probs, marginal
+
+    cmap = coupling_map_for("heavyhex:3", 8)
+    executions = copies_register(4)
+    batch = run_circuits(executions, cmap=cmap)
+    assert batch.stats.blocks_evolved == batch.stats.ops_evolved
+    for ex, rec in zip(executions, batch.records, strict=True):
+        c = compile_circuit(ex.circuit, cmap=cmap, scale=ex.scale, ideal_diag=ex.ideal_diag)
+        want = marginal(exact_probs(evolve(c.body)), c.positions)
+        assert rec.distribution.probs.tobytes() == want.probs.tobytes()

@@ -32,6 +32,7 @@ from vdcut.simulate import (
     evolve,
     exact_probs,
     expectation,
+    fuse,
     marginal,
     sample,
     thermal_relaxation_kraus,
@@ -40,6 +41,7 @@ from vdcut.simulate import (
 
 from helpers import (
     copies_register,
+    fused,
     random_circuit,
     random_density_matrix,
     reference_evolve,
@@ -107,6 +109,49 @@ def test_width_cap(monkeypatch):
         evolve(Circuit(10), initial=DensityMatrix.ground_state(2))
 
 
+def test_admit_honours_a_cgroup_limit(monkeypatch):
+    """Admission takes the smaller of physical memory and the cgroup-v2
+    ``memory.max``, and physical memory alone when no limit is set."""
+    tensor = 16 * 4 ** 8
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 4 * tensor)
+    monkeypatch.setattr(simulate, "_cgroup_memory_limit", lambda: None)
+    simulate.admit(8, 4)
+    with pytest.raises(SimulationSizeError):
+        simulate.admit(8, 5)
+    monkeypatch.setattr(simulate, "_cgroup_memory_limit", lambda: 2 * tensor)
+    simulate.admit(8, 2)
+    with pytest.raises(SimulationSizeError, match="0.0 GiB is available"):
+        simulate.admit(8, 3)
+    monkeypatch.setattr(simulate, "_cgroup_memory_limit", lambda: 8 * tensor)
+    simulate.admit(8, 4)
+    with pytest.raises(SimulationSizeError):
+        simulate.admit(8, 5)
+
+
+def test_cgroup_memory_limit_reads_memory_max(monkeypatch, tmp_path):
+    """The limit is the ``memory.max`` of the process's cgroup-v2 entry:
+    bytes when set, None for ``max`` or when there is no such entry."""
+    files = {"/proc/self/cgroup": "4:memory:/v1\n0::/job\n"}
+    real_open = open
+
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        out = tmp_path / "f"
+        out.write_text(files[path])
+        return real_open(out, *args, **kwargs)
+
+    read = simulate._cgroup_memory_limit.__wrapped__   # past the per-process cache
+    monkeypatch.setattr("builtins.open", fake_open)
+    assert read() is None
+    files["/sys/fs/cgroup/job/memory.max"] = "1073741824\n"
+    assert read() == 2 ** 30
+    files["/sys/fs/cgroup/job/memory.max"] = "max\n"
+    assert read() is None
+    files["/proc/self/cgroup"] = "4:memory:/v1\n"
+    assert read() is None
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
 def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume):
@@ -122,6 +167,82 @@ def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume):
     assert got.matrix.tobytes() == want.tobytes()
     if resume:
         assert initial.matrix.tobytes() == before.tobytes()
+
+
+def _tagged_random_circuit(n: int, rng: np.random.Generator) -> Circuit:
+    """A random circuit with some ops tagged ``diag`` or ``xtalk`` and, on
+    two or more qubits, some crosstalk RZZs."""
+    ops = []
+    for g in random_circuit(n, int(rng.integers(0, 6 * n + 1)), rng).ops:
+        ops.append(g.retagged(str(rng.choice(["", "", "diag", "xtalk"]))))
+        if n >= 2 and rng.random() < 0.2:
+            a, b = rng.choice(n, size=2, replace=False)
+            ops.append(rzz(float(rng.uniform(-0.1, 0.1)), int(a), int(b), tag="xtalk"))
+    return Circuit(n, tuple(ops))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
+def test_fused_evolution_matches_reference(seed, n, resume, ideal_diag):
+    """Evolving the fused blocks is evolving the circuit gate by gate, to
+    rounding, with noisy channels composed (tagged ops ideal) and with or
+    without an initial state."""
+    rng = np.random.default_rng(seed)
+    noise = preset("basic")
+    tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
+    c = _tagged_random_circuit(n, rng)
+    initial = DensityMatrix(n, random_density_matrix(n, rng)) if resume else None
+    before = None if initial is None else initial.matrix.copy()
+    got = evolve(fused(c, noise, tags), initial=initial)
+    want = reference_evolve(c, noise, tags, initial=before)
+    assert np.abs(got.matrix - want).max() < 1e-12
+    if resume:
+        assert initial.matrix.tobytes() == before.tobytes()
+
+
+def _check_blocks(c: Circuit) -> list:
+    blocks = fuse(c.ops)
+    assert sorted(i for _, members in blocks for i in members) == list(range(len(c.ops)))
+    for qubits, members in blocks:
+        assert 1 <= len(qubits) <= 2 and list(qubits) == sorted(qubits)
+        assert members == sorted(members)
+        assert all(set(c.ops[i].qubits) <= set(qubits) for i in members)
+    for q in range(c.width):
+        on_q = [i for i, g in enumerate(c.ops) if q in g.qubits]
+        assert [i for qubits, members in blocks if q in qubits
+                for i in members if q in c.ops[i].qubits] == on_q
+    return blocks
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_fuse_keeps_each_qubits_op_order(seed, n):
+    """Every op lands in exactly one block of at most two qubits, and per
+    qubit the blocks, in order, read back the circuit's ops on it."""
+    _check_blocks(_tagged_random_circuit(n, np.random.default_rng(seed)))
+
+
+def test_fuse_groups_pairs_and_absorbs_single_qubit_ops():
+    c = Circuit(4, (h(0), ry(0.2, 1), cnot(0, 1), rz(0.3, 1), cnot(1, 0),
+                    x(2), rzz(0.1, 1, 2), ry(0.4, 0), cnot(0, 1), rz(0.5, 3)))
+    assert _check_blocks(c) == [((0, 1), [0, 1, 2, 3, 4, 7]), ((1, 2), [5, 6]),
+                                ((0, 1), [8]), ((3,), [9])]
+
+
+def test_fused_copies_register_fuses_every_single_qubit_op():
+    """On a compiled ring-4 copies register no single-qubit block is left,
+    and the fused body is the gate-by-gate one to rounding."""
+    from vdcut.runner import compile_circuit
+    from vdcut.transpile import coupling_map_for
+
+    noise = preset("basic+gct")
+    ex = copies_register(2)[1]
+    c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
+    blocks = _check_blocks(c.body)
+    assert all(len(qubits) == 2 for qubits, _ in blocks) and len(blocks) < len(c.body.ops)
+    got = evolve(fused(c.body, c.noise, c.ideal_tags))
+    want = evolve(c.body, c.noise, ideal_tags=c.ideal_tags)
+    assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
 
 def test_measurement_rejected_by_evolve():

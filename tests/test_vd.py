@@ -5,6 +5,7 @@ import pytest
 from vdcut.circuit import Circuit, PauliObservable, cnot, h, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import (
+    Counts,
     DensityMatrix,
     evolve,
     exact_probs,
@@ -244,6 +245,22 @@ def test_denominator_insignificance_raises():
                      denominator_se=0.0)
     with pytest.raises(EstimatorError):
         _ = est.mitigated
+
+
+def test_zero_sampled_variance_is_floored_at_one_shot():
+    """Shots that all land on one outcome give a standard error of
+    max|w| / shots, not 0; a spread sample keeps sqrt(var / shots)."""
+    z = PauliObservable(((1.0, "Z"),))
+    est = estimate_from_counts(Counts(2, np.array([50, 0, 0, 0])), z)
+    assert (est.numerator, est.denominator) == (1.0, 1.0)
+    assert (est.numerator_se, est.denominator_se) == (1 / 50, 1 / 50)
+    assert est.mitigated == 1.0
+    single = estimate_from_counts(Counts(2, np.array([1, 0, 0, 0])), z)
+    assert single.denominator_se == 1.0
+    with pytest.raises(EstimatorError):
+        _ = single.mitigated
+    est = estimate_from_counts(Counts(2, np.array([40, 0, 0, 10])), z)
+    assert est.numerator_se == pytest.approx(np.sqrt((1 - 0.6 ** 2) / 50), rel=1e-12)
 
 
 def test_estimator_rejects_nondiagonal():
