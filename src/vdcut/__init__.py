@@ -31,7 +31,6 @@ from .cutting import (
     ReconstructionPlan,
     build_pairwise_pipelines,
     cut_wire,
-    mitigated_expectation_cut,
     recombine,
     reconstruct,
     run_cut,

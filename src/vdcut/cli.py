@@ -15,7 +15,7 @@ import numpy as np
 
 from .benchmarks import AnsatzSpec, MaxCutProblem, maxcut_hamiltonian, optimize_parameters, ring_problem
 from .circuit import CircuitError
-from .cutting import CutPoint, cut_wire, run_cut
+from .cutting import CutError, CutPoint, cut_wire, run_cut
 from .experiments import ConfigError, ExperimentConfig, emit, run_experiment
 from .noise import PRESETS
 from .simulate import evolve, exact_probs, expectation, tv_distance
@@ -63,7 +63,12 @@ def _cmd_run(args) -> int:
     data = {}
     if args.config:
         with open(args.config) as f:
-            data = json.load(f)
+            try:
+                data = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"bad JSON in {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object")
     for key, value in (("noise", args.noise), ("shots", args.shots),
                        ("seed", args.seed), ("out", args.out)):
         if value is not None:
@@ -134,7 +139,7 @@ def _cmd_cut_check(args) -> int:
                 try:
                     cut_wire(circuit, CutPoint(q, p))
                     valid.append(CutPoint(q, p))
-                except Exception:
+                except CutError:
                     continue
         if not valid:
             continue

@@ -11,8 +11,7 @@ prepared cut states.
 
 Planning and reconstruction are pure (:func:`cut_executions`,
 :func:`cut_estimate`), so a caller can batch the fragment runs with its other
-executions; :func:`run_pairwise` and :func:`mitigated_expectation_cut` run
-their own."""
+executions; :func:`run_pairwise` runs its own."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ import numpy as np
 from .circuit import (
     Circuit,
     Gate,
-    PauliObservable,
     h,
     lightcone,
     measure,
@@ -39,9 +37,7 @@ from .vd import (
     DIAG_UNITARY,
     ParityEstimate,
     ParityGroup,
-    build_vd_circuit,
     estimate_from_distribution,
-    parity_groups,
 )
 
 
@@ -447,21 +443,3 @@ def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
         merged = recombine(joint, pairwise)
         parts.append(estimate_from_distribution(merged, group.observable, shots=shots))
     return ParityEstimate(tuple(parts))
-
-
-def mitigated_expectation_cut(original: Circuit, obs: PauliObservable,
-                              noise: NoiseModel | None = None,
-                              shots: int | None = None, *,
-                              cmap: CouplingMap | None = None,
-                              seed: int = 0) -> ParityEstimate:
-    """Full cut-enhanced distillation, one pass per parity group of ``obs``
-    (see :func:`parity_groups`), with the uncut distillation circuits' joint
-    distributions and the fragments run here (see :func:`cut_estimate`)."""
-    groups = parity_groups(obs)
-    joints = run_circuits([Execution(build_vd_circuit(original, group.gates()),
-                                     shots=shots, seed=seed + 100_003 * gi)
-                           for gi, group in enumerate(groups)], noise=noise, cmap=cmap)
-    fragments = run_circuits(cut_executions(original, groups, shots, seed),
-                             noise=noise, cmap=cmap)
-    return cut_estimate(groups, [rec.output for rec in joints.records],
-                        [rec.output for rec in fragments.records], shots)

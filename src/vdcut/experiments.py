@@ -117,6 +117,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "methods" in data:
+            if not isinstance(data["methods"], (list, tuple)):
+                raise ConfigError("methods must be a list of method names")
             data["methods"] = tuple(data["methods"])
         if "parameters" in data and not isinstance(data["parameters"], str):
             data["parameters"] = tuple(data["parameters"])

@@ -7,27 +7,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .circuit import CNOT, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
-    Block,
     Counts,
     DensityMatrix,
     Distribution,
     FusedCircuit,
-    _block_superop,
-    _gate_superop,
     admit,
     apply_readout,
+    blocks,
     evolve,
     exact_probs,
-    fuse,
     marginal,
     sample,
 )
-from .transpile import CouplingMap, compact, decompose_to_basis, route
+from .transpile import CouplingMap, compact, decompose_to_basis, fully_connected, route
 from .vd import DIAG_TAG, PARITY_TAG
 from .zne import fold_diagonalizing
 
@@ -73,20 +68,15 @@ class CompiledCircuit:
     positions: tuple[int, ...]
     swaps: int
 
-    def op_keys(self) -> list[tuple]:
-        """Per op, everything its superoperator depends on."""
-        return [(g.kind, g.qubits, g.angle,
-                 None if g.unitary is None else g.unitary.tobytes(),
-                 g.tag in self.ideal_tags) for g in self.body.ops]
-
 
 def compile_circuit(circuit: Circuit, *,
                     noise: NoiseModel | None = None,
                     cmap: CouplingMap | None = None,
                     scale: int = 1,
                     ideal_diag: bool = False) -> CompiledCircuit:
-    """Route, fold (``scale``), decompose and insert crosstalk.  Measured
-    bits are reported in ascending logical qubit order.
+    """Route (on ``cmap``, or all-to-all when it is None), fold
+    (``scale``), decompose and insert crosstalk.  Measured bits are reported
+    in ascending logical qubit order.
 
     A distillation circuit's measurement stage (parity rotation and
     diagonalizing gates) is routed after its state preparation, so every
@@ -94,19 +84,10 @@ def compile_circuit(circuit: Circuit, *,
     measured_logical = circuit.measured_qubits
     if not measured_logical:
         measured_logical = tuple(range(circuit.width))
-    swaps = 0
-    if cmap is not None:
-        rc = route(circuit, cmap, stage_tags=(PARITY_TAG, DIAG_TAG))
-        rc, edges = compact(rc, cmap)
-        swaps = rc.circuit.count(SWAP)
-        body = rc.circuit
-        positions = tuple(rc.final_layout[q] for q in measured_logical)
-    else:
-        body = circuit
-        edges = tuple(
-            (a, b) for a in range(circuit.width) for b in range(a + 1, circuit.width))
-        positions = measured_logical
-
+    cmap = fully_connected(circuit.width) if cmap is None else cmap
+    rc, edges = compact(route(circuit, cmap, stage_tags=(PARITY_TAG, DIAG_TAG)), cmap)
+    body = rc.circuit
+    positions = tuple(rc.final_layout[q] for q in measured_logical)
     if scale != 1:
         body = fold_diagonalizing(body, scale)
     body = decompose_to_basis(body, keep_tags=("diag",) if ideal_diag else ())
@@ -119,7 +100,7 @@ def compile_circuit(circuit: Circuit, *,
         noise_local = noise.with_adjacency(edges)
     ideal_tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
     return CompiledCircuit(body.without_measurements(), noise_local, ideal_tags,
-                           measured_logical, positions, swaps)
+                           measured_logical, positions, rc.circuit.count(SWAP))
 
 
 def run_circuit(circuit: Circuit, *,
@@ -183,7 +164,7 @@ class _Node:
 
 
 def _trie(variants: list[tuple], parent: _Node | None = None, start: int = 0) -> _Node:
-    """The trie of ``variants`` (keys ``(block keys, positions)``) below
+    """The trie of ``variants`` (keys ``(blocks, positions)``) below
     ``start``: each edge is a maximal run of blocks all its variants share,
     and children are sorted smallest subtree first."""
     first, _ = variants[0]
@@ -236,26 +217,22 @@ def run_circuits(executions: Sequence[Execution], *,
     """Execute variants of one register on one device under one noise model,
     with the results of one :func:`run_circuit` call each.
 
-    Executions of the same circuit object share its compilation.  Under
-    noise, each distinct compiled variant is fused
-    (:func:`~vdcut.simulate.fuse`) into blocks of one qubit or one pair,
-    keyed by their ops' keys.  A noiseless batch keeps one block per op:
-    its outputs are exact, not sampled, so they keep the rounding of
-    evolving op by op to the last bit.  The variants
-    form a trie over their block keys, walked depth first: each edge, a
-    maximal run of blocks that all variants below it share, is evolved once
-    from its parent's state as a :class:`~vdcut.simulate.FusedCircuit`, and a
-    variant is measured at the node where its blocks end.  Every distinct
-    gate superoperator and every distinct block is built once per batch,
-    when the first trie node that holds it is evolved.  Siblings run
-    smallest subtree first, and a node's state is dropped once its last
-    (largest) child has evolved from it, so only the states of nodes with
-    children still to run are held.  The batch is admitted as a whole before
-    anything is allocated: those snapshots at their most, plus the two
-    buffers of one evolution, the first of which becomes its result (see
-    :func:`~vdcut.simulate.evolve`).  A fused variant's distribution
-    differs from evolving its ops one by one only by rounding.  Sampling
-    uses each execution's own shots and seed.
+    Executions of the same circuit object share its compilation.  Each
+    distinct compiled variant becomes its evolution blocks through
+    :func:`~vdcut.simulate.blocks` (fused under noise, one per op without),
+    with one memo per batch, so every distinct gate channel and every
+    distinct block is built once per batch and equal blocks are one object.
+    The variants form a trie over their blocks, walked depth first: each
+    edge, a maximal run of blocks that all variants below it share, is
+    evolved once from its parent's state as a
+    :class:`~vdcut.simulate.FusedCircuit`, and a variant is measured at the
+    node where its blocks end.  Siblings run smallest subtree first, and a
+    node's state is dropped once its last (largest) child has evolved from
+    it, so only the states of nodes with children still to run are held.
+    The batch is admitted as a whole before anything is allocated: those
+    snapshots at their most, plus the two buffers of one evolution, the
+    first of which becomes its result (see :func:`~vdcut.simulate.evolve`).
+    Sampling uses each execution's own shots and seed.
     """
     compiled: dict[tuple, CompiledCircuit] = {}
     for ex in executions:
@@ -263,42 +240,20 @@ def run_circuits(executions: Sequence[Execution], *,
         if key not in compiled:
             compiled[key] = compile_circuit(ex.circuit, noise=noise, cmap=cmap,
                                             scale=ex.scale, ideal_diag=ex.ideal_diag)
-    gates, variant_of = {}, {}
-    for key, c in compiled.items():
-        op_keys = c.op_keys()
-        gates.update(zip(op_keys, c.body.ops))
-        if noise is None:
-            grouped = [(tuple(sorted(g.qubits)), [i]) for i, g in enumerate(c.body.ops)]
-        else:
-            grouped = fuse(c.body.ops)
-        blocks = tuple((qubits, tuple(op_keys[i] for i in members))
-                       for qubits, members in grouped)
-        variant_of[key] = (blocks, c.positions)
+    memo: dict = {}
+    variant_of = {key: (blocks(c.body, noise, c.ideal_tags, memo).ops, c.positions)
+                  for key, c in compiled.items()}
     variants = {variant_of[key]: c for key, c in compiled.items()}
     widths = {c.body.width for c in variants.values()}
     if len(widths) != 1:
         raise ValueError("executions must compile to one register width")
     (width,) = widths
 
-    superops: dict[tuple, np.ndarray] = {}
-    built: dict[tuple, Block] = {}
-
-    def block(key: tuple) -> Block:
-        # op keys are (kind, qubits, angle, unitary, ideal); see CompiledCircuit.op_keys
-        if key not in built:
-            qubits, op_keys = key
-            for k in op_keys:
-                if k not in superops:
-                    superops[k] = _gate_superop(gates[k], noise, k[-1])
-            built[key] = Block(qubits, _block_superop(
-                qubits, ((k[1], superops[k]) for k in op_keys)))
-        return built[key]
-
     order = _depth_first(_trie(list(variants)))
     edges = [node.variant[0][node.start:node.end] for node in order]
     stats = BatchStats(width=width, variants=len(variants),
                        ops_requested=sum(len(c.body.ops) for c in variants.values()),
-                       ops_evolved=sum(len(k[1]) for edge in edges for k in edge),
+                       ops_evolved=sum(block.gates for edge in edges for block in edge),
                        blocks_evolved=sum(map(len, edges)),
                        max_snapshots=_max_snapshots(order))
     admit(width, stats.max_snapshots + 2)
@@ -306,7 +261,7 @@ def run_circuits(executions: Sequence[Execution], *,
     dists: dict[tuple, Distribution] = {}
     for i, (node, edge) in enumerate(zip(order, edges)):
         parent = node.parent
-        dm = evolve(FusedCircuit(width, tuple(map(block, edge))),
+        dm = evolve(FusedCircuit(width, edge),
                     initial=None if parent is None else states[parent])
         if parent is not None and parent.last == i:
             del states[parent]

@@ -3,12 +3,11 @@ measurement distributions, readout error and sampling.
 
 An evolution is a sequence of blocks, each one superoperator over at most
 two qubits, applied to the density tensor by one transpose and one matrix
-product over the block's axes.  A plain :class:`Circuit` is one block per
-gate: the gate's channel superoperator (ideal unitary composed with
-depolarizing and thermal relaxation).  :func:`fuse` groups a circuit's ops
-into blocks of one qubit or one pair, whose superoperator is the product of
-their ops' channels, so a fused circuit makes one full-tensor pass per block
-instead of one per op.
+product over the block's axes.  :func:`blocks` is the only code that turns
+gates into blocks: one ideal block per gate without noise, and under noise
+:func:`fuse`'s groups of one qubit or one pair, each the product of its
+gates' noisy channels, so a noisy circuit makes one full-tensor pass per
+block instead of one per gate.
 
 An evolution holds two full-size buffers and reuses them for every block:
 the block's axes are transposed to the front into buffer A, and the matrix
@@ -21,12 +20,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .circuit import (
-    TWO_QUBIT_UNITARY,
     Circuit,
     Gate,
     PauliObservable,
@@ -149,17 +147,22 @@ def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
 # blocks and fusion
 
 
-class Block(NamedTuple):
+@dataclass(eq=False, slots=True)
+class Block:
     """One step of an evolution: ``superop`` over ``qubits`` (ascending),
-    with index order (rows, then columns, most significant qubit first)."""
+    with index order (rows, then columns, most significant qubit first), the
+    product of ``gates`` gate channels.  Blocks compare by identity: equal
+    blocks that :func:`blocks` builds through one memo are one shared
+    object, never modified."""
 
     qubits: tuple[int, ...]
     superop: np.ndarray
+    gates: int = 1
 
 
 @dataclass(frozen=True)
 class FusedCircuit:
-    """A ``width``-qubit evolution given as its blocks (see :func:`fuse`)."""
+    """A ``width``-qubit evolution given as its blocks (see :func:`blocks`)."""
 
     width: int
     ops: tuple[Block, ...]
@@ -199,37 +202,69 @@ def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
 _IDENTITY_SUPER = np.eye(4, dtype=complex)
 
 
-def _block_superop(qubits: tuple[int, ...],
-                   parts: Iterable[tuple[tuple[int, ...], np.ndarray]]) -> np.ndarray:
-    """Superoperator of a block on ``qubits`` whose ops, in circuit order,
-    have the qubits and channel superoperators ``parts``: their product, the
-    first op rightmost.  A single-qubit op of a pair block is embedded on its
-    side of the pair with :func:`_pair_super`."""
-    S = None
-    for gate_qubits, s in parts:
-        if len(gate_qubits) < len(qubits):
-            s = (_pair_super(s, _IDENTITY_SUPER) if gate_qubits[0] == qubits[0]
-                 else _pair_super(_IDENTITY_SUPER, s))
-        S = s if S is None else s @ S
-    return S
+def _gate_block(g: Gate, noise: NoiseModel | None, ideal: bool, memo: dict) -> Block:
+    """The one-gate block of ``g``, its channel superoperator built once per
+    ``memo`` for each kind, angle or unitary, orientation and ideal flag."""
+    flipped = len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]
+    key = (g.kind, g.angle if g.unitary is None else g.unitary.tobytes(), flipped, ideal)
+    S = memo.get(key)
+    if S is None:
+        S = memo[key] = _gate_superop(g, noise, ideal)
+    return Block(tuple(sorted(g.qubits)), S)
 
 
-def _gate_blocks(ops: Iterable[Gate], noise: NoiseModel | None,
-                 ideal: frozenset[str]) -> Iterable[tuple[tuple[int, ...], np.ndarray]]:
-    """One ``(qubits, superop)`` block per gate, each distinct superoperator
-    built once."""
-    cache: dict = {}
-    for g in ops:
+def blocks(circuit: Circuit, noise: NoiseModel | None = None,
+           ideal_tags: Sequence[str] = ("xtalk",), memo: dict | None = None) -> FusedCircuit:
+    """The evolution blocks of a measureless ``circuit``.
+
+    A gate's channel is its ideal unitary, then (under ``noise``) the
+    depolarizing channel on its qubits, then thermal relaxation for its
+    duration; gates whose tag is in ``ideal_tags`` stay ideal (by default
+    the ZZ-crosstalk insertions, which model a coherent error).  Without
+    noise each gate is one block, so a noiseless evolution keeps the
+    rounding of applying its gates one by one.  Under noise :func:`fuse`
+    groups the gates, and a block's superoperator is the product of its
+    gates' channels, the first rightmost, a single-qubit channel embedded on
+    its side of a pair.
+
+    ``memo`` shares work between calls under one noise model: each distinct
+    channel, and each distinct block (its gates' qubits and channels), is
+    built once per memo, and equal blocks are one object.  Its keys have
+    three shapes: a channel's (kind, angle or unitary, orientation, ideal),
+    a gate's (kind, angle or unitary, qubits, ideal) and a fused block's
+    (qubits, its gates' keys).
+    """
+    if circuit.has_measurements():
+        raise ValueError("strip measurements before evolution (see exact_probs/sample)")
+    memo = {} if memo is None else memo
+    ideal = frozenset(ideal_tags)
+    keys, gate_blocks = [], []
+    for g in circuit.ops:
         is_ideal = g.tag in ideal
-        if g.kind == TWO_QUBIT_UNITARY:
-            key = (g.unitary.tobytes(), g.qubits[0] > g.qubits[1], is_ideal)
-        else:
-            key = (g.kind, g.angle, g.qubits[0] > g.qubits[1] if len(g.qubits) == 2 else False,
-                   is_ideal)
-        S = cache.get(key)
-        if S is None:
-            S = cache[key] = _gate_superop(g, noise, is_ideal)
-        yield tuple(sorted(g.qubits)), S
+        key = (g.kind, g.angle if g.unitary is None else g.unitary.tobytes(),
+               g.qubits, is_ideal)
+        block = memo.get(key)
+        if block is None:
+            block = memo[key] = _gate_block(g, noise, is_ideal, memo)
+        keys.append(key)
+        gate_blocks.append(block)
+    if noise is None:
+        return FusedCircuit(circuit.width, tuple(gate_blocks))
+    fused = []
+    for qubits, members in fuse(circuit.ops):
+        key = (qubits, tuple(keys[i] for i in members))
+        block = memo.get(key)
+        if block is None:
+            S = None
+            for part in (gate_blocks[i] for i in members):
+                s = part.superop
+                if len(part.qubits) < len(qubits):
+                    s = (_pair_super(s, _IDENTITY_SUPER) if part.qubits[0] == qubits[0]
+                         else _pair_super(_IDENTITY_SUPER, s))
+                S = s if S is None else s @ S
+            block = memo[key] = Block(qubits, S, len(members))
+        fused.append(block)
+    return FusedCircuit(circuit.width, tuple(fused))
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +339,11 @@ def admit(width: int, tensors: int) -> None:
             f"{need / 2 ** 30:.1f} GiB; {have / 2 ** 30:.1f} GiB is available")
 
 
-def evolve(circuit: Circuit | FusedCircuit, noise: NoiseModel | None = None, *,
-           ideal_tags: Sequence[str] = ("xtalk",),
+def evolve(circuit: Circuit | FusedCircuit, *,
            initial: DensityMatrix | None = None) -> DensityMatrix:
     """Evolve |0...0><0...0| (or ``initial``, which is left unchanged)
-    through the circuit's blocks, in order.
-
-    A :class:`Circuit` is one block per gate: the ideal unitary, then (under
-    noise) the depolarizing channel on the gate's qubits, then thermal
-    relaxation for the gate's duration.  Gates whose tag is listed in
-    ``ideal_tags`` are applied as ideal unitaries (default: the
-    ZZ-crosstalk insertions, which model a coherent error).  A
-    :class:`FusedCircuit` carries its blocks' superoperators already, so
-    ``noise`` and ``ideal_tags`` do not apply to it.
+    through the circuit's blocks, in order.  A :class:`Circuit` evolves
+    noiselessly, one block per gate (see :func:`blocks`).
 
     The evolution holds two buffers, A for each block's transposed input and
     B for its output (the ground state starts in B), and the result is
@@ -325,11 +352,8 @@ def evolve(circuit: Circuit | FusedCircuit, noise: NoiseModel | None = None, *,
     when they would not fit in memory (see :func:`admit`).
     """
     admit(circuit.width, 2 + (initial is not None))
-    blocks = circuit.ops
     if isinstance(circuit, Circuit):
-        if circuit.has_measurements():
-            raise ValueError("strip measurements before evolution (see exact_probs/sample)")
-        blocks = _gate_blocks(circuit.ops, noise, frozenset(ideal_tags))
+        circuit = blocks(circuit)
     n = circuit.width
     if initial is not None and initial.width != n:
         raise ValueError(f"initial state has {initial.width} qubits, circuit {n}")
@@ -340,8 +364,9 @@ def evolve(circuit: Circuit | FusedCircuit, noise: NoiseModel | None = None, *,
         tensor = b
     else:
         tensor = initial.matrix.reshape((2,) * (2 * n))
-    for qs, S in blocks:
-        tensor = _apply_super(tensor, S, qs + tuple(n + q for q in qs), a, b)
+    for block in circuit.ops:
+        qs = block.qubits
+        tensor = _apply_super(tensor, block.superop, qs + tuple(n + q for q in qs), a, b)
     np.copyto(a, tensor)
     return DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
 

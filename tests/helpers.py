@@ -8,7 +8,7 @@ from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import MEASURE, Circuit, Gate, gate_matrix
 from vdcut.noise import NoiseModel
 from vdcut.runner import Execution
-from vdcut.simulate import Block, FusedCircuit, _block_superop, _gate_superop, fuse
+from vdcut.simulate import _gate_superop
 from vdcut.vd import build_vd_circuit, parity_groups
 
 
@@ -95,19 +95,6 @@ def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
         tt = np.transpose(tensor, perm).reshape(2 ** len(axes), -1)
         tensor = np.transpose((S @ tt).reshape((2,) * (2 * n)), np.argsort(perm))
     return tensor.reshape(2 ** n, 2 ** n)
-
-
-def fused(circuit: Circuit, noise: NoiseModel | None = None,
-          ideal_tags: tuple[str, ...] = ("xtalk",)) -> FusedCircuit:
-    """``circuit`` as :func:`~vdcut.simulate.fuse` groups it, each block's
-    superoperator composed from its gates' channels."""
-    blocks = []
-    for qubits, members in fuse(circuit.ops):
-        gates = [circuit.ops[i] for i in members]
-        blocks.append(Block(qubits, _block_superop(
-            qubits, [(g.qubits, _gate_superop(g, noise, g.tag in ideal_tags))
-                     for g in gates])))
-    return FusedCircuit(circuit.width, tuple(blocks))
 
 
 def copies_register(n: int, reps: int = 2) -> list[Execution]:

@@ -46,12 +46,19 @@ def test_run_flag_overrides(tmp_path):
     assert doc["config"]["methods"] == ["none"]
 
 
-def test_run_bad_config_exit_code(tmp_path):
+def test_run_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"ring": 2}, "methods": []}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
+    for text, names in (('{"problem": {"ring": 2},', "JSON"),
+                        ('[{"problem": {"ring": 2}}]', "JSON object"),
+                        ('{"problem": {"ring": 2}, "methods": "vd"}', "methods")):
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and names in err
     for key, value in (("noise", "bogus"), ("coupling_map", "ring"),
                        ("entanglement", "star"), ("shots", "100"),
                        ("parameters", [0.1, 0.2, 0.3]), ("parameters", [0.1, 0.2, 0.3, "x"]),

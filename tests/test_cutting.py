@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
+from vdcut.benchmarks import real_amplitudes
 from vdcut.circuit import Circuit, cnot, h, lightcone, measure, ry
 from vdcut.cutting import (
     CutError,
@@ -15,7 +15,6 @@ from vdcut.cutting import (
     basis_change_gates,
     build_pairwise_pipelines,
     cut_wire,
-    mitigated_expectation_cut,
     recombine,
     run_cut,
     run_pairwise,
@@ -25,7 +24,6 @@ from vdcut.simulate import (
     Distribution,
     evolve,
     exact_probs,
-    expectation,
     marginal,
     tv_distance,
 )
@@ -242,29 +240,3 @@ def test_recombined_noiseless_end_to_end():
                 for p in build_pairwise_pipelines(orig)]
     assert tv_distance(recombine(ref, pairwise), ref) < 1e-9
 
-
-def test_mitigated_expectation_cut_noiseless_product_state():
-    orig = Circuit(4, tuple(ry(0.4 * (i + 1), i) for i in range(4)))
-    hamiltonian = maxcut_hamiltonian(ring_problem(4))
-    est = mitigated_expectation_cut(orig, hamiltonian)
-    ideal = expectation(evolve(orig), hamiltonian)
-    assert abs(est.mitigated - ideal) < 1e-9
-
-
-def test_mitigated_expectation_cut_beats_unmitigated_under_noise():
-    from vdcut.runner import run_circuit
-    from vdcut.transpile import linear
-
-    rng = np.random.default_rng(17)
-    theta = rng.uniform(0, 2 * np.pi, 12)
-    orig = real_amplitudes(4, 2, "circular", theta)
-    hamiltonian = maxcut_hamiltonian(ring_problem(4))
-    nm = preset("basic")
-    cmap = linear(8)
-    ideal = expectation(evolve(orig), hamiltonian)
-
-    bare = Circuit(4, orig.ops + tuple(measure(q) for q in range(4)))
-    raw = expectation(run_circuit(bare, noise=nm, cmap=cmap).distribution,
-                      hamiltonian)
-    est = mitigated_expectation_cut(orig, hamiltonian, nm, cmap=cmap)
-    assert abs(est.mitigated - ideal) < abs(raw - ideal)

@@ -122,13 +122,23 @@ def test_experiment_runs_one_batch_per_register(monkeypatch):
 
     monkeypatch.setattr(experiments, "run_circuits", counting)
     for module, name in ((runner, "run_circuit"), (cutting, "run_circuit"),
-                         (cutting, "run_pairwise"), (cutting, "mitigated_expectation_cut")):
+                         (cutting, "run_pairwise")):
         monkeypatch.setattr(module, name, forbidden)
     res = run_experiment(_fast_config(methods=("none", "vd", "vd+zne", "vd+cut")))
     assert all(cell.error is None for cell in res.cells)
     # ring-2 has one parity group: reference, vd, 3 ZNE scales and the cut's
     # joint run; then the bare circuit and 2 pairs x 3 bases of fragments
     assert batches == [6, 7]
+
+
+def test_vd_cut_is_exact_on_a_noiseless_product_state():
+    """Cut-enhanced distillation of a noiseless product state reproduces
+    the ideal expectation."""
+    config = ExperimentConfig(problem=ring_problem(4), reps=0,
+                              parameters=(0.4, 0.8, 1.2, 1.6), noise="noiseless",
+                              methods=("vd+cut",))
+    (cell,) = run_experiment(config).cells
+    assert cell.error is None and cell.abs_error < 1e-9
 
 
 def test_zne_cell_reports_three_scales():

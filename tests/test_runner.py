@@ -4,13 +4,13 @@ import weakref
 
 import numpy as np
 
-from vdcut import runner
+from vdcut import runner, simulate
 from vdcut.benchmarks import real_amplitudes
 from vdcut.circuit import Circuit, measure
 from vdcut.cutting import build_pairwise_pipelines
 from vdcut.noise import preset
 from vdcut.runner import Execution, compile_circuit, run_circuit, run_circuits
-from vdcut.simulate import fuse
+from vdcut.simulate import blocks
 from vdcut.transpile import coupling_map_for
 from vdcut.vd import build_vd_circuit
 
@@ -60,21 +60,27 @@ def _compiled_register():
     return executions, noise, cmap, compiled
 
 
+def _op_keys(c) -> list[tuple]:
+    """Per op of a compiled body, everything its channel and placement
+    depend on."""
+    return [(g.kind, g.qubits, g.angle, None if g.unitary is None else g.unitary.tobytes(),
+             g.tag in c.ideal_tags) for g in c.body.ops]
+
+
 def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
     """The ring-4 copies register branches at the groups, at the noiseless
     diagonalizing gates and at each ZNE fold.  Each variant is fused into
-    blocks, and the batch evolves each distinct block-key prefix once, in
+    blocks, and the batch evolves each distinct block prefix once, in
     fewer full-tensor passes than the distinct op-key prefixes it would
     take unfused and fewer ops than one shared prefix plus every suffix,
     holds no more snapshots than it admitted, and gives the bits of
     separate runs."""
     executions, noise, cmap, compiled = _compiled_register()
-    keys = [c.op_keys() for c in compiled]
-    blocks = [tuple((qubits, tuple(k[i] for i in members))
-                    for qubits, members in fuse(c.body.ops))
-              for c, k in zip(compiled, keys)]
+    keys = [_op_keys(c) for c in compiled]
+    memo = {}
+    fused = [blocks(c.body, noise, c.ideal_tags, memo).ops for c in compiled]
     op_prefixes = {tuple(k[:i]) for k in keys for i in range(1, len(k) + 1)}
-    block_prefixes = {tuple(b[:i]) for b in blocks for i in range(1, len(b) + 1)}
+    block_prefixes = {tuple(b[:i]) for b in fused for i in range(1, len(b) + 1)}
     common = next((i for i, column in enumerate(zip(*keys)) if len(set(column)) > 1),
                   min(map(len, keys)))
     one_prefix = common + sum(len(k) - common for k in keys)
@@ -96,7 +102,7 @@ def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
     assert (stats.width, stats.variants) == (8, 8)
     assert stats.ops_requested == sum(map(len, keys))
     assert sum(evolved) == stats.blocks_evolved == len(block_prefixes) < len(op_prefixes)
-    assert stats.ops_evolved == sum(len(p[-1][1]) for p in block_prefixes) < one_prefix
+    assert stats.ops_evolved == sum(p[-1].gates for p in block_prefixes) < one_prefix
     assert max(crowded) == stats.max_snapshots == 2
     for ex, rec in zip(executions, batch.records, strict=True):
         alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
@@ -105,21 +111,25 @@ def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
 
 
 def test_batch_builds_each_gate_superoperator_once(monkeypatch):
-    """Every distinct op key of the register's variants has its channel
-    superoperator built once per batch, however many blocks hold it."""
+    """Every distinct channel of the register's variants (kind, angle or
+    unitary, orientation, ideal flag) has its superoperator built once per
+    batch, however many ops and blocks hold it."""
     executions, noise, cmap, compiled = _compiled_register()
-    distinct = {k for c in compiled for k in c.op_keys()}
-    real = runner._gate_superop
+    op_keys = {k for c in compiled for k in _op_keys(c)}
+    distinct = {(kind, angle if unitary is None else unitary, qubits[0] > qubits[-1], ideal)
+                for kind, qubits, angle, unitary, ideal in op_keys}
+    real = simulate._gate_superop
     built = []
 
     def counting(gate, noise, ideal):
-        built.append((gate.kind, gate.qubits, gate.angle,
-                      None if gate.unitary is None else gate.unitary.tobytes(), ideal))
+        built.append((gate.kind,
+                      gate.angle if gate.unitary is None else gate.unitary.tobytes(),
+                      gate.qubits[0] > gate.qubits[-1], ideal))
         return real(gate, noise, ideal)
 
-    monkeypatch.setattr(runner, "_gate_superop", counting)
+    monkeypatch.setattr(simulate, "_gate_superop", counting)
     run_circuits(executions, noise=noise, cmap=cmap)
-    assert len(built) == len(set(built)) == len(distinct)
+    assert len(built) == len(set(built)) == len(distinct) < len(op_keys)
     assert set(built) == distinct
 
 

@@ -23,12 +23,15 @@ from vdcut.noise import NoiseModel, preset
 from vdcut.simulate import (
     _gate_superop,
     _kraus_to_super,
+    Block,
     Counts,
     DensityMatrix,
     Distribution,
+    FusedCircuit,
     SimulationSizeError,
     apply_channel,
     apply_readout,
+    blocks,
     evolve,
     exact_probs,
     expectation,
@@ -41,7 +44,6 @@ from vdcut.simulate import (
 
 from helpers import (
     copies_register,
-    fused,
     random_circuit,
     random_density_matrix,
     reference_evolve,
@@ -57,7 +59,7 @@ def test_empty_circuit_ground_state():
 def test_full_depolarization_gives_maximally_mixed():
     # zero gate duration disables relaxation, leaving pure depolarization
     nm = NoiseModel(one_qubit_depol=1.0, one_qubit_time=0.0)
-    dm = evolve(Circuit(1, (x(0),)), nm)
+    dm = evolve(blocks(Circuit(1, (x(0),)), nm))
     assert np.abs(dm.matrix - np.eye(2) / 2).max() < 1e-15
 
 
@@ -155,14 +157,16 @@ def test_cgroup_memory_limit_reads_memory_max(monkeypatch, tmp_path):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
 def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume):
-    """The two-buffer kernel computes every gate as a fresh transpose and
-    product would, byte for byte, and leaves ``initial`` unchanged."""
+    """The two-buffer kernel computes every noisy gate as a fresh transpose
+    and product would, byte for byte, and leaves ``initial`` unchanged."""
     rng = np.random.default_rng(seed)
     noise = preset("basic")
     c = random_circuit(n, int(rng.integers(0, 4 * n + 1)), rng)
     initial = DensityMatrix(n, random_density_matrix(n, rng)) if resume else None
     before = None if initial is None else initial.matrix.copy()
-    got = evolve(c, noise, initial=initial)
+    per_gate = FusedCircuit(n, tuple(
+        Block(tuple(sorted(g.qubits)), _gate_superop(g, noise, False)) for g in c.ops))
+    got = evolve(per_gate, initial=initial)
     want = reference_evolve(c, noise, initial=before)
     assert got.matrix.tobytes() == want.tobytes()
     if resume:
@@ -193,7 +197,7 @@ def test_fused_evolution_matches_reference(seed, n, resume, ideal_diag):
     c = _tagged_random_circuit(n, rng)
     initial = DensityMatrix(n, random_density_matrix(n, rng)) if resume else None
     before = None if initial is None else initial.matrix.copy()
-    got = evolve(fused(c, noise, tags), initial=initial)
+    got = evolve(blocks(c, noise, tags), initial=initial)
     want = reference_evolve(c, noise, tags, initial=before)
     assert np.abs(got.matrix - want).max() < 1e-12
     if resume:
@@ -201,17 +205,17 @@ def test_fused_evolution_matches_reference(seed, n, resume, ideal_diag):
 
 
 def _check_blocks(c: Circuit) -> list:
-    blocks = fuse(c.ops)
-    assert sorted(i for _, members in blocks for i in members) == list(range(len(c.ops)))
-    for qubits, members in blocks:
+    groups = fuse(c.ops)
+    assert sorted(i for _, members in groups for i in members) == list(range(len(c.ops)))
+    for qubits, members in groups:
         assert 1 <= len(qubits) <= 2 and list(qubits) == sorted(qubits)
         assert members == sorted(members)
         assert all(set(c.ops[i].qubits) <= set(qubits) for i in members)
     for q in range(c.width):
         on_q = [i for i, g in enumerate(c.ops) if q in g.qubits]
-        assert [i for qubits, members in blocks if q in qubits
+        assert [i for qubits, members in groups if q in qubits
                 for i in members if q in c.ops[i].qubits] == on_q
-    return blocks
+    return groups
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -238,11 +242,31 @@ def test_fused_copies_register_fuses_every_single_qubit_op():
     noise = preset("basic+gct")
     ex = copies_register(2)[1]
     c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
-    blocks = _check_blocks(c.body)
-    assert all(len(qubits) == 2 for qubits, _ in blocks) and len(blocks) < len(c.body.ops)
-    got = evolve(fused(c.body, c.noise, c.ideal_tags))
-    want = evolve(c.body, c.noise, ideal_tags=c.ideal_tags)
-    assert np.abs(got.matrix - want.matrix).max() < 1e-12
+    groups = _check_blocks(c.body)
+    assert all(len(qubits) == 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
+    got = evolve(blocks(c.body, c.noise, c.ideal_tags))
+    want = reference_evolve(c.body, c.noise, c.ideal_tags)
+    assert np.abs(got.matrix - want).max() < 1e-12
+
+
+def test_one_memo_shares_blocks_over_a_common_prefix():
+    """Two noisy circuits that share a prefix, built through one memo, hold
+    the same block objects over that prefix and part where they differ;
+    a plain circuit evolves as its noiseless blocks, byte for byte."""
+    noise = preset("basic")
+    prefix = (h(0), ry(0.3, 1), cnot(0, 1), rz(0.2, 2), cnot(1, 2))
+    first = Circuit(3, prefix + (cnot(0, 2), ry(0.5, 0)))
+    second = Circuit(3, prefix + (cnot(0, 2), ry(0.7, 0)))
+    memo = {}
+    a, b = (blocks(c, noise, memo=memo).ops for c in (first, second))
+    shared = len(blocks(Circuit(3, prefix), noise).ops)
+    assert 0 < shared < min(len(a), len(b))
+    assert all(u is v for u, v in zip(a[:shared], b[:shared]))
+    assert all(u is not v for u, v in zip(a[shared:], b[shared:]))
+    assert blocks(first, noise, memo=memo).ops == a
+    assert sum(block.gates for block in a) == len(first.ops)
+    for c in (first, second):
+        assert evolve(c).matrix.tobytes() == evolve(blocks(c)).matrix.tobytes()
 
 
 def test_measurement_rejected_by_evolve():
@@ -255,7 +279,7 @@ def test_channels_preserve_density_matrix_invariants():
     nm = NoiseModel(gate_crosstalk=True, readout_crosstalk=True)
     for _ in range(40):
         c = random_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 12)), rng)
-        dm = evolve(c, nm)
+        dm = evolve(blocks(c, nm))
         dm.validate(atol=1e-10)
 
 
@@ -363,7 +387,7 @@ def test_diagonal_expectation_equals_trace_bit_for_bit(seed, n):
     """The I/Z density path returns the float of Tr(O rho) exactly, so the
     optimizer that reads it follows the same path as with the matrix."""
     rng = np.random.default_rng(seed)
-    dm = evolve(random_circuit(n, 4 * n, rng), preset("basic"))
+    dm = evolve(blocks(random_circuit(n, 4 * n, rng), preset("basic")))
     terms = tuple(
         (float(rng.choice([0.5, -0.5, rng.normal()])), "".join(rng.choice(["I", "Z"], n)))
         for _ in range(int(rng.integers(1, 3 * n + 2))))

@@ -5,7 +5,7 @@ import pytest
 from vdcut.benchmarks import real_amplitudes
 from vdcut.circuit import Circuit, ry
 from vdcut.noise import NoiseModel
-from vdcut.simulate import evolve, exact_probs, tv_distance
+from vdcut.simulate import blocks, evolve, exact_probs, tv_distance
 from vdcut.transpile import cnot_count, decompose_to_basis
 from vdcut.vd import build_vd_circuit
 from vdcut.zne import FoldingError, ScaledRun, extrapolate_linear, fold_diagonalizing
@@ -62,8 +62,8 @@ def test_fold_amplifies_mixing():
     under the depolarizing model."""
     nm = NoiseModel()
     vd = _vd(n=2, seed=7).without_measurements()
-    purities = [evolve(decompose_to_basis(fold_diagonalizing(vd, s)), nm).purity()
-                for s in (1, 3, 5)]
+    folded = [decompose_to_basis(fold_diagonalizing(vd, s)) for s in (1, 3, 5)]
+    purities = [evolve(blocks(c, nm)).purity() for c in folded]
     assert purities[0] >= purities[1] >= purities[2]
 
 
