@@ -34,7 +34,6 @@ from .cutting import (
     recombine,
     reconstruct,
     run_cut,
-    run_pairwise,
 )
 from .experiments import (
     CellResult,
@@ -75,7 +74,6 @@ from .vd import (
     ParityGroup,
     VDEstimate,
     build_vd_circuit,
-    estimate_from_counts,
     estimate_from_distribution,
     oracle_mitigated_expectation,
     parity_groups,

@@ -101,6 +101,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     problem = _parse_graph(args.graph)
     ansatz = _parse_ansatz(problem.n, args.reps, args.entanglement)
     theta = optimize_parameters(problem, ansatz, seed=args.seed)
@@ -116,6 +118,8 @@ def _cmd_cut_check(args) -> int:
     """Exact cutting-identity self-test over random circuits."""
     from .circuit import Circuit, cnot, h, ry, rz, x
 
+    if args.circuits < 1 or args.seed < 0:
+        raise ConfigError("cut-check needs --circuits >= 1 and --seed >= 0")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     done = 0

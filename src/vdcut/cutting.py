@@ -11,7 +11,7 @@ prepared cut states.
 
 Planning and reconstruction are pure (:func:`cut_executions`,
 :func:`cut_estimate`), so a caller can batch the fragment runs with its other
-executions; :func:`run_pairwise` runs its own."""
+executions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -30,9 +30,8 @@ from .circuit import (
     x,
 )
 from .noise import NoiseModel
-from .runner import Execution, run_circuit, run_circuits
+from .runner import Execution, run_circuit
 from .simulate import Distribution, marginal
-from .transpile import CouplingMap
 from .vd import (
     DIAG_UNITARY,
     ParityEstimate,
@@ -116,13 +115,12 @@ class FragmentJob:
 
 @dataclass(frozen=True)
 class ReconstructionPlan:
-    """Bit bookkeeping and the eight-term coefficient table for one cut."""
+    """Bit bookkeeping for one cut (its coefficients are :data:`_EQ5_TERMS`)."""
 
     cut: CutPoint
     width: int
     j_measured: tuple[int, ...]   # cut qubit plus upstream-exclusive bits
     k_measured: tuple[int, ...]   # downstream bits (cut wire continues here)
-    terms: tuple[CutTerm, ...] = _EQ5_TERMS
 
 
 def basis_change_gates(basis: str, qubit: int) -> list[Gate]:
@@ -212,9 +210,9 @@ def reconstruct(plan: ReconstructionPlan,
                 j_results: Mapping[str, Distribution],
                 k_results: Mapping[str, Distribution],
                 shots: int | None = None) -> Distribution:
-    """Linear combination of fragment outcome tensors with the plan
-    coefficients; small negative entries (quasiprobability noise) are clamped
-    and the result renormalized."""
+    """Linear combination of fragment outcome tensors with the
+    :data:`_EQ5_TERMS` coefficients; small negative entries
+    (quasiprobability noise) are clamped and the result renormalized."""
     for basis in MEASURE_BASES:
         if basis not in j_results:
             raise ReconstructionError(f"missing measure fragment {basis!r}")
@@ -225,7 +223,7 @@ def reconstruct(plan: ReconstructionPlan,
     n_j = len(plan.j_measured) - 1
     n_k = len(plan.k_measured)
     acc = np.zeros((2 ** n_j, 2 ** n_k))
-    for term in plan.terms:
+    for term in _EQ5_TERMS:
         v = _signed_sum(j_results[term.basis], q_pos, term.mode)
         u = np.zeros(2 ** n_k)
         for state, sign in _PREP_EXPANSION[term.eigenstate].items():
@@ -348,18 +346,6 @@ def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,
                 continue
             raw += coeff * np.einsum("a,b,aby->y", e1, e2, k_tensor)
     return _clamp_normalize(raw, 2, shots)
-
-
-def run_pairwise(pipeline: PairwisePipeline, noise: NoiseModel | None,
-                 shots: int | None = None, *,
-                 cmap: CouplingMap | None = None,
-                 seed: int = 0,
-                 cache: DiagonalSimulationCache | None = None) -> Distribution:
-    """Execute one pipeline's three fragments under the device noise model
-    and reconstruct its mitigated pairwise distribution."""
-    records = run_circuits(pipeline.executions(shots, seed), noise=noise, cmap=cmap).records
-    return pairwise_distribution([rec.output for rec in records], shots,
-                                 cache if cache is not None else DiagonalSimulationCache())
 
 
 def _expansion_vector(eigenstate: str) -> np.ndarray:

@@ -80,6 +80,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not isinstance(self.coupling_map, str):
+            raise ConfigError("coupling_map must be a string")
+        if self.circuit_file is not None and not isinstance(self.circuit_file, str):
+            raise ConfigError("circuit_file must be a string")
         try:
             preset(self.noise)
             coupling_map_for(self.coupling_map, 2 * self.problem.n)
@@ -120,8 +126,6 @@ class ExperimentConfig:
             if not isinstance(data["methods"], (list, tuple)):
                 raise ConfigError("methods must be a list of method names")
             data["methods"] = tuple(data["methods"])
-        if "parameters" in data and not isinstance(data["parameters"], str):
-            data["parameters"] = tuple(data["parameters"])
         return ExperimentConfig(problem=problem, **data)
 
 

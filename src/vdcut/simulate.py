@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,11 +98,6 @@ def thermal_relaxation_kraus(t1: float, t2: float, duration: float) -> list[np.n
     p0 = np.sqrt(1 - q) * np.eye(2, dtype=complex)
     p1 = np.sqrt(q) * np.diag([1.0, -1.0]).astype(complex)
     return [p0 @ a0, p0 @ a1, p1 @ a0, p1 @ a1]
-
-
-def apply_channel(rho: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum_i K_i rho K_i^dag for a single-qubit channel (2x2 Kraus ops)."""
-    return sum(K @ rho @ K.conj().T for K in kraus)
 
 
 def _depol_super(p: float, k: int) -> np.ndarray:
@@ -285,18 +280,6 @@ class DensityMatrix:
             raise ValueError(f"expected {dim}x{dim} matrix for width {self.width}")
         object.__setattr__(self, "matrix", m)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def validate(self, atol: float = 1e-10) -> None:
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > atol:
-            raise SimulationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > atol or abs(np.trace(m).imag) > atol:
-            raise SimulationError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -atol:
-            raise SimulationError("density matrix has a negative eigenvalue")
-
     @staticmethod
     def ground_state(width: int) -> "DensityMatrix":
         m = np.zeros((2 ** width, 2 ** width), dtype=complex)
@@ -375,10 +358,6 @@ def evolve(circuit: Circuit | FusedCircuit, *,
 # distributions and counts
 
 
-def _format_bits(index: int, width: int) -> str:
-    return format(index, f"0{width}b") if width else ""
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Normalized map from ``width``-bit outcome strings to probabilities,
@@ -402,19 +381,6 @@ class Distribution:
     def __getitem__(self, outcome: str) -> float:
         return float(self.probs[int(outcome, 2)])
 
-    def as_dict(self, threshold: float = 0.0) -> dict[str, float]:
-        return {
-            _format_bits(i, self.width): float(p)
-            for i, p in enumerate(self.probs) if p > threshold
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, float], width: int) -> "Distribution":
-        p = np.zeros(2 ** width)
-        for outcome, prob in d.items():
-            p[int(outcome, 2)] = prob
-        return Distribution(width, p)
-
 
 @dataclass(frozen=True)
 class Counts:
@@ -436,12 +402,6 @@ class Counts:
 
     def __getitem__(self, outcome: str) -> int:
         return int(self.values[int(outcome, 2)])
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            _format_bits(i, self.width): int(v)
-            for i, v in enumerate(self.values) if v
-        }
 
     def to_distribution(self) -> Distribution:
         return Distribution(self.width, self.values / self.shots)

@@ -27,21 +27,17 @@ class SweepRow:
         return self.cnot_vd - self.cnot_original
 
 
-def overhead_point(n: int, layers: int, map_spec: str,
-                   entanglement: str = "circular") -> SweepRow:
-    ansatz = real_amplitudes(n, reps=layers, entanglement=entanglement)
+def overhead_point(n: int, layers: int, map_spec: str) -> SweepRow:
+    ansatz = real_amplitudes(n, reps=layers)
     cmap = coupling_map_for(map_spec, 2 * n)
     original = decompose_to_basis(route(ansatz, cmap).circuit)
     vd = decompose_to_basis(route(build_vd_circuit(ansatz), cmap).circuit)
     return SweepRow(n, layers, map_spec, cnot_count(original), cnot_count(vd))
 
 
-def overhead_sweep(qubits: Iterable[int], layers: Iterable[int], map_spec: str,
-                   entanglement: str = "circular") -> list[SweepRow]:
-    return [
-        overhead_point(n, reps, map_spec, entanglement)
-        for n in qubits for reps in layers
-    ]
+def overhead_sweep(qubits: Iterable[int], layers: Iterable[int],
+                   map_spec: str) -> list[SweepRow]:
+    return [overhead_point(n, reps, map_spec) for n in qubits for reps in layers]
 
 
 def growth_exponent(rows: Sequence[SweepRow]) -> float:

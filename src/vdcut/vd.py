@@ -50,7 +50,7 @@ from .circuit import (
     tensor_two_copies,
     two_qubit,
 )
-from .simulate import Counts, DensityMatrix, Distribution
+from .simulate import DensityMatrix, Distribution
 
 DIAG_TAG = "diag"
 #: tag of the parity-rotation CNOTs; with DIAG_TAG it marks the measurement
@@ -399,11 +399,6 @@ def _sampled_se(weight_probs: np.ndarray, w: np.ndarray, mean: float, shots: int
     if var == 0.0:
         return float(np.abs(w).max()) / shots
     return float(np.sqrt(var / shots))
-
-
-def estimate_from_counts(counts: Counts, obs: PauliObservable) -> VDEstimate:
-    """Post-process shot counts from a build_vd_circuit execution."""
-    return _estimate(counts.values / counts.shots, counts.width, obs, counts.shots)
 
 
 def estimate_from_distribution(dist: Distribution, obs: PauliObservable,

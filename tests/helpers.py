@@ -6,10 +6,54 @@ import numpy as np
 
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import MEASURE, Circuit, Gate, gate_matrix
+from vdcut.cutting import DiagonalSimulationCache, PairwisePipeline, pairwise_distribution
 from vdcut.noise import NoiseModel
-from vdcut.runner import Execution
-from vdcut.simulate import _gate_superop
+from vdcut.runner import Execution, run_circuits
+from vdcut.simulate import Counts, DensityMatrix, Distribution, _gate_superop
+from vdcut.transpile import CouplingMap
 from vdcut.vd import build_vd_circuit, parity_groups
+
+
+def distribution(probs: dict[str, float], width: int) -> Distribution:
+    """The ``width``-bit distribution with the given outcome probabilities."""
+    p = np.zeros(2 ** width)
+    for outcome, prob in probs.items():
+        p[int(outcome, 2)] = prob
+    return Distribution(width, p)
+
+
+def as_dict(data: Distribution | Counts) -> dict:
+    """The nonzero entries of a distribution or counts, keyed by outcome."""
+    values = data.values if isinstance(data, Counts) else data.probs
+    return {format(i, f"0{data.width}b"): v.item() for i, v in enumerate(values) if v}
+
+
+def purity(dm: DensityMatrix) -> float:
+    return float(np.real(np.trace(dm.matrix @ dm.matrix)))
+
+
+def validate(dm: DensityMatrix, atol: float = 1e-10) -> None:
+    """Assert that ``dm`` is Hermitian, of unit trace and positive semidefinite."""
+    m = dm.matrix
+    assert np.abs(m - m.conj().T).max() <= atol, "not Hermitian"
+    assert abs(np.trace(m) - 1.0) <= atol, "trace differs from 1"
+    assert np.linalg.eigvalsh(m).min() >= -atol, "negative eigenvalue"
+
+
+def apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
+    """Sum_i K_i rho K_i^dag."""
+    return sum(K @ rho @ K.conj().T for K in kraus)
+
+
+def pairwise(pipe: PairwisePipeline, noise: NoiseModel | None = None,
+             cmap: CouplingMap | None = None,
+             cache: DiagonalSimulationCache | None = None) -> Distribution:
+    """One pipeline's exact mitigated pairwise distribution, through the
+    pieces the cut method runs: its executions, one batch, and
+    :func:`pairwise_distribution`."""
+    records = run_circuits(pipe.executions(None, 0), noise=noise, cmap=cmap).records
+    return pairwise_distribution([rec.output for rec in records], None,
+                                 DiagonalSimulationCache() if cache is None else cache)
 
 
 def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from vdcut.cutting import (
     cut_wire,
     recombine,
     run_cut,
-    run_pairwise,
 )
 from vdcut.experiments import ExperimentConfig, emit, run_experiment
 from vdcut.simulate import (
@@ -45,7 +44,7 @@ from vdcut.vd import (
 )
 from vdcut.zne import ScaledRun, extrapolate_linear, fold_diagonalizing
 
-from helpers import full_unitary, random_circuit, random_density_matrix
+from helpers import full_unitary, pairwise, random_circuit, random_density_matrix
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -259,7 +258,7 @@ def test_criterion_3_cutting_identity():
     cache = DiagonalSimulationCache()
     worst_pair = 0.0
     for pipe in build_pairwise_pipelines(orig):
-        got = run_pairwise(pipe, None, cache=cache)
+        got = pairwise(pipe, cache=cache)
         want = marginal(ref, (pipe.pair_index, 4 + pipe.pair_index))
         worst_pair = max(worst_pair, tv_distance(got, want))
     elapsed = time.time() - started
@@ -409,9 +408,8 @@ def test_criterion_9_recombination():
     orig = AnsatzSpec(4).circuit(theta)
     ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
     cache = DiagonalSimulationCache()
-    pairwise = [run_pairwise(p, None, cache=cache)
-                for p in build_pairwise_pipelines(orig)]
-    end_to_end = tv_distance(recombine(ref, pairwise), ref)
+    mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
+    end_to_end = tv_distance(recombine(ref, mitigated), ref)
     ok = worst_fp < 1e-12 and end_to_end < 1e-9
     report(9, ok, f"fixed point worst TV {worst_fp:.2e} over 500 draws; "
                   f"noiseless end-to-end TV {end_to_end:.2e}")

@@ -12,7 +12,9 @@ from vdcut.benchmarks import (
     ring_problem,
 )
 from vdcut.circuit import CircuitError
-from vdcut.simulate import Distribution, evolve, expectation
+from vdcut.simulate import evolve, expectation
+
+from helpers import distribution
 
 
 def test_problem_validation():
@@ -32,14 +34,14 @@ def test_maxcut_hamiltonian_triangle():
     zz = [(c, p) for c, p in h.terms if "Z" in p]
     assert sum(consts) == pytest.approx(1.5)
     assert all(c == pytest.approx(-0.5) for c, _ in zz)
-    assert expectation(Distribution.from_dict({"001": 1.0}, 3), h) == pytest.approx(2.0)
+    assert expectation(distribution({"001": 1.0}, 3), h) == pytest.approx(2.0)
 
 
 def test_maxcut_single_edge_and_ring():
     h = maxcut_hamiltonian(MaxCutProblem(2, ((0, 1),)))
-    assert expectation(Distribution.from_dict({"01": 1.0}, 2), h) == pytest.approx(1.0)
+    assert expectation(distribution({"01": 1.0}, 2), h) == pytest.approx(1.0)
     h4 = maxcut_hamiltonian(ring_problem(4))
-    assert expectation(Distribution.from_dict({"0101": 1.0}, 4), h4) == pytest.approx(4.0)
+    assert expectation(distribution({"0101": 1.0}, 4), h4) == pytest.approx(4.0)
 
 
 def test_real_amplitudes_structure():

@@ -1,9 +1,12 @@
 """Command-line interface subcommands and exit codes."""
 import json
 
+import numpy as np
 import pytest
 
+from vdcut import cli
 from vdcut.cli import main
+from vdcut.simulate import Distribution
 
 
 def test_run_with_config(tmp_path, capsys):
@@ -62,7 +65,8 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     for key, value in (("noise", "bogus"), ("coupling_map", "ring"),
                        ("entanglement", "star"), ("shots", "100"),
                        ("parameters", [0.1, 0.2, 0.3]), ("parameters", [0.1, 0.2, 0.3, "x"]),
-                       ("parameters", [0.1, 0.2, 0.3, None])):
+                       ("parameters", [0.1, 0.2, 0.3, None]), ("parameters", 5),
+                       ("coupling_map", 5), ("circuit_file", 5), ("seed", -1)):
         cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, key: value}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     for problem in ({"ring": 1}, {"n": 3, "edges": [[0, 0]]}, {"n": 3, "edges": []},
@@ -87,9 +91,14 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     ["optimize", "--graph", "ring:1"],
     ["optimize", "--graph", "ring:2", "--entanglement", "star"],
     ["optimize", "--graph", "ring:2", "--reps", "-2"],
+    ["optimize", "--graph", "ring:2", "--seed", "-1"],
+    ["cut-check", "--seed", "-1"],
+    ["cut-check", "--circuits", "-3"],
 ])
 def test_sweep_and_optimize_bad_arguments_exit_code(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    if argv[0] != "cut-check":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -118,3 +127,14 @@ def test_cut_check(capsys):
     code = main(["cut-check", "--circuits", "5", "--seed", "1"])
     assert code == 0
     assert "worst TV" in capsys.readouterr().out
+
+
+def test_cut_check_fails_on_a_wrong_reconstruction(monkeypatch, capsys):
+    def wrong(circuit, cut):
+        probs = np.zeros(2 ** circuit.width)
+        probs[-1] = 1.0
+        return Distribution(circuit.width, probs)
+
+    monkeypatch.setattr(cli, "run_cut", wrong)
+    assert main(["cut-check", "--circuits", "3", "--seed", "1"]) == 1
+    assert "FAIL" in capsys.readouterr().out

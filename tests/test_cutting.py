@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vdcut.benchmarks import real_amplitudes
 from vdcut.circuit import Circuit, cnot, h, lightcone, measure, ry
 from vdcut.cutting import (
+    _EQ5_TERMS,
     CutError,
     CutPoint,
     DiagonalSimulationCache,
@@ -17,7 +18,6 @@ from vdcut.cutting import (
     cut_wire,
     recombine,
     run_cut,
-    run_pairwise,
 )
 from vdcut.noise import NoiseModel, preset
 from vdcut.simulate import (
@@ -29,7 +29,7 @@ from vdcut.simulate import (
 )
 from vdcut.vd import DIAG_UNITARY, build_vd_circuit
 
-from helpers import random_circuit
+from helpers import as_dict, distribution, pairwise, random_circuit
 
 
 def valid_cuts(circuit):
@@ -51,9 +51,10 @@ def test_cut_produces_three_j_and_four_k_fragments():
     assert roles == [("measure", "X"), ("measure", "Y"), ("measure", "Z"),
                      ("prepare", "0"), ("prepare", "1"), ("prepare", "+"),
                      ("prepare", "+i")]
-    assert len(plan.terms) == 8
-    assert sum(float(t.coefficient) for t in plan.terms) == pytest.approx(1.0)
-    assert all(abs(t.coefficient) == pytest.approx(0.5) for t in plan.terms)
+    assert (plan.j_measured, plan.k_measured) == ((0,), (0, 1))
+    assert len(_EQ5_TERMS) == 8
+    assert sum(float(t.coefficient) for t in _EQ5_TERMS) == pytest.approx(1.0)
+    assert all(abs(t.coefficient) == pytest.approx(0.5) for t in _EQ5_TERMS)
 
 
 def test_cut_validation():
@@ -78,7 +79,7 @@ def test_cut_on_fresh_wire_preserves_state():
 def test_cut_before_measurement_of_plus_state():
     c = Circuit(1, (h(0), ry(0.0, 0)))
     d = run_cut(c, CutPoint(0, 0))
-    assert d.as_dict() == pytest.approx({"0": 0.5, "1": 0.5})
+    assert as_dict(d) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
 def test_cut_identity_bell_circuit():
@@ -116,12 +117,12 @@ def test_reconstruction_negativity_error():
     c = Circuit(2, (h(0), cnot(0, 1)))
     jobs, plan = cut_wire(c, CutPoint(0, 0))
     # deliberately inconsistent fragment data
-    bogus_j = {b: Distribution.from_dict({"0": 1.0}, 1) for b in "XYZ"}
+    bogus_j = {b: distribution({"0": 1.0}, 1) for b in "XYZ"}
     bogus_k = {
-        "0": Distribution.from_dict({"11": 1.0}, 2),
-        "1": Distribution.from_dict({"00": 1.0}, 2),
-        "+": Distribution.from_dict({"01": 1.0}, 2),
-        "+i": Distribution.from_dict({"10": 1.0}, 2),
+        "0": distribution({"11": 1.0}, 2),
+        "1": distribution({"00": 1.0}, 2),
+        "+": distribution({"01": 1.0}, 2),
+        "+i": distribution({"10": 1.0}, 2),
     }
     with pytest.raises(ReconstructionError):
         from vdcut.cutting import reconstruct
@@ -167,7 +168,7 @@ def test_pairwise_noiseless_matches_vd_marginals():
     ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
     cache = DiagonalSimulationCache()
     for pipe in build_pairwise_pipelines(orig):
-        got = run_pairwise(pipe, None, cache=cache)
+        got = pairwise(pipe, cache=cache)
         want = marginal(ref, (pipe.pair_index, 4 + pipe.pair_index))
         assert tv_distance(got, want) < 1e-9
     assert cache.hits == 3  # identical gates simulated once
@@ -178,7 +179,7 @@ def test_pairwise_fully_depolarized_is_uniform():
                     two_qubit_time=0.0)
     orig = Circuit(1, (ry(0.7, 0),))
     (pipe,) = build_pairwise_pipelines(orig)
-    got = run_pairwise(pipe, nm)
+    got = pairwise(pipe, nm)
     assert np.abs(got.probs - 0.25).max() < 1e-12
 
 
@@ -201,7 +202,7 @@ def test_pairwise_closer_to_ideal_than_uncut_marginals():
     wins = 0
     for pipe in build_pairwise_pipelines(orig):
         pair = (pipe.pair_index, 4 + pipe.pair_index)
-        mitigated = run_pairwise(pipe, nm, cmap=cmap, cache=cache)
+        mitigated = pairwise(pipe, nm, cmap=cmap, cache=cache)
         d_mit = tv_distance(mitigated, marginal(ideal, pair))
         d_raw = tv_distance(marginal(noisy, pair), marginal(ideal, pair))
         wins += d_mit < d_raw
@@ -219,15 +220,15 @@ def test_recombine_fixed_point(seed, n):
 
 
 def test_recombine_single_pair_fully_determined():
-    unmit = Distribution.from_dict({"00": 1.0}, 2)
-    pair = Distribution.from_dict({"01": 1.0}, 2)
-    assert recombine(unmit, [pair]).as_dict() == pytest.approx({"01": 1.0})
+    unmit = distribution({"00": 1.0}, 2)
+    pair = distribution({"01": 1.0}, 2)
+    assert as_dict(recombine(unmit, [pair])) == pytest.approx({"01": 1.0})
 
 
 def test_recombine_rejects_wrong_count():
-    unmit = Distribution.from_dict({"0000": 1.0}, 4)
+    unmit = distribution({"0000": 1.0}, 4)
     with pytest.raises(ReconstructionError):
-        recombine(unmit, [Distribution.from_dict({"00": 1.0}, 2)])
+        recombine(unmit, [distribution({"00": 1.0}, 2)])
 
 
 def test_recombined_noiseless_end_to_end():
@@ -236,7 +237,6 @@ def test_recombined_noiseless_end_to_end():
     orig = real_amplitudes(4, 2, "circular", theta)
     ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
     cache = DiagonalSimulationCache()
-    pairwise = [run_pairwise(p, None, cache=cache)
-                for p in build_pairwise_pipelines(orig)]
-    assert tv_distance(recombine(ref, pairwise), ref) < 1e-9
+    mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
+    assert tv_distance(recombine(ref, mitigated), ref) < 1e-9
 

@@ -33,7 +33,8 @@ def test_config_validation():
     for bad in ({"noise": "bogus"}, {"coupling_map": "ring"},
                 {"coupling_map": "heavyhex:x"}, {"entanglement": "star"},
                 {"problem": ring_problem(12), "coupling_map": "heavyhex:3"},
-                {"shots": "100"}, {"reps": "1"}, {"seed": "x"},
+                {"shots": "100"}, {"reps": "1"}, {"seed": "x"}, {"seed": -1},
+                {"coupling_map": 5}, {"circuit_file": 5}, {"parameters": 5},
                 {"parameters": (0.1, 0.2)}, {"parameters": (0.1, "x", 0.3, 0.4)},
                 {"reps": -1, "parameters": ()}):
         with pytest.raises(ConfigError):
@@ -121,8 +122,7 @@ def test_experiment_runs_one_batch_per_register(monkeypatch):
         raise AssertionError("one-off executor called")
 
     monkeypatch.setattr(experiments, "run_circuits", counting)
-    for module, name in ((runner, "run_circuit"), (cutting, "run_circuit"),
-                         (cutting, "run_pairwise")):
+    for module, name in ((runner, "run_circuit"), (cutting, "run_circuit")):
         monkeypatch.setattr(module, name, forbidden)
     res = run_experiment(_fast_config(methods=("none", "vd", "vd+zne", "vd+cut")))
     assert all(cell.error is None for cell in res.cells)

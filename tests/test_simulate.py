@@ -29,7 +29,6 @@ from vdcut.simulate import (
     Distribution,
     FusedCircuit,
     SimulationSizeError,
-    apply_channel,
     apply_readout,
     blocks,
     evolve,
@@ -43,11 +42,16 @@ from vdcut.simulate import (
 )
 
 from helpers import (
+    apply_channel,
+    as_dict,
     copies_register,
+    distribution,
+    purity,
     random_circuit,
     random_density_matrix,
     reference_evolve,
     statevector,
+    validate,
 )
 
 
@@ -66,7 +70,7 @@ def test_full_depolarization_gives_maximally_mixed():
 def test_noiseless_purity():
     rng = np.random.default_rng(2)
     c = random_circuit(3, 16, rng)
-    assert abs(evolve(c).purity() - 1.0) < 1e-10
+    assert abs(purity(evolve(c)) - 1.0) < 1e-10
 
 
 def test_width_cap(monkeypatch):
@@ -280,7 +284,7 @@ def test_channels_preserve_density_matrix_invariants():
     for _ in range(40):
         c = random_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 12)), rng)
         dm = evolve(blocks(c, nm))
-        dm.validate(atol=1e-10)
+        validate(dm, atol=1e-10)
 
 
 def test_noiseless_evolve_matches_statevector():
@@ -335,18 +339,18 @@ def test_thermal_relaxation_coherence_decay():
 
 
 def test_exact_probs_examples():
-    assert exact_probs(DensityMatrix(1, np.diag([1.0, 0.0]))).as_dict() == {"0": 1.0}
-    assert exact_probs(DensityMatrix(1, np.eye(2) / 2)).as_dict() == {"0": 0.5, "1": 0.5}
+    assert as_dict(exact_probs(DensityMatrix(1, np.diag([1.0, 0.0])))) == {"0": 1.0}
+    assert as_dict(exact_probs(DensityMatrix(1, np.eye(2) / 2))) == {"0": 0.5, "1": 0.5}
     bell = evolve(Circuit(2, (h(0), cnot(0, 1))))
-    assert exact_probs(bell).as_dict() == pytest.approx({"00": 0.5, "11": 0.5})
+    assert as_dict(exact_probs(bell)) == pytest.approx({"00": 0.5, "11": 0.5})
 
 
 def test_sampling_deterministic_and_concentrated():
-    d = Distribution.from_dict({"0": 1.0}, 1)
+    d = distribution({"0": 1.0}, 1)
     c = sample(d, 100, seed=1)
     assert c["0"] == 100
 
-    d = Distribution.from_dict({"0": 0.5, "1": 0.5}, 1)
+    d = distribution({"0": 0.5, "1": 0.5}, 1)
     c = sample(d, 10 ** 6, seed=9)
     # 5 sigma binomial bound
     assert abs(c["0"] - 5 * 10 ** 5) < 5 * np.sqrt(10 ** 6 * 0.25)
@@ -357,15 +361,15 @@ def test_sampling_deterministic_and_concentrated():
 def test_counts_roundtrip():
     c = Counts(2, np.array([3, 0, 1, 0]))
     assert c.shots == 4
-    assert c.as_dict() == {"00": 3, "10": 1}
-    assert c.to_distribution().as_dict() == {"00": 0.75, "10": 0.25}
+    assert as_dict(c) == {"00": 3, "10": 1}
+    assert as_dict(c.to_distribution()) == {"00": 0.75, "10": 0.25}
 
 
 def test_marginal_orders_bits():
-    d = Distribution.from_dict({"011": 1.0}, 3)
-    assert marginal(d, [0]).as_dict() == {"0": 1.0}
-    assert marginal(d, [2, 1]).as_dict() == {"11": 1.0}
-    assert marginal(d, [2, 0]).as_dict() == {"10": 1.0}
+    d = distribution({"011": 1.0}, 3)
+    assert as_dict(marginal(d, [0])) == {"0": 1.0}
+    assert as_dict(marginal(d, [2, 1])) == {"11": 1.0}
+    assert as_dict(marginal(d, [2, 0])) == {"10": 1.0}
 
 
 def test_expectation_maxcut_examples():
@@ -374,8 +378,8 @@ def test_expectation_maxcut_examples():
              (0.5, "III"), (-0.5, "IZZ"),
              (0.5, "III"), (-0.5, "ZIZ")]
     hamiltonian = PauliObservable(tuple(terms))
-    assert expectation(Distribution.from_dict({"001": 1.0}, 3), hamiltonian) == pytest.approx(2.0)
-    assert expectation(Distribution.from_dict({"000": 1.0}, 3), hamiltonian) == pytest.approx(0.0)
+    assert expectation(distribution({"001": 1.0}, 3), hamiltonian) == pytest.approx(2.0)
+    assert expectation(distribution({"000": 1.0}, 3), hamiltonian) == pytest.approx(0.0)
 
     mixed = DensityMatrix(2, np.eye(4) / 4)
     assert expectation(mixed, PauliObservable(((1.0, "ZZ"),))) == pytest.approx(0.0)
@@ -398,15 +402,15 @@ def test_diagonal_expectation_equals_trace_bit_for_bit(seed, n):
 
 
 def test_expectation_rejects_offdiagonal_on_distribution():
-    d = Distribution.from_dict({"0": 1.0}, 1)
+    d = distribution({"0": 1.0}, 1)
     with pytest.raises(ValueError):
         expectation(d, PauliObservable(((1.0, "X"),)))
 
 
 def test_readout_identity_and_single_qubit():
     ident = NoiseModel(readout=np.eye(2))
-    d = Distribution.from_dict({"0": 1.0}, 1)
-    assert apply_readout(d, ident).as_dict() == {"0": 1.0}
+    d = distribution({"0": 1.0}, 1)
+    assert as_dict(apply_readout(d, ident)) == {"0": 1.0}
 
     nm = NoiseModel()  # default symmetric 1.2e-2 error
     out = apply_readout(d, nm)
@@ -417,7 +421,7 @@ def test_readout_identity_and_single_qubit():
 def test_readout_crosstalk_pair_matrix():
     nm = NoiseModel(readout=np.eye(2), readout_crosstalk=True,
                     adjacency=((0, 1),))
-    d = Distribution.from_dict({"00": 1.0}, 2)
+    d = distribution({"00": 1.0}, 2)
     out = apply_readout(d, nm)
     assert out["00"] == pytest.approx(0.991)
     assert out["01"] == pytest.approx(0.003)
@@ -429,10 +433,10 @@ def test_readout_crosstalk_greedy_matching():
     # physical ids 0-1-2 on a line; only one pair (0,1) forms, 2 stays single
     nm = NoiseModel(readout=np.eye(2), readout_crosstalk=True,
                     adjacency=((0, 1), (1, 2)))
-    d = Distribution.from_dict({"000": 1.0}, 3)
+    d = distribution({"000": 1.0}, 3)
     out = apply_readout(d, nm)
     # qubit 2 sees no crosstalk: its marginal stays exactly deterministic
-    assert marginal(out, [2]).as_dict() == {"0": 1.0}
+    assert as_dict(marginal(out, [2])) == {"0": 1.0}
     assert marginal(out, [0, 1])["00"] == pytest.approx(0.991)
 
 
@@ -446,6 +450,6 @@ def test_readout_preserves_normalization():
 
 
 def test_tv_distance():
-    a = Distribution.from_dict({"0": 1.0}, 1)
-    b = Distribution.from_dict({"0": 0.5, "1": 0.5}, 1)
+    a = distribution({"0": 1.0}, 1)
+    b = distribution({"0": 0.5, "1": 0.5}, 1)
     assert tv_distance(a, b) == pytest.approx(0.5)

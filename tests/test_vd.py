@@ -21,12 +21,15 @@ from vdcut.vd import (
     build_vd_circuit,
     dominant_eigenstate_expectation,
     eigen_spectrum,
-    estimate_from_counts,
     estimate_from_distribution,
     oracle_mitigated_expectation,
 )
 
 from helpers import random_density_matrix
+
+def _from_counts(counts: Counts, obs: PauliObservable):
+    return estimate_from_distribution(counts.to_distribution(), obs, shots=counts.shots)
+
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
@@ -205,7 +208,7 @@ def test_sampled_estimator_matches_oracle_within_5_sigma():
     probs = _vd_distribution(rho, 1)
     dist = _as_dist(probs, 2)
     counts = sample(dist, 10 ** 6, seed=11)
-    est = estimate_from_counts(counts, PauliObservable(((1.0, "Z"),)))
+    est = _from_counts(counts, PauliObservable(((1.0, "Z"),)))
     want = 0.8823529411764706
     assert abs(est.mitigated - want) < 5 * est.mitigated_se
     assert est.mitigated == pytest.approx(want, abs=0.01)
@@ -252,15 +255,15 @@ def test_zero_sampled_variance_is_floored_at_one_shot():
     """Shots that all land on one outcome give a standard error of
     max|w| / shots, not 0; a spread sample keeps sqrt(var / shots)."""
     z = PauliObservable(((1.0, "Z"),))
-    est = estimate_from_counts(Counts(2, np.array([50, 0, 0, 0])), z)
+    est = _from_counts(Counts(2, np.array([50, 0, 0, 0])), z)
     assert (est.numerator, est.denominator) == (1.0, 1.0)
     assert (est.numerator_se, est.denominator_se) == (1 / 50, 1 / 50)
     assert est.mitigated == 1.0
-    single = estimate_from_counts(Counts(2, np.array([1, 0, 0, 0])), z)
+    single = _from_counts(Counts(2, np.array([1, 0, 0, 0])), z)
     assert single.denominator_se == 1.0
     with pytest.raises(EstimatorError):
         _ = single.mitigated
-    est = estimate_from_counts(Counts(2, np.array([40, 0, 0, 10])), z)
+    est = _from_counts(Counts(2, np.array([40, 0, 0, 10])), z)
     assert est.numerator_se == pytest.approx(np.sqrt((1 - 0.6 ** 2) / 50), rel=1e-12)
 
 

@@ -10,6 +10,8 @@ from vdcut.transpile import cnot_count, decompose_to_basis
 from vdcut.vd import build_vd_circuit
 from vdcut.zne import FoldingError, ScaledRun, extrapolate_linear, fold_diagonalizing
 
+from helpers import purity
+
 
 def _vd(n=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -63,7 +65,7 @@ def test_fold_amplifies_mixing():
     nm = NoiseModel()
     vd = _vd(n=2, seed=7).without_measurements()
     folded = [decompose_to_basis(fold_diagonalizing(vd, s)) for s in (1, 3, 5)]
-    purities = [evolve(blocks(c, nm)).purity() for c in folded]
+    purities = [purity(evolve(blocks(c, nm))) for c in folded]
     assert purities[0] >= purities[1] >= purities[2]
 
 
