@@ -42,7 +42,7 @@ from .experiments import (
     emit,
     run_experiment,
 )
-from .noise import NOISELESS, NoiseModel, insert_zz_crosstalk, load_noise_config, preset
+from .noise import NOISELESS, NoiseModel, insert_zz_crosstalk, preset
 from .runner import Batch, BatchStats, Execution, ExecutionRecord, run_circuit, run_circuits
 from .simulate import (
     Counts,

@@ -3,6 +3,11 @@ measure-side and prepare-side fragments, exact reconstruction, the pairwise
 distillation pipelines, and recombination of the mitigated pairwise
 distributions into the full output.
 
+Both reconstructions use one form of the cutting identity: the severed
+wire's state is a combination of the four prepared states
+(:data:`PREP_STATES`), weighted by the measure side's trace and its X, Y and
+Z expectations (:func:`_prep_weights`).
+
 A pairwise pipeline cuts both wires of a copy pair (i, n+i) just before
 their diagonalizing gate.  The noisy quantum part is then the single-copy
 fragment both copies share (the lightcone of qubit i), run in three
@@ -15,7 +20,6 @@ executions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +34,7 @@ from .circuit import (
     x,
 )
 from .noise import NoiseModel
-from .runner import Execution, run_circuit
+from .runner import Execution, run_circuits
 from .simulate import Distribution, marginal
 from .vd import (
     DIAG_UNITARY,
@@ -52,16 +56,6 @@ class ReconstructionError(RuntimeError):
 MEASURE_BASES = ("X", "Y", "Z")
 PREP_STATES = ("0", "1", "+", "+i")
 
-#: eigenstate -> combination of physically prepared states
-_PREP_EXPANSION: dict[str, dict[str, int]] = {
-    "0": {"0": 1},
-    "1": {"1": 1},
-    "+": {"+": 1},
-    "-": {"0": 1, "1": 1, "+": -1},
-    "+i": {"+i": 1},
-    "-i": {"0": 1, "1": 1, "+i": -1},
-}
-
 _PREP_VECTORS = {
     "0": np.array([1.0, 0.0], dtype=complex),
     "1": np.array([0.0, 1.0], dtype=complex),
@@ -70,29 +64,14 @@ _PREP_VECTORS = {
 }
 
 
-@dataclass(frozen=True)
-class CutTerm:
-    """One term of the single-wire identity
-    rho = 1/2 [tr(rho) I + sum_M tr(M rho) M]: a basis matrix eigenstate with
-    its +-1/2 coefficient.  The identity matrix is folded into the Z
-    measurement (``mode="trace"``)."""
-
-    coefficient: Fraction
-    basis: str           # measurement variant: X, Y or Z
-    mode: str            # "signed" (eigenvalue-weighted) or "trace"
-    eigenstate: str      # one of 0, 1, +, -, +i, -i
-
-
-_EQ5_TERMS: tuple[CutTerm, ...] = (
-    CutTerm(Fraction(1, 2), "Z", "trace", "0"),
-    CutTerm(Fraction(1, 2), "Z", "trace", "1"),
-    CutTerm(Fraction(1, 2), "Z", "signed", "0"),
-    CutTerm(Fraction(-1, 2), "Z", "signed", "1"),
-    CutTerm(Fraction(1, 2), "X", "signed", "+"),
-    CutTerm(Fraction(-1, 2), "X", "signed", "-"),
-    CutTerm(Fraction(1, 2), "Y", "signed", "+i"),
-    CutTerm(Fraction(-1, 2), "Y", "signed", "-i"),
-)
+#: The single-wire identity rho = 1/2 [t I + x X + y Y + z Z] rewritten over
+#: the prepared states, with I = |0><0| + |1><1|, Z = |0><0| - |1><1|,
+#: X = 2|+><+| - I and Y = 2|+i><+i| - I: row a of this matrix maps the
+#: measure side's (t, z, x, y) to the weight of ``PREP_STATES[a]``.
+_PREP_WEIGHTS = np.array([[0.5, 0.5, -0.5, -0.5],
+                          [0.5, -0.5, -0.5, -0.5],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -115,7 +94,8 @@ class FragmentJob:
 
 @dataclass(frozen=True)
 class ReconstructionPlan:
-    """Bit bookkeeping for one cut (its coefficients are :data:`_EQ5_TERMS`)."""
+    """Bit bookkeeping for one cut (its coefficients are the prepared-state
+    weights of :func:`_prep_weights`)."""
 
     cut: CutPoint
     width: int
@@ -147,7 +127,7 @@ def preparation_gates(state: str, qubit: int) -> list[Gate]:
     raise CutError(f"unknown preparation state {state!r}")
 
 
-def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate]]:
+def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate], set[int]]:
     if circuit.has_measurements():
         raise CutError("cut circuits before inserting measurements")
     if not 0 <= cut.position < len(circuit.ops):
@@ -164,16 +144,15 @@ def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate]]:
     if shared:
         raise CutError(
             f"cut is not separating: qubits {sorted(shared)} cross the partition")
-    return pre, post
+    return pre, post, post_qubits
 
 
 def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[FragmentJob], ReconstructionPlan]:
     """Sever one wire: three measure-side fragments (X/Y/Z basis on the cut
     qubit, plus the upstream-exclusive bits) and four prepare-side fragments
     (eigenstate preparation on a fresh wire feeding the downstream gates)."""
-    pre, post = _split_at(circuit, cut)
+    pre, post, post_qubits = _split_at(circuit, cut)
     q = cut.qubit
-    post_qubits = {qq for g in post for qq in g.qubits}
     j_bits = tuple(sorted(set(range(circuit.width)) - post_qubits))
     k_bits = tuple(sorted(post_qubits))
     jobs: list[FragmentJob] = []
@@ -193,25 +172,21 @@ def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[FragmentJob], Recons
     return jobs, plan
 
 
-def _signed_sum(dist: Distribution, q_pos: int, mode: str) -> np.ndarray:
-    """Collapse the cut-qubit axis of a measure-side distribution: signed
-    difference (eigenvalue weighting) or plain trace."""
-    n = dist.width
-    t = dist.probs.reshape((2,) * n)
-    t = np.moveaxis(t, q_pos, 0)
-    if mode == "signed":
-        out = t[0] - t[1]
-    else:
-        out = t[0] + t[1]
-    return out.reshape(-1)
+def _prep_weights(outputs: Sequence[Distribution], q_pos: int) -> np.ndarray:
+    """The (4, 2**n_j) weights of the prepared states, in :data:`PREP_STATES`
+    order, per outcome of the measure side's other n_j bits, from its outputs
+    in :data:`MEASURE_BASES` order with the cut qubit at bit ``q_pos``."""
+    x, y, z = (np.moveaxis(d.probs.reshape((2,) * d.width), q_pos, 0).reshape(2, -1)
+               for d in outputs)
+    return _PREP_WEIGHTS @ np.stack([z[0] + z[1], z[0] - z[1], x[0] - x[1], y[0] - y[1]])
 
 
 def reconstruct(plan: ReconstructionPlan,
                 j_results: Mapping[str, Distribution],
                 k_results: Mapping[str, Distribution],
                 shots: int | None = None) -> Distribution:
-    """Linear combination of fragment outcome tensors with the
-    :data:`_EQ5_TERMS` coefficients; small negative entries
+    """Combination of the prepare-side outcome tensors with the
+    prepared-state weights of :func:`_prep_weights`; small negative entries
     (quasiprobability noise) are clamped and the result renormalized."""
     for basis in MEASURE_BASES:
         if basis not in j_results:
@@ -220,21 +195,11 @@ def reconstruct(plan: ReconstructionPlan,
         if state not in k_results:
             raise ReconstructionError(f"missing prepare fragment {state!r}")
     q_pos = plan.j_measured.index(plan.cut.qubit)
-    n_j = len(plan.j_measured) - 1
-    n_k = len(plan.k_measured)
-    acc = np.zeros((2 ** n_j, 2 ** n_k))
-    for term in _EQ5_TERMS:
-        v = _signed_sum(j_results[term.basis], q_pos, term.mode)
-        u = np.zeros(2 ** n_k)
-        for state, sign in _PREP_EXPANSION[term.eigenstate].items():
-            u += sign * k_results[state].probs
-        acc += float(term.coefficient) * np.outer(v, u)
-    j_exclusive = tuple(b for b in plan.j_measured if b != plan.cut.qubit)
+    weights = _prep_weights([j_results[b] for b in MEASURE_BASES], q_pos)
+    acc = weights.T @ np.stack([k_results[s].probs for s in PREP_STATES])
     # interleave the two bit groups back into ascending qubit order
-    full = acc.reshape((2,) * (n_j + n_k))
-    order = list(j_exclusive) + list(plan.k_measured)
-    perm = np.argsort(order)
-    full = np.transpose(full, perm).reshape(-1)
+    order = [b for b in plan.j_measured if b != plan.cut.qubit] + list(plan.k_measured)
+    full = np.transpose(acc.reshape((2,) * len(order)), np.argsort(order)).reshape(-1)
     return _clamp_normalize(full, len(order), shots)
 
 
@@ -257,10 +222,11 @@ def run_cut(circuit: Circuit, cut: CutPoint, *,
     """Convenience executor: run all fragments of a single cut and stitch the
     full-circuit distribution."""
     jobs, plan = cut_wire(circuit, cut)
+    batch = run_circuits([Execution(job.circuit, shots=shots, seed=seed + 7 * i + 1)
+                          for i, job in enumerate(jobs)], noise=noise)
     j_results: dict[str, Distribution] = {}
     k_results: dict[str, Distribution] = {}
-    for i, job in enumerate(jobs):
-        rec = run_circuit(job.circuit, noise=noise, shots=shots, seed=seed + 7 * i + 1)
+    for job, rec in zip(jobs, batch.records):
         if job.role == "measure":
             j_results[job.variant] = rec.output
         else:
@@ -330,29 +296,9 @@ def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,
     """Double-cut reconstruction of one mitigated pairwise distribution from
     the fragment's X, Y and Z outputs (shared between the two identical
     copies) and the prepare-side variants simulated noiselessly."""
-    measures = {basis: (float(dist.probs[0] - dist.probs[1]), float(dist.probs.sum()))
-                for basis, dist in zip(MEASURE_BASES, outputs)}
-    k_tensor = cache.tensor(DIAG_UNITARY)
-
-    raw = np.zeros(4)
-    for t1 in _EQ5_TERMS:
-        m1 = measures[t1.basis][0 if t1.mode == "signed" else 1]
-        e1 = _expansion_vector(t1.eigenstate)
-        for t2 in _EQ5_TERMS:
-            m2 = measures[t2.basis][0 if t2.mode == "signed" else 1]
-            e2 = _expansion_vector(t2.eigenstate)
-            coeff = float(t1.coefficient * t2.coefficient) * m1 * m2
-            if coeff == 0.0:
-                continue
-            raw += coeff * np.einsum("a,b,aby->y", e1, e2, k_tensor)
+    w = _prep_weights(outputs, 0)[:, 0]
+    raw = np.einsum("a,b,aby->y", w, w, cache.tensor(DIAG_UNITARY))
     return _clamp_normalize(raw, 2, shots)
-
-
-def _expansion_vector(eigenstate: str) -> np.ndarray:
-    v = np.zeros(4)
-    for state, sign in _PREP_EXPANSION[eigenstate].items():
-        v[PREP_STATES.index(state)] += sign
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +321,26 @@ def recombine(unmitigated: Distribution,
         raise ReconstructionError(f"expected {n} pairwise distributions, got {len(pairwise)}")
     probs = unmitigated.probs.copy()
     idx = np.arange(probs.size)
+    pair_codes = [(((idx >> (width - 1 - i)) & 1) << 1) | ((idx >> (width - 1 - (n + i))) & 1)
+                  for i in range(n)]
     degenerate: list[tuple[int, int, float]] = []
     for i, p_i in enumerate(pairwise):
         if p_i.width != 2:
             raise ReconstructionError("pairwise distributions must be two-bit")
         m_i = marginal(unmitigated, (i, n + i))
-        pair_code = (((idx >> (width - 1 - i)) & 1) << 1) | ((idx >> (width - 1 - (n + i))) & 1)
         ratio = np.zeros(4)
         for y in range(4):
             if m_i.probs[y] >= 1e-12:
                 ratio[y] = p_i.probs[y] / m_i.probs[y]
             elif p_i.probs[y] > 0.0:
                 degenerate.append((i, y, float(p_i.probs[y])))
-        probs *= ratio[pair_code]
+        probs *= ratio[pair_codes[i]]
     injected = sum(mass for _, _, mass in degenerate)
     total = probs.sum()
     if total > 0.0 and injected > 0.0:
         probs *= max(1.0 - injected, 0.0) / total
     for i, y, mass in degenerate:
-        pair_code = (((idx >> (width - 1 - i)) & 1) << 1) | ((idx >> (width - 1 - (n + i))) & 1)
-        cells = pair_code == y
+        cells = pair_codes[i] == y
         probs[cells] += mass / cells.sum()
     total = probs.sum()
     if total <= 0.0:

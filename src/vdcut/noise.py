@@ -9,7 +9,6 @@ error on neighboring measured pairs).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -112,42 +111,6 @@ def preset(name: str) -> NoiseModel | None:
     raise NoiseConfigError(f"unknown noise preset {name!r} (choose from {PRESETS})")
 
 
-_MATRIX_KEYS = {"readout", "readout_pair"}
-_SCALAR_KEYS = {
-    "two_qubit_depol", "one_qubit_depol", "two_qubit_time", "one_qubit_time",
-    "t1", "t2", "crosstalk_angle",
-}
-_BOOL_KEYS = {"gate_crosstalk", "readout_crosstalk"}
-
-
-def load_noise_config(path: str) -> NoiseModel:
-    """Load a NoiseModel from a JSON file whose keys mirror the field names.
-
-    An optional ``"preset"`` key selects a base preset that the remaining
-    keys override.
-    """
-    with open(path) as f:
-        data = json.load(f)
-    base = preset(data.pop("preset", "basic"))
-    if base is None:
-        if data:
-            raise NoiseConfigError("noiseless preset accepts no overrides")
-        return None
-    kwargs = {}
-    for key, value in data.items():
-        if key in _MATRIX_KEYS:
-            kwargs[key] = np.array(value, dtype=float)
-        elif key in _SCALAR_KEYS:
-            kwargs[key] = float(value)
-        elif key in _BOOL_KEYS:
-            kwargs[key] = bool(value)
-        elif key == "adjacency":
-            kwargs[key] = tuple((int(a), int(b)) for a, b in value)
-        else:
-            raise NoiseConfigError(f"unknown noise config key {key!r}")
-    return replace(base, **kwargs)
-
-
 def _edge_set(coupling) -> set[tuple[int, int]]:
     edges = getattr(coupling, "edges", coupling)
     return {tuple(sorted((int(a), int(b)))) for a, b in edges}
@@ -166,7 +129,7 @@ def insert_zz_crosstalk(circuit: Circuit, coupling, angle: float = -math.pi / 3.
     explicit two-qubit unitary) in the same dependency layer whose qubit
     sets contain physically adjacent qubits, one ``RZZ(angle)`` tagged
     ``"xtalk"`` is inserted immediately after that layer on the lowest-index
-    adjacent cross-gate qubit pair.  :func:`~vdcut.runner.run_circuit`
+    adjacent cross-gate qubit pair.  :func:`~vdcut.runner.compile_circuit`
     applies it after basis decomposition, so crosstalk follows per-CNOT
     scheduling: a SWAP contributes its three CNOTs, each in its own layer.
 

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vdcut.benchmarks import real_amplitudes
-from vdcut.circuit import Circuit, cnot, h, lightcone, measure, ry
+from vdcut.circuit import Circuit, cnot, gate_matrix, h, lightcone, measure, ry
 from vdcut.cutting import (
-    _EQ5_TERMS,
+    _PREP_VECTORS,
+    _prep_weights,
+    MEASURE_BASES,
+    PREP_STATES,
     CutError,
     CutPoint,
     DiagonalSimulationCache,
@@ -52,9 +55,27 @@ def test_cut_produces_three_j_and_four_k_fragments():
                      ("prepare", "0"), ("prepare", "1"), ("prepare", "+"),
                      ("prepare", "+i")]
     assert (plan.j_measured, plan.k_measured) == ((0,), (0, 1))
-    assert len(_EQ5_TERMS) == 8
-    assert sum(float(t.coefficient) for t in _EQ5_TERMS) == pytest.approx(1.0)
-    assert all(abs(t.coefficient) == pytest.approx(0.5) for t in _EQ5_TERMS)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 1.0))
+def test_prep_weights_rebuild_any_single_qubit_state(direction, radius):
+    """The prepared-state weights of a state's exact X, Y and Z one-bit
+    distributions recombine the prepared states into that state."""
+    norm = np.linalg.norm(direction)
+    bloch = radius * np.asarray(direction) / norm if norm > 0 else np.zeros(3)
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    rho = (np.eye(2) + sum(r * p for r, p in zip(bloch, paulis))) / 2
+    outputs = []
+    for basis in MEASURE_BASES:
+        u = np.eye(2)
+        for g in basis_change_gates(basis, 0):
+            u = gate_matrix(g) @ u
+        outputs.append(Distribution(1, np.real(np.diag(u @ rho @ u.conj().T))))
+    (weights,) = _prep_weights(outputs, 0).T
+    rebuilt = sum(w * np.outer(_PREP_VECTORS[s], _PREP_VECTORS[s].conj())
+                  for w, s in zip(weights, PREP_STATES))
+    assert np.abs(rebuilt - rho).max() < 1e-12
 
 
 def test_cut_validation():

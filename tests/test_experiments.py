@@ -122,7 +122,7 @@ def test_experiment_runs_one_batch_per_register(monkeypatch):
         raise AssertionError("one-off executor called")
 
     monkeypatch.setattr(experiments, "run_circuits", counting)
-    for module, name in ((runner, "run_circuit"), (cutting, "run_circuit")):
+    for module, name in ((runner, "run_circuit"), (cutting, "run_cut")):
         monkeypatch.setattr(module, name, forbidden)
     res = run_experiment(_fast_config(methods=("none", "vd", "vd+zne", "vd+cut")))
     assert all(cell.error is None for cell in res.cells)
@@ -172,7 +172,7 @@ def test_determinism_byte_identical_csv(tmp_path):
 
 @pytest.mark.parametrize("noise, digest", [
     ("basic+gct+rct", "2738cefea33d99019e6f09718675b54ea4dd910287295f85e2fd2e35042e99dd"),
-    ("noiseless", "e4cccff9f3e95bf0fc86084b32530f78291b40add2036ff5d9aba104b402188c"),
+    ("noiseless", "fd13736789468f89be796cd96dedf2f8abc009cdc2de88b546da5a6d77d3f88e"),
 ])
 def test_csv_bytes_pinned(noise, digest, tmp_path):
     """The CSV of a ring-3 matrix on heavyhex:3 keeps its bytes: a change

@@ -1,5 +1,4 @@
-"""Noise model parameters, presets, config loading, crosstalk insertion."""
-import json
+"""Noise model parameters, presets, crosstalk insertion."""
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from vdcut.noise import (
     NoiseConfigError,
     NoiseModel,
     insert_zz_crosstalk,
-    load_noise_config,
     preset,
 )
 
@@ -46,27 +44,6 @@ def test_validation():
         NoiseModel(two_qubit_depol=1.5)
     with pytest.raises(NoiseConfigError):
         NoiseModel(readout=np.array([[0.9, 0.2], [0.1, 0.9]]))
-
-
-def test_config_file_roundtrip(tmp_path):
-    path = tmp_path / "noise.json"
-    path.write_text(json.dumps({
-        "preset": "basic+gct",
-        "two_qubit_depol": 0.01,
-        "one_qubit_time": 5e-8,
-        "readout": [[0.99, 0.01], [0.02, 0.98]],
-        "adjacency": [[0, 1], [1, 2]],
-    }))
-    nm = load_noise_config(str(path))
-    assert nm.gate_crosstalk
-    assert nm.two_qubit_depol == pytest.approx(0.01)
-    assert nm.readout[1, 0] == pytest.approx(0.02)
-    assert nm.adjacency == ((0, 1), (1, 2))
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"bogus_key": 1}))
-    with pytest.raises(NoiseConfigError):
-        load_noise_config(str(bad))
 
 
 LINE4 = [(0, 1), (1, 2), (2, 3)]
