@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
         data["methods"] = args.methods.split(",")
     config = ExperimentConfig.from_dict(data)
     result = run_experiment(config)
-    csv_path, json_path = emit(result, args.out)
+    csv_path, json_path = emit(result)
     failed = [c for c in result.cells if c.error is not None]
     for cell in result.cells:
         status = f"ERROR {cell.error}" if cell.error else (
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--methods", help="comma list from none,vd,vd+zne,vd+cut")
     p_run.add_argument("--shots", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out", default="experiment")
+    p_run.add_argument("--out", help="output path stem (default: the config's out)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("overhead-sweep", help="CNOT overhead study")
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

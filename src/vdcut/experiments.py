@@ -76,7 +76,8 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
         for name in ("reps", "shots", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
@@ -86,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("coupling_map must be a string")
         if self.circuit_file is not None and not isinstance(self.circuit_file, str):
             raise ConfigError("circuit_file must be a string")
+        if not isinstance(self.out, str):
+            raise ConfigError("out must be a string")
         try:
             preset(self.noise)
             coupling_map_for(self.coupling_map, 2 * self.problem.n)
@@ -342,7 +345,7 @@ def _mitigate(scaled: dict[int, ParityEstimate]) -> float:
     if len(scaled) == 1:
         (est,) = scaled.values()
         return est.mitigated
-    return extrapolate_linear([ScaledRun(scale, est.mitigated, est.mitigated_se)
+    return extrapolate_linear([ScaledRun(scale, est.mitigated)
                                for scale, est in scaled.items()])
 
 

@@ -10,7 +10,7 @@ error on neighboring measured pairs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -47,8 +47,8 @@ class NoiseModel:
     seconds.  ``readout`` is the per-qubit 2x2 row-stochastic confusion
     matrix (row = prepared state, column = observed state); ``readout_pair``
     is the 4x4 analogue applied to neighboring measured pairs when readout
-    crosstalk is enabled.  ``adjacency`` lists the physically coupled qubit
-    pairs used for both crosstalk mechanisms.
+    crosstalk is enabled.  Both crosstalk mechanisms take the coupled qubit
+    pairs from the compiled circuit they act on, not from the model.
     """
 
     two_qubit_depol: float = 7.936e-3
@@ -62,7 +62,6 @@ class NoiseModel:
     crosstalk_angle: float = -math.pi / 3.5
     readout_crosstalk: bool = False
     readout_pair: np.ndarray = field(default_factory=_default_readout_pair)
-    adjacency: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         for name in ("two_qubit_depol", "one_qubit_depol"):
@@ -84,11 +83,6 @@ class NoiseModel:
         pair.setflags(write=False)
         object.__setattr__(self, "readout", ro)
         object.__setattr__(self, "readout_pair", pair)
-        adj = tuple(tuple(sorted((int(a), int(b)))) for a, b in self.adjacency)
-        object.__setattr__(self, "adjacency", adj)
-
-    def with_adjacency(self, edges: Iterable[tuple[int, int]]) -> "NoiseModel":
-        return replace(self, adjacency=tuple(edges))
 
 
 #: Sentinel for ideal simulation; anywhere a NoiseModel is accepted, ``None``
@@ -111,31 +105,25 @@ def preset(name: str) -> NoiseModel | None:
     raise NoiseConfigError(f"unknown noise preset {name!r} (choose from {PRESETS})")
 
 
-def _edge_set(coupling) -> set[tuple[int, int]]:
-    edges = getattr(coupling, "edges", coupling)
-    return {tuple(sorted((int(a), int(b)))) for a, b in edges}
-
-
 #: two-qubit device gates that participate in crosstalk (RZZ itself models
 #: the crosstalk and is excluded)
 _CROSSTALK_KINDS = (CNOT, SWAP, TWO_QUBIT_UNITARY)
 
 
-def insert_zz_crosstalk(circuit: Circuit, coupling, angle: float = -math.pi / 3.5) -> Circuit:
+def insert_zz_crosstalk(circuit: Circuit, edges: Iterable[tuple[int, int]],
+                        angle: float = -math.pi / 3.5) -> Circuit:
     """Insert coherent RZZ crosstalk after layers with adjacent parallel
     two-qubit gates.
 
     For every unordered pair of two-qubit device gates (CNOT, SWAP or an
     explicit two-qubit unitary) in the same dependency layer whose qubit
-    sets contain physically adjacent qubits, one ``RZZ(angle)`` tagged
+    sets contain qubits coupled by one of ``edges``, one ``RZZ(angle)`` tagged
     ``"xtalk"`` is inserted immediately after that layer on the lowest-index
     adjacent cross-gate qubit pair.  :func:`~vdcut.runner.compile_circuit`
     applies it after basis decomposition, so crosstalk follows per-CNOT
     scheduling: a SWAP contributes its three CNOTs, each in its own layer.
-
-    ``coupling`` may be a CouplingMap or any iterable of edges.
     """
-    edges = _edge_set(coupling)
+    edges = {tuple(sorted(e)) for e in edges}
     dag = build_dag(circuit)
     by_layer: dict[int, list[int]] = {}
     for i in range(len(circuit.ops)):

@@ -1,10 +1,12 @@
 """Shared execution pipeline: route a measured logical circuit onto a
 device, decompose to the CNOT basis, insert crosstalk, evolve under noise,
 apply readout error, and return the measured-bit distribution (exact or
-sampled) together with gate statistics."""
+sampled) together with gate statistics.  A batch is planned once as evolution
+steps over shared block prefixes, which its stats, admission and walk read."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .circuit import CNOT, RZZ, SWAP, Circuit
@@ -26,17 +28,16 @@ from .transpile import CouplingMap, compact, decompose_to_basis, fully_connected
 from .vd import DIAG_TAG, PARITY_TAG
 from .zne import fold_diagonalizing
 
+
 @dataclass(frozen=True)
 class ExecutionRecord:
     """Result of one circuit execution plus bookkeeping for result tables."""
 
     distribution: Distribution
     counts: Counts | None
-    measured: tuple[int, ...]
     cnots: int
     rzz_gates: int
     swaps: int
-    width: int
 
     @property
     def output(self) -> Distribution:
@@ -59,12 +60,12 @@ class Execution:
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A logical circuit as the simulator evolves it: routed, folded,
-    basis-decomposed and crosstalk-augmented, without measurements."""
+    basis-decomposed and crosstalk-augmented, without measurements, with the
+    device ``edges`` between its qubits that readout crosstalk reads."""
 
     body: Circuit
-    noise: NoiseModel | None
+    edges: tuple[tuple[int, int], ...]
     ideal_tags: tuple[str, ...]
-    measured: tuple[int, ...]
     positions: tuple[int, ...]
     swaps: int
 
@@ -91,16 +92,13 @@ def compile_circuit(circuit: Circuit, *,
     if scale != 1:
         body = fold_diagonalizing(body, scale)
     body = decompose_to_basis(body, keep_tags=("diag",) if ideal_diag else ())
-    noise_local = noise
     if noise is not None and noise.gate_crosstalk:
         # crosstalk between parallel two-qubit gates of the basis-decomposed
         # circuit, mirroring per-CNOT scheduling on hardware
         body = insert_zz_crosstalk(body, edges, angle=noise.crosstalk_angle)
-    if noise is not None:
-        noise_local = noise.with_adjacency(edges)
     ideal_tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
-    return CompiledCircuit(body.without_measurements(), noise_local, ideal_tags,
-                           measured_logical, positions, rc.circuit.count(SWAP))
+    return CompiledCircuit(body.without_measurements(), edges, ideal_tags, positions,
+                           rc.circuit.count(SWAP))
 
 
 def run_circuit(circuit: Circuit, *,
@@ -125,10 +123,10 @@ def run_circuit(circuit: Circuit, *,
 class BatchStats:
     """What one :func:`run_circuits` call evolved on its register: the number
     of distinct compiled variants, the ops they hold together
-    (``ops_requested``), the fused blocks their prefix trie evolved
+    (``ops_requested``), the fused blocks their steps evolved
     (``blocks_evolved``, one full-tensor pass each) and the ops in those
-    blocks (``ops_evolved``), and the most snapshots the trie held during
-    one evolution."""
+    blocks (``ops_evolved``), and the most step states held during one
+    evolution (``max_snapshots``)."""
 
     width: int
     variants: int
@@ -147,68 +145,41 @@ class Batch:
 
 
 @dataclass(eq=False)
-class _Node:
-    """A prefix-trie node: blocks ``start:end`` of ``variant``'s fused body
-    lead to it from ``parent``.  ``leaves`` are the variants whose fused
-    body ends here, ``size`` counts the blocks of the subtree, and ``last``
-    is the position of the last child in evolution order."""
+class _Step:
+    """One evolution of a batch: ``blocks`` applied to ``source``'s state
+    (the initial state when None), then ``measured``'s variants read out.
+    ``hold`` keeps the result for a later step; ``release`` drops
+    ``source``'s state once this step has evolved."""
 
-    parent: "_Node | None"
-    start: int
-    end: int
-    variant: tuple
-    leaves: list[tuple]
-    children: list["_Node"] = field(default_factory=list)
-    size: int = 0
-    last: int = -1
+    blocks: tuple
+    source: "_Step | None"
+    measured: list[tuple]
+    hold: bool = False
+    release: bool = False
 
 
-def _trie(variants: list[tuple], parent: _Node | None = None, start: int = 0) -> _Node:
-    """The trie of ``variants`` (keys ``(blocks, positions)``) below
-    ``start``: each edge is a maximal run of blocks all its variants share,
-    and children are sorted smallest subtree first."""
+def _steps(variants: list[tuple], source: _Step | None = None,
+           start: int = 0) -> list[_Step]:
+    """The depth-first steps of the prefix trie of ``variants`` (keys
+    ``(blocks, positions)``) below block ``start``.  A step is a maximal run
+    of blocks that all its variants share.  Each step comes before the steps
+    that start from it, sibling subtrees run smallest first, and the first
+    step of the last (largest) one releases their source."""
     first, _ = variants[0]
     shortest = min(len(ops) for ops, _ in variants)
     end = start
     while end < shortest and all(ops[end] == first[end] for ops, _ in variants):
         end += 1
-    node = _Node(parent, start, end, variants[0],
-                 [v for v in variants if len(v[0]) == end])
+    step = _Step(first[start:end], source, [v for v in variants if len(v[0]) == end])
     branches: dict[tuple, list[tuple]] = {}
     for v in variants:
         if len(v[0]) > end:
             branches.setdefault(v[0][end], []).append(v)
-    node.children = sorted((_trie(group, node, end) for group in branches.values()),
-                           key=lambda child: child.size)
-    node.size = end - start + sum(child.size for child in node.children)
-    return node
-
-
-def _depth_first(root: _Node) -> list[_Node]:
-    """Nodes in evolution order: each node before its children, siblings
-    smallest subtree first.  Sets each node's ``last``."""
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if node.parent is not None:
-            node.parent.last = len(order)
-        order.append(node)
-        stack.extend(reversed(node.children))
-    return order
-
-
-def _max_snapshots(order: list[_Node]) -> int:
-    """The most node states held during one evolution of ``order``: a node
-    with children is held from its own evolution until its last child's
-    evolution ends, the way :func:`run_circuits` holds them."""
-    held: list[_Node] = []
-    peak = 0
-    for i, node in enumerate(order):
-        peak = max(peak, len(held))
-        held = [h for h in held if h.last != i]
-        if node.children:
-            held.append(node)
-    return peak
+    subtrees = sorted((_steps(group, step, end) for group in branches.values()),
+                      key=lambda sub: sum(len(s.blocks) for s in sub))
+    if subtrees:
+        step.hold = subtrees[-1][0].release = True
+    return [step] + [s for sub in subtrees for s in sub]
 
 
 def run_circuits(executions: Sequence[Execution], *,
@@ -222,16 +193,13 @@ def run_circuits(executions: Sequence[Execution], *,
     :func:`~vdcut.simulate.blocks` (fused under noise, one per op without),
     with one memo per batch, so every distinct gate channel and every
     distinct block is built once per batch and equal blocks are one object.
-    The variants form a trie over their blocks, walked depth first: each
-    edge, a maximal run of blocks that all variants below it share, is
-    evolved once from its parent's state as a
-    :class:`~vdcut.simulate.FusedCircuit`, and a variant is measured at the
-    node where its blocks end.  Siblings run smallest subtree first, and a
-    node's state is dropped once its last (largest) child has evolved from
-    it, so only the states of nodes with children still to run are held.
-    The batch is admitted as a whole before anything is allocated: those
-    snapshots at their most, plus the two buffers of one evolution, the
-    first of which becomes its result (see :func:`~vdcut.simulate.evolve`).
+    The variants' prefix trie is planned once as its depth-first steps (see
+    :func:`_steps`).  Each step is evolved once from its source step's state
+    as a :class:`~vdcut.simulate.FusedCircuit`, and a variant is measured at
+    the step where its blocks end.  The stats are read off the steps, and
+    the batch is admitted as a whole before anything is allocated: the held
+    states at their most, plus the two buffers of one evolution, the first
+    of which becomes its result (see :func:`~vdcut.simulate.evolve`).
     Sampling uses each execution's own shots and seed.
     """
     compiled: dict[tuple, CompiledCircuit] = {}
@@ -249,26 +217,27 @@ def run_circuits(executions: Sequence[Execution], *,
         raise ValueError("executions must compile to one register width")
     (width,) = widths
 
-    order = _depth_first(_trie(list(variants)))
-    edges = [node.variant[0][node.start:node.end] for node in order]
+    steps = _steps(list(variants))
     stats = BatchStats(width=width, variants=len(variants),
                        ops_requested=sum(len(c.body.ops) for c in variants.values()),
-                       ops_evolved=sum(block.gates for edge in edges for block in edge),
-                       blocks_evolved=sum(map(len, edges)),
-                       max_snapshots=_max_snapshots(order))
+                       ops_evolved=sum(b.gates for step in steps for b in step.blocks),
+                       blocks_evolved=sum(len(step.blocks) for step in steps),
+                       max_snapshots=max(accumulate((s.hold - s.release for s in steps),
+                                                    initial=0)))
     admit(width, stats.max_snapshots + 2)
-    states: dict[_Node, DensityMatrix] = {}
+    states: dict[_Step, DensityMatrix] = {}
     dists: dict[tuple, Distribution] = {}
-    for i, (node, edge) in enumerate(zip(order, edges)):
-        parent = node.parent
-        dm = evolve(FusedCircuit(width, edge),
-                    initial=None if parent is None else states[parent])
-        if parent is not None and parent.last == i:
-            del states[parent]
-        for variant in node.leaves:
-            dists[variant] = _measure(dm, variants[variant])
-        if node.children:
-            states[node] = dm
+    for step in steps:
+        dm = evolve(FusedCircuit(width, step.blocks),
+                    initial=None if step.source is None else states[step.source])
+        if step.release:
+            del states[step.source]
+        for variant in step.measured:
+            c = variants[variant]
+            dist = marginal(exact_probs(dm), c.positions) if c.positions else exact_probs(dm)
+            dists[variant] = apply_readout(dist, noise, physical=c.positions, edges=c.edges)
+        if step.hold:
+            states[step] = dm
         del dm
 
     records = []
@@ -278,14 +247,5 @@ def run_circuits(executions: Sequence[Execution], *,
         records.append(ExecutionRecord(
             distribution=dist,
             counts=sample(dist, ex.shots, ex.seed) if ex.shots is not None else None,
-            measured=c.measured, cnots=c.body.count(CNOT), rzz_gates=c.body.count(RZZ),
-            swaps=c.swaps, width=c.body.width))
+            cnots=c.body.count(CNOT), rzz_gates=c.body.count(RZZ), swaps=c.swaps))
     return Batch(tuple(records), stats)
-
-
-def _measure(dm: DensityMatrix, c: CompiledCircuit) -> Distribution:
-    """The readout distribution of ``c``'s measured qubits in state ``dm``."""
-    dist = exact_probs(dm)
-    if c.positions:
-        dist = marginal(dist, c.positions)
-    return apply_readout(dist, c.noise, physical=c.positions)

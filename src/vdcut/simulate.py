@@ -445,13 +445,14 @@ def sample(dist: Distribution, shots: int, seed: int) -> Counts:
 
 
 def apply_readout(dist: Distribution, noise: NoiseModel | None,
-                  physical: Sequence[int] | None = None) -> Distribution:
+                  physical: Sequence[int] | None = None,
+                  edges: Iterable[tuple[int, int]] = ()) -> Distribution:
     """Apply per-qubit readout confusion, then (if enabled) the pairwise
-    readout-crosstalk confusion matrix on adjacent measured pairs.
+    readout-crosstalk confusion matrix on measured pairs coupled by ``edges``.
 
-    ``physical[j]`` is the physical qubit identity of bit position ``j``;
-    adjacency is taken from ``noise.adjacency``.  Each qubit joins at most
-    one crosstalk pair, greedily matched in ascending physical index.
+    ``physical[j]`` is the physical qubit of bit position ``j``, and
+    ``edges`` pair physical qubits.  Each qubit joins at most one crosstalk
+    pair, greedily matched in ascending physical index.
     """
     if noise is None:
         return dist
@@ -464,7 +465,7 @@ def apply_readout(dist: Distribution, noise: NoiseModel | None,
     for axis in range(n):
         t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
     if noise.readout_crosstalk:
-        edges = set(noise.adjacency)
+        edges = {tuple(sorted(e)) for e in edges}
         pos_of = {p: i for i, p in enumerate(phys)}
         matched: set[int] = set()
         pairs: list[tuple[int, int]] = []

@@ -338,10 +338,6 @@ class ParityEstimate:
     def mitigated(self) -> float:
         return sum(p.mitigated for p in self.parts)
 
-    @property
-    def mitigated_se(self) -> float:
-        return float(np.sqrt(sum(p.mitigated_se ** 2 for p in self.parts)))
-
 
 def _pair_weight_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-outcome (over 2n bits) arrays: per-pair swap signs (-1 on

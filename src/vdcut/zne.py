@@ -22,7 +22,6 @@ class ScaledRun:
 
     scale: int
     value: float
-    stderr: float = 0.0
 
     def __post_init__(self):
         if self.scale < 1 or self.scale % 2 == 0:

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
-from vdcut.circuit import MEASURE, Circuit, Gate, gate_matrix
-from vdcut.cutting import DiagonalSimulationCache, PairwisePipeline, pairwise_distribution
+from vdcut.circuit import MEASURE, Circuit, Gate, gate_matrix, measure
+from vdcut.cutting import (
+    DiagonalSimulationCache,
+    PairwisePipeline,
+    cut_executions,
+    pairwise_distribution,
+)
 from vdcut.noise import NoiseModel
 from vdcut.runner import Execution, run_circuits
 from vdcut.simulate import Counts, DensityMatrix, Distribution, _gate_superop
@@ -141,14 +146,28 @@ def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
     return tensor.reshape(2 ** n, 2 ** n)
 
 
+def _register_circuit(n: int, reps: int) -> Circuit:
+    return real_amplitudes(n, reps, "circular", np.linspace(0.1, 1.3, n * (reps + 1)))
+
+
 def copies_register(n: int, reps: int = 2) -> list[Execution]:
     """An experiment's copies register for the ring-``n`` problem without
     sampling: per parity group, the noiseless-diag reference and the ZNE
     scales 1, 3 and 5."""
-    orig = real_amplitudes(n, reps, "circular", np.linspace(0.1, 1.3, n * (reps + 1)))
+    orig = _register_circuit(n, reps)
     executions = []
     for group in parity_groups(maxcut_hamiltonian(ring_problem(n))):
         vd = build_vd_circuit(orig, group.gates())
         executions += [Execution(vd, ideal_diag=True)] + [
             Execution(vd, scale=scale) for scale in (1, 3, 5)]
     return executions
+
+
+def single_register(n: int, reps: int = 2) -> list[Execution]:
+    """An experiment's single-copy register for the ring-``n`` problem
+    without sampling: the bare measured circuit, then per parity group each
+    pair's X, Y and Z cut fragments."""
+    orig = _register_circuit(n, reps)
+    bare = Circuit(n, orig.ops + tuple(measure(q) for q in range(n)))
+    groups = parity_groups(maxcut_hamiltonian(ring_problem(n)))
+    return [Execution(bare)] + cut_executions(orig, groups, None, 0)

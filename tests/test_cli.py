@@ -49,12 +49,26 @@ def test_run_flag_overrides(tmp_path):
     assert doc["config"]["methods"] == ["none"]
 
 
+def test_run_writes_to_the_config_out(tmp_path, monkeypatch):
+    """Without ``--out`` the outputs go where the config's ``out`` names."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1,
+                               "parameters": [0.1, 0.2, 0.3, 0.4], "noise": "noiseless",
+                               "methods": ["none"], "coupling_map": "linear",
+                               "out": str(tmp_path / "myrun")}))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert (tmp_path / "myrun.csv").exists() and (tmp_path / "myrun.json").exists()
+    assert not (tmp_path / "experiment.csv").exists()
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"ring": 2}, "methods": []}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert main(["run", "--config", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "x")]) == 1
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
     for text, names in (('{"problem": {"ring": 2},', "JSON"),
                         ('[{"problem": {"ring": 2}}]', "JSON object"),
                         ('{"problem": {"ring": 2}, "methods": "vd"}', "methods")):
@@ -66,7 +80,8 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
                        ("entanglement", "star"), ("shots", "100"),
                        ("parameters", [0.1, 0.2, 0.3]), ("parameters", [0.1, 0.2, 0.3, "x"]),
                        ("parameters", [0.1, 0.2, 0.3, None]), ("parameters", 5),
-                       ("coupling_map", 5), ("circuit_file", 5), ("seed", -1)):
+                       ("coupling_map", 5), ("circuit_file", 5), ("seed", -1),
+                       ("shots", True), ("reps", True), ("seed", True)):
         cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, key: value}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     for problem in ({"ring": 1}, {"n": 3, "edges": [[0, 0]]}, {"n": 3, "edges": []},
@@ -75,6 +90,8 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": -1, "parameters": []}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, "out": 5}))
+    assert main(["run", "--config", str(cfg)]) == 1
     params = tmp_path / "params.json"
     for text in ('{"parameters": [0.1, 0.2, 0.3]}', '{"parameters": [0.1, 0.2, "x", 0.4]}',
                  '{"angles": [0.1, 0.2, 0.3, 0.4]}', '{"parameters": [0.1,'):
@@ -94,6 +111,7 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     ["optimize", "--graph", "ring:2", "--seed", "-1"],
     ["cut-check", "--seed", "-1"],
     ["cut-check", "--circuits", "-3"],
+    ["optimize", "--graph", "."],
 ])
 def test_sweep_and_optimize_bad_arguments_exit_code(argv, tmp_path, capsys):
     if argv[0] != "cut-check":

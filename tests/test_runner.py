@@ -3,6 +3,7 @@ separate runs."""
 import weakref
 
 import numpy as np
+import pytest
 
 from vdcut import runner, simulate
 from vdcut.benchmarks import real_amplitudes
@@ -14,7 +15,7 @@ from vdcut.simulate import blocks
 from vdcut.transpile import coupling_map_for
 from vdcut.vd import build_vd_circuit
 
-from helpers import copies_register
+from helpers import copies_register, single_register
 
 
 def test_batch_matches_separate_runs():
@@ -51,10 +52,10 @@ def test_batch_matches_separate_runs():
     assert not np.array_equal(batch[1].counts.values, batch[3].counts.values)
 
 
-def _compiled_register():
+def _compiled_register(register=copies_register):
     noise = preset("basic+gct")
     cmap = coupling_map_for("heavyhex:3", 8)
-    executions = copies_register(4)
+    executions = register(4)
     compiled = [compile_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
                                 ideal_diag=ex.ideal_diag) for ex in executions]
     return executions, noise, cmap, compiled
@@ -67,15 +68,19 @@ def _op_keys(c) -> list[tuple]:
              g.tag in c.ideal_tags) for g in c.body.ops]
 
 
-def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
+@pytest.mark.parametrize("register, width, variants, snapshots", [
+    (copies_register, 8, 8, 2), (single_register, 4, 25, 3)], ids=["copies", "single"])
+def test_trie_evolves_each_distinct_prefix_once(monkeypatch, register, width, variants,
+                                                snapshots):
     """The ring-4 copies register branches at the groups, at the noiseless
-    diagonalizing gates and at each ZNE fold.  Each variant is fused into
-    blocks, and the batch evolves each distinct block prefix once, in
-    fewer full-tensor passes than the distinct op-key prefixes it would
-    take unfused and fewer ops than one shared prefix plus every suffix,
-    holds no more snapshots than it admitted, and gives the bits of
-    separate runs."""
-    executions, noise, cmap, compiled = _compiled_register()
+    diagonalizing gates and at each ZNE fold; the single-copy register
+    branches where the bare circuit and the cut fragments part.  Each
+    variant is fused into blocks, and the batch evolves each distinct block
+    prefix once, in fewer full-tensor passes than the distinct op-key
+    prefixes it would take unfused and fewer ops than one shared prefix plus
+    every suffix, holds no more snapshots than it admitted, and gives the
+    bits of separate runs."""
+    executions, noise, cmap, compiled = _compiled_register(register)
     keys = [_op_keys(c) for c in compiled]
     memo = {}
     fused = [blocks(c.body, noise, c.ideal_tags, memo).ops for c in compiled]
@@ -99,11 +104,11 @@ def test_trie_evolves_each_distinct_prefix_once(monkeypatch):
     batch = run_circuits(executions, noise=noise, cmap=cmap)
     monkeypatch.undo()
     stats = batch.stats
-    assert (stats.width, stats.variants) == (8, 8)
+    assert (stats.width, stats.variants) == (width, variants)
     assert stats.ops_requested == sum(map(len, keys))
     assert sum(evolved) == stats.blocks_evolved == len(block_prefixes) < len(op_prefixes)
     assert stats.ops_evolved == sum(p[-1].gates for p in block_prefixes) < one_prefix
-    assert max(crowded) == stats.max_snapshots == 2
+    assert max(crowded) == stats.max_snapshots == snapshots
     for ex, rec in zip(executions, batch.records, strict=True):
         alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
                             ideal_diag=ex.ideal_diag)

@@ -248,8 +248,8 @@ def test_fused_copies_register_fuses_every_single_qubit_op():
     c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
     groups = _check_blocks(c.body)
     assert all(len(qubits) == 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
-    got = evolve(blocks(c.body, c.noise, c.ideal_tags))
-    want = reference_evolve(c.body, c.noise, c.ideal_tags)
+    got = evolve(blocks(c.body, noise, c.ideal_tags))
+    want = reference_evolve(c.body, noise, c.ideal_tags)
     assert np.abs(got.matrix - want).max() < 1e-12
 
 
@@ -419,10 +419,9 @@ def test_readout_identity_and_single_qubit():
 
 
 def test_readout_crosstalk_pair_matrix():
-    nm = NoiseModel(readout=np.eye(2), readout_crosstalk=True,
-                    adjacency=((0, 1),))
+    nm = NoiseModel(readout=np.eye(2), readout_crosstalk=True)
     d = distribution({"00": 1.0}, 2)
-    out = apply_readout(d, nm)
+    out = apply_readout(d, nm, edges=((0, 1),))
     assert out["00"] == pytest.approx(0.991)
     assert out["01"] == pytest.approx(0.003)
     assert out["10"] == pytest.approx(0.003)
@@ -431,10 +430,9 @@ def test_readout_crosstalk_pair_matrix():
 
 def test_readout_crosstalk_greedy_matching():
     # physical ids 0-1-2 on a line; only one pair (0,1) forms, 2 stays single
-    nm = NoiseModel(readout=np.eye(2), readout_crosstalk=True,
-                    adjacency=((0, 1), (1, 2)))
+    nm = NoiseModel(readout=np.eye(2), readout_crosstalk=True)
     d = distribution({"000": 1.0}, 3)
-    out = apply_readout(d, nm)
+    out = apply_readout(d, nm, edges=((0, 1), (1, 2)))
     # qubit 2 sees no crosstalk: its marginal stays exactly deterministic
     assert as_dict(marginal(out, [2])) == {"0": 1.0}
     assert marginal(out, [0, 1])["00"] == pytest.approx(0.991)
@@ -442,10 +440,10 @@ def test_readout_crosstalk_greedy_matching():
 
 def test_readout_preserves_normalization():
     rng = np.random.default_rng(8)
-    nm = NoiseModel(readout_crosstalk=True, adjacency=((0, 1), (1, 2), (2, 3)))
+    nm = NoiseModel(readout_crosstalk=True)
     p = rng.random(16)
     d = Distribution(4, p / p.sum())
-    out = apply_readout(d, nm)
+    out = apply_readout(d, nm, edges=((0, 1), (1, 2), (2, 3)))
     assert abs(out.probs.sum() - 1.0) < 1e-12
 
 
