@@ -17,8 +17,8 @@ from .circuit import (
     Gate,
     PauliObservable,
     append,
-    build_dag,
     from_text,
+    layers,
     lightcone,
     tensor_two_copies,
     to_text,
@@ -26,7 +26,6 @@ from .circuit import (
 from .cutting import (
     CutPoint,
     DiagonalSimulationCache,
-    FragmentJob,
     PairwisePipeline,
     ReconstructionPlan,
     build_pairwise_pipelines,
@@ -45,7 +44,6 @@ from .experiments import (
 from .noise import NOISELESS, NoiseModel, insert_zz_crosstalk, preset
 from .runner import Batch, BatchStats, Execution, ExecutionRecord, run_circuit, run_circuits
 from .simulate import (
-    Counts,
     DensityMatrix,
     Distribution,
     apply_readout,
@@ -78,4 +76,4 @@ from .vd import (
     oracle_mitigated_expectation,
     parity_groups,
 )
-from .zne import ScaledRun, extrapolate_linear, fold_diagonalizing
+from .zne import extrapolate_linear, fold_diagonalizing

@@ -1,5 +1,5 @@
 """Circuit intermediate representation: gates, immutable circuits, dependency
-DAGs, lightcone pruning and the line-oriented text format.
+layers, lightcone pruning and the line-oriented text format.
 
 Conventions used throughout the package:
 
@@ -203,31 +203,20 @@ def lightcone(circuit: Circuit, sink_qubits: Iterable[int]) -> Circuit:
     return Circuit(circuit.width, tuple(reversed(kept)), circuit.name)
 
 
-@dataclass(frozen=True)
-class CircuitDag:
-    """Qubit data-dependency DAG over gate indices with ASAP layering."""
-
-    n_nodes: int
-    edges: frozenset[tuple[int, int]]
-    layers: tuple[int, ...]
-
-
-def build_dag(circuit: Circuit) -> CircuitDag:
-    """Nodes are gates, edges are immediate per-qubit dependencies.  The layer
-    of a gate is the earliest layer after all of its predecessors."""
+def layers(circuit: Circuit) -> tuple[int, ...]:
+    """The ASAP dependency layer of each gate: the earliest layer after that
+    of every earlier gate sharing one of its qubits."""
     last: dict[int, int] = {}
-    edges: set[tuple[int, int]] = set()
-    layers: list[int] = []
-    for i, g in enumerate(circuit.ops):
+    out: list[int] = []
+    for g in circuit.ops:
         layer = 0
         for q in g.qubits:
             if q in last:
-                edges.add((last[q], i))
-                layer = max(layer, layers[last[q]] + 1)
+                layer = max(layer, last[q] + 1)
         for q in g.qubits:
-            last[q] = i
-        layers.append(layer)
-    return CircuitDag(len(circuit.ops), frozenset(edges), tuple(layers))
+            last[q] = layer
+        out.append(layer)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Subcommands: ``run`` (experiment matrix from a JSON config), ``overhead-sweep``
 (gate-count study), ``optimize`` (noiseless parameter search), ``cut-check``
 (exact cutting-identity self-test).  Exit codes: 0 success, 1 configuration
-error, 2 per-cell failures.
+error (including a problem too large to simulate in the memory this process
+may use, refused before anything is allocated), 2 per-cell failures.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .circuit import CircuitError
 from .cutting import CutError, CutPoint, cut_wire, run_cut
 from .experiments import ConfigError, ExperimentConfig, emit, run_experiment
 from .noise import PRESETS
-from .simulate import evolve, exact_probs, expectation, tv_distance
+from .simulate import SimulationSizeError, evolve, exact_probs, expectation, tv_distance
 from .sweep import overhead_sweep, write_sweep_csv
 from .transpile import coupling_map_for
 
@@ -196,10 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError, SimulationSizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ executions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,22 +83,11 @@ class CutPoint:
 
 
 @dataclass(frozen=True)
-class FragmentJob:
-    """One runnable fragment: the measure-side circuit in one basis or the
-    prepare-side circuit for one input state."""
-
-    role: str            # "measure" or "prepare"
-    variant: str         # basis letter or preparation state
-    circuit: Circuit
-
-
-@dataclass(frozen=True)
 class ReconstructionPlan:
     """Bit bookkeeping for one cut (its coefficients are the prepared-state
     weights of :func:`_prep_weights`)."""
 
     cut: CutPoint
-    width: int
     j_measured: tuple[int, ...]   # cut qubit plus upstream-exclusive bits
     k_measured: tuple[int, ...]   # downstream bits (cut wire continues here)
 
@@ -147,29 +136,23 @@ def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate], 
     return pre, post, post_qubits
 
 
-def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[FragmentJob], ReconstructionPlan]:
-    """Sever one wire: three measure-side fragments (X/Y/Z basis on the cut
-    qubit, plus the upstream-exclusive bits) and four prepare-side fragments
-    (eigenstate preparation on a fresh wire feeding the downstream gates)."""
+def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[Circuit], ReconstructionPlan]:
+    """Sever one wire into seven fragment circuits: first the measure side
+    in each of :data:`MEASURE_BASES` (the basis change on the cut qubit,
+    then it and the upstream-exclusive bits measured), then the prepare side
+    for each of :data:`PREP_STATES` (the state prepared on a fresh wire that
+    feeds the downstream gates, whose bits are measured)."""
     pre, post, post_qubits = _split_at(circuit, cut)
     q = cut.qubit
-    j_bits = tuple(sorted(set(range(circuit.width)) - post_qubits))
+    j_bits = tuple(sorted({q} | set(range(circuit.width)) - post_qubits))
     k_bits = tuple(sorted(post_qubits))
-    jobs: list[FragmentJob] = []
-    for basis in MEASURE_BASES:
-        ops = pre + basis_change_gates(basis, q)
-        ops += [measure(b) for b in sorted({q, *j_bits})]
-        jobs.append(FragmentJob("measure", basis,
-                                Circuit(circuit.width, tuple(ops))))
-    for state in PREP_STATES:
-        ops = preparation_gates(state, q) + post
-        ops += [measure(b) for b in k_bits]
-        jobs.append(FragmentJob("prepare", state,
-                                Circuit(circuit.width, tuple(ops))))
-    plan = ReconstructionPlan(cut=cut, width=circuit.width,
-                              j_measured=tuple(sorted({q, *j_bits})),
-                              k_measured=k_bits)
-    return jobs, plan
+    fragments = [Circuit(circuit.width, tuple(pre + basis_change_gates(basis, q)
+                                              + [measure(b) for b in j_bits]))
+                 for basis in MEASURE_BASES]
+    fragments += [Circuit(circuit.width, tuple(preparation_gates(state, q) + post
+                                               + [measure(b) for b in k_bits]))
+                  for state in PREP_STATES]
+    return fragments, ReconstructionPlan(cut=cut, j_measured=j_bits, k_measured=k_bits)
 
 
 def _prep_weights(outputs: Sequence[Distribution], q_pos: int) -> np.ndarray:
@@ -181,22 +164,18 @@ def _prep_weights(outputs: Sequence[Distribution], q_pos: int) -> np.ndarray:
     return _PREP_WEIGHTS @ np.stack([z[0] + z[1], z[0] - z[1], x[0] - x[1], y[0] - y[1]])
 
 
-def reconstruct(plan: ReconstructionPlan,
-                j_results: Mapping[str, Distribution],
-                k_results: Mapping[str, Distribution],
+def reconstruct(plan: ReconstructionPlan, outputs: Sequence[Distribution],
                 shots: int | None = None) -> Distribution:
-    """Combination of the prepare-side outcome tensors with the
-    prepared-state weights of :func:`_prep_weights`; small negative entries
-    (quasiprobability noise) are clamped and the result renormalized."""
-    for basis in MEASURE_BASES:
-        if basis not in j_results:
-            raise ReconstructionError(f"missing measure fragment {basis!r}")
-    for state in PREP_STATES:
-        if state not in k_results:
-            raise ReconstructionError(f"missing prepare fragment {state!r}")
+    """The full-circuit distribution from the outputs of :func:`cut_wire`'s
+    seven fragments, in its order: the prepare side's outcome tensors
+    combined with the prepared-state weights of :func:`_prep_weights`.
+    Small negative entries (quasiprobability noise) are clamped and the
+    result renormalized."""
+    if len(outputs) != len(MEASURE_BASES) + len(PREP_STATES):
+        raise ReconstructionError(f"expected 7 fragment outputs, got {len(outputs)}")
     q_pos = plan.j_measured.index(plan.cut.qubit)
-    weights = _prep_weights([j_results[b] for b in MEASURE_BASES], q_pos)
-    acc = weights.T @ np.stack([k_results[s].probs for s in PREP_STATES])
+    weights = _prep_weights(outputs[:len(MEASURE_BASES)], q_pos)
+    acc = weights.T @ np.stack([d.probs for d in outputs[len(MEASURE_BASES):]])
     # interleave the two bit groups back into ascending qubit order
     order = [b for b in plan.j_measured if b != plan.cut.qubit] + list(plan.k_measured)
     full = np.transpose(acc.reshape((2,) * len(order)), np.argsort(order)).reshape(-1)
@@ -219,19 +198,12 @@ def _clamp_normalize(raw: np.ndarray, width: int, shots: int | None) -> Distribu
 def run_cut(circuit: Circuit, cut: CutPoint, *,
             noise: NoiseModel | None = None,
             shots: int | None = None, seed: int = 0) -> Distribution:
-    """Convenience executor: run all fragments of a single cut and stitch the
-    full-circuit distribution."""
-    jobs, plan = cut_wire(circuit, cut)
-    batch = run_circuits([Execution(job.circuit, shots=shots, seed=seed + 7 * i + 1)
-                          for i, job in enumerate(jobs)], noise=noise)
-    j_results: dict[str, Distribution] = {}
-    k_results: dict[str, Distribution] = {}
-    for job, rec in zip(jobs, batch.records):
-        if job.role == "measure":
-            j_results[job.variant] = rec.output
-        else:
-            k_results[job.variant] = rec.output
-    return reconstruct(plan, j_results, k_results, shots=shots)
+    """Convenience executor: run all fragments of a single cut as one batch
+    and stitch the full-circuit distribution."""
+    fragments, plan = cut_wire(circuit, cut)
+    batch = run_circuits([Execution(f, shots=shots, seed=seed + 7 * i + 1)
+                          for i, f in enumerate(fragments)], noise=noise)
+    return reconstruct(plan, [rec.output for rec in batch.records], shots=shots)
 
 
 # ---------------------------------------------------------------------------

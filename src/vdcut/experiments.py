@@ -40,7 +40,7 @@ from .vd import (
     estimate_from_distribution,
     parity_groups,
 )
-from .zne import ScaledRun, extrapolate_linear
+from .zne import extrapolate_linear
 
 METHODS = ("none", "vd", "vd+zne", "vd+cut")
 ZNE_SCALES = (1, 3, 5)
@@ -192,7 +192,10 @@ def _resolve_parameters(config: ExperimentConfig, ansatz: AnsatzSpec) -> np.ndar
 def _prepare_circuit(config: ExperimentConfig, ansatz: AnsatzSpec,
                      theta: np.ndarray) -> Circuit:
     if config.circuit_file is not None:
-        circuit = from_text(Path(config.circuit_file).read_text())
+        try:
+            circuit = from_text(Path(config.circuit_file).read_text())
+        except ValueError as exc:  # CircuitError included
+            raise ConfigError(f"bad circuit file {config.circuit_file}: {exc}") from exc
         if circuit.width != config.problem.n:
             raise ConfigError("circuit file width does not match the problem size")
         return circuit.without_measurements()
@@ -345,8 +348,7 @@ def _mitigate(scaled: dict[int, ParityEstimate]) -> float:
     if len(scaled) == 1:
         (est,) = scaled.values()
         return est.mitigated
-    return extrapolate_linear([ScaledRun(scale, est.mitigated)
-                               for scale, est in scaled.items()])
+    return extrapolate_linear(list(scaled), [est.mitigated for est in scaled.values()])
 
 
 def _diagnostics(cell: CellResult) -> list[dict]:
@@ -374,9 +376,8 @@ def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
     ``<out>.json`` (full provenance).  Returns the two paths."""
     if not result.cells:
         raise ConfigError("nothing to emit: no method cells")
-    base = Path(out if out is not None else result.config.out)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
+    base = out if out is not None else result.config.out
+    csv_path, json_path = Path(f"{base}.csv"), Path(f"{base}.json")
     lines = [CSV_HEADER]
     for cell in result.cells:
         lines.append(",".join([

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import CNOT, SWAP, TWO_QUBIT_UNITARY, Circuit, Gate, build_dag, rzz
+from .circuit import CNOT, SWAP, TWO_QUBIT_UNITARY, Circuit, Gate, layers, rzz
 
 CROSSTALK_TAG = "xtalk"
 
@@ -124,10 +124,9 @@ def insert_zz_crosstalk(circuit: Circuit, edges: Iterable[tuple[int, int]],
     scheduling: a SWAP contributes its three CNOTs, each in its own layer.
     """
     edges = {tuple(sorted(e)) for e in edges}
-    dag = build_dag(circuit)
     by_layer: dict[int, list[int]] = {}
-    for i in range(len(circuit.ops)):
-        by_layer.setdefault(dag.layers[i], []).append(i)
+    for i, layer in enumerate(layers(circuit)):
+        by_layer.setdefault(layer, []).append(i)
     out: list[Gate] = []
     for layer in sorted(by_layer):
         members = by_layer[layer]

@@ -12,7 +12,6 @@ from typing import Sequence
 from .circuit import CNOT, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
-    Counts,
     DensityMatrix,
     Distribution,
     FusedCircuit,
@@ -31,17 +30,16 @@ from .zne import fold_diagonalizing
 
 @dataclass(frozen=True)
 class ExecutionRecord:
-    """Result of one circuit execution plus bookkeeping for result tables."""
+    """Result of one circuit execution plus bookkeeping for result tables:
+    the exact measured-bit ``distribution`` and the ``output`` the execution
+    reports, its sampled frequencies (see :func:`~vdcut.simulate.sample`),
+    or ``distribution`` itself when the execution is exact."""
 
     distribution: Distribution
-    counts: Counts | None
+    output: Distribution
     cnots: int
     rzz_gates: int
     swaps: int
-
-    @property
-    def output(self) -> Distribution:
-        return self.counts.to_distribution() if self.counts is not None else self.distribution
 
 
 @dataclass(frozen=True)
@@ -246,6 +244,6 @@ def run_circuits(executions: Sequence[Execution], *,
         c, dist = compiled[key], dists[variant_of[key]]
         records.append(ExecutionRecord(
             distribution=dist,
-            counts=sample(dist, ex.shots, ex.seed) if ex.shots is not None else None,
+            output=dist if ex.shots is None else sample(dist, ex.shots, ex.seed),
             cnots=c.body.count(CNOT), rzz_gates=c.body.count(RZZ), swaps=c.swaps))
     return Batch(tuple(records), stats)

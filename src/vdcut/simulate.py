@@ -355,7 +355,7 @@ def evolve(circuit: Circuit | FusedCircuit, *,
 
 
 # ---------------------------------------------------------------------------
-# distributions and counts
+# distributions
 
 
 @dataclass(frozen=True)
@@ -380,31 +380,6 @@ class Distribution:
 
     def __getitem__(self, outcome: str) -> float:
         return float(self.probs[int(outcome, 2)])
-
-
-@dataclass(frozen=True)
-class Counts:
-    """Integer shot counts over ``width``-bit outcomes."""
-
-    width: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        if v.shape != (2 ** self.width,):
-            raise ValueError("counts length mismatch")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shots(self) -> int:
-        return int(self.values.sum())
-
-    def __getitem__(self, outcome: str) -> int:
-        return int(self.values[int(outcome, 2)])
-
-    def to_distribution(self) -> Distribution:
-        return Distribution(self.width, self.values / self.shots)
 
 
 def tv_distance(a: Distribution, b: Distribution) -> float:
@@ -435,13 +410,14 @@ def marginal(dist: Distribution, qubits: Sequence[int]) -> Distribution:
     return Distribution(len(keep), t)
 
 
-def sample(dist: Distribution, shots: int, seed: int) -> Counts:
-    """Multinomial sampling, reproducible for a fixed seed."""
+def sample(dist: Distribution, shots: int, seed: int) -> Distribution:
+    """The frequencies of ``shots`` multinomial draws from ``dist`` (each
+    outcome's count over ``shots``), reproducible for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     p = dist.probs / dist.probs.sum()
-    return Counts(dist.width, rng.multinomial(shots, p))
+    return Distribution(dist.width, rng.multinomial(shots, p) / shots)
 
 
 def apply_readout(dist: Distribution, noise: NoiseModel | None,

@@ -306,7 +306,6 @@ class VDEstimate:
     denominator: float
     numerator_se: float
     denominator_se: float
-    shots: int | None = None
 
     @property
     def mitigated(self) -> float:
@@ -355,11 +354,14 @@ def _pair_weight_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, z, zp
 
 
-def _estimate(weight_probs: np.ndarray, width: int, obs: PauliObservable,
-              shots: int | None) -> VDEstimate:
-    if width % 2:
+def estimate_from_distribution(dist: Distribution, obs: PauliObservable,
+                               shots: int | None = None) -> VDEstimate:
+    """Exact weighting of a (possibly reconstructed or sampled) outcome
+    distribution; ``shots`` sets the nominal sample size used for the
+    standard errors (None: exact, with standard errors of 0)."""
+    if dist.width % 2:
         raise ValueError("VD outcomes must span an even number of qubits")
-    n = width // 2
+    n = dist.width // 2
     if obs.width != n:
         raise ValueError(f"observable width {obs.width} != {n} system qubits")
     if not obs.is_diagonal():
@@ -376,14 +378,14 @@ def _estimate(weight_probs: np.ndarray, width: int, obs: PauliObservable,
             else:
                 w = w * s[i]
         num_w += coeff * w
-    num = float(weight_probs @ num_w)
-    den = float(weight_probs @ den_w)
+    num = float(dist.probs @ num_w)
+    den = float(dist.probs @ den_w)
     if shots is None:
         num_se = den_se = 0.0
     else:
-        num_se = _sampled_se(weight_probs, num_w, num, shots)
-        den_se = _sampled_se(weight_probs, den_w, den, shots)
-    return VDEstimate(num, den, num_se, den_se, shots)
+        num_se = _sampled_se(dist.probs, num_w, num, shots)
+        den_se = _sampled_se(dist.probs, den_w, den, shots)
+    return VDEstimate(num, den, num_se, den_se)
 
 
 def _sampled_se(weight_probs: np.ndarray, w: np.ndarray, mean: float, shots: int) -> float:
@@ -395,10 +397,3 @@ def _sampled_se(weight_probs: np.ndarray, w: np.ndarray, mean: float, shots: int
     if var == 0.0:
         return float(np.abs(w).max()) / shots
     return float(np.sqrt(var / shots))
-
-
-def estimate_from_distribution(dist: Distribution, obs: PauliObservable,
-                               shots: int | None = None) -> VDEstimate:
-    """Exact weighting of a (possibly reconstructed) outcome distribution;
-    ``shots`` sets the nominal sample size used for the standard errors."""
-    return _estimate(dist.probs, dist.width, obs, shots)

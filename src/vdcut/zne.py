@@ -4,7 +4,7 @@ the noiseless unitary is unchanged while the gate noise is amplified; a
 linear fit over the measured scales extrapolates to zero noise."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -14,18 +14,6 @@ from .vd import DIAG_TAG
 
 class FoldingError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ScaledRun:
-    """A mitigated expectation measured at one odd noise-scale factor."""
-
-    scale: int
-    value: float
-
-    def __post_init__(self):
-        if self.scale < 1 or self.scale % 2 == 0:
-            raise FoldingError(f"scale must be an odd positive integer, got {self.scale}")
 
 
 def fold_diagonalizing(circuit: Circuit, scale: int) -> Circuit:
@@ -51,15 +39,16 @@ def fold_diagonalizing(circuit: Circuit, scale: int) -> Circuit:
     return Circuit(circuit.width, tuple(ops), circuit.name)
 
 
-def extrapolate_linear(runs: list[ScaledRun]) -> float:
-    """Ordinary least-squares line through (scale, value); returns the
-    intercept at scale zero."""
-    if len(runs) < 2:
+def extrapolate_linear(scales: Sequence[int], values: Sequence[float]) -> float:
+    """Ordinary least-squares line through the points (scale, value), one
+    per measured noise scale; returns its intercept at scale zero."""
+    if len(scales) != len(values):
+        raise FoldingError(f"{len(scales)} scales but {len(values)} values")
+    if len(scales) < 2:
         raise FoldingError("need at least two scaled runs to extrapolate")
-    scales = np.array([r.scale for r in runs], dtype=float)
-    values = np.array([r.value for r in runs], dtype=float)
+    scales = np.array(scales, dtype=float)
     if np.ptp(scales) == 0:
         raise FoldingError("scales must not all be equal")
     design = np.vstack([np.ones_like(scales), scales]).T
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    coef, *_ = np.linalg.lstsq(design, np.array(values, dtype=float), rcond=None)
     return float(coef[0])

@@ -14,7 +14,7 @@ from vdcut.cutting import (
 )
 from vdcut.noise import NoiseModel
 from vdcut.runner import Execution, run_circuits
-from vdcut.simulate import Counts, DensityMatrix, Distribution, _gate_superop
+from vdcut.simulate import DensityMatrix, Distribution, _gate_superop
 from vdcut.transpile import CouplingMap
 from vdcut.vd import build_vd_circuit, parity_groups
 
@@ -27,10 +27,9 @@ def distribution(probs: dict[str, float], width: int) -> Distribution:
     return Distribution(width, p)
 
 
-def as_dict(data: Distribution | Counts) -> dict:
-    """The nonzero entries of a distribution or counts, keyed by outcome."""
-    values = data.values if isinstance(data, Counts) else data.probs
-    return {format(i, f"0{data.width}b"): v.item() for i, v in enumerate(values) if v}
+def as_dict(dist: Distribution) -> dict:
+    """The nonzero entries of a distribution, keyed by outcome."""
+    return {format(i, f"0{dist.width}b"): p.item() for i, p in enumerate(dist.probs) if p}
 
 
 def purity(dm: DensityMatrix) -> float:

@@ -42,7 +42,7 @@ from vdcut.vd import (
     oracle_mitigated_expectation,
     parity_groups,
 )
-from vdcut.zne import ScaledRun, extrapolate_linear, fold_diagonalizing
+from vdcut.zne import extrapolate_linear, fold_diagonalizing
 
 from helpers import full_unitary, pairwise, random_circuit, random_density_matrix
 
@@ -338,8 +338,7 @@ def test_criterion_6_zne_sanity(table1_results):
         worst = max(worst, tv_distance(folded, ref))
     assert worst < 1e-10
 
-    intercept = extrapolate_linear(
-        [ScaledRun(1, 0.9), ScaledRun(3, 0.7), ScaledRun(5, 0.5)])
+    intercept = extrapolate_linear((1, 3, 5), (0.9, 0.7, 0.5))
     assert abs(intercept - 1.0) < 1e-12
 
     zne_err = _cell(table1_results["basic"], "vd+zne").abs_error

@@ -1,4 +1,4 @@
-"""Circuit IR: construction invariants, copies, lightcone, DAG, text format."""
+"""Circuit IR: construction invariants, copies, lightcone, layers, text format."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +8,11 @@ from vdcut.circuit import (
     CircuitError,
     PauliObservable,
     append,
-    build_dag,
     cnot,
     from_text,
     gate_matrix,
     h,
+    layers,
     lightcone,
     measure,
     ry,
@@ -129,30 +129,20 @@ def _reduced(rho, keep, n):
 
 
 def test_dag_layers():
-    c = Circuit(2, (ry(0.1, 0), ry(0.2, 1)))
-    dag = build_dag(c)
-    assert dag.layers == (0, 0)
-    assert not dag.edges
-
-    c = Circuit(3, (cnot(0, 1), cnot(1, 2)))
-    dag = build_dag(c)
-    assert dag.layers == (0, 1)
-    assert (0, 1) in dag.edges
-
-    c = Circuit(4, (cnot(0, 1), cnot(2, 3)))
-    dag = build_dag(c)
-    assert dag.layers == (0, 0)
-    assert not dag.edges
+    assert layers(Circuit(2, (ry(0.1, 0), ry(0.2, 1)))) == (0, 0)
+    assert layers(Circuit(3, (cnot(0, 1), cnot(1, 2)))) == (0, 1)
+    assert layers(Circuit(4, (cnot(0, 1), cnot(2, 3)))) == (0, 0)
+    assert layers(Circuit(3, (cnot(0, 1), ry(0.1, 2), cnot(1, 2), ry(0.2, 0)))) == (0, 0, 1, 1)
 
 
 def test_dag_no_shared_layer_on_shared_qubit():
     rng = np.random.default_rng(3)
     c = random_circuit(4, 25, rng)
-    dag = build_dag(c)
+    found = layers(c)
     for i, gi in enumerate(c.ops):
         for j in range(i + 1, len(c.ops)):
             if set(gi.qubits) & set(c.ops[j].qubits):
-                assert dag.layers[i] != dag.layers[j]
+                assert found[i] != found[j]
 
 
 def test_gate_matrices_unitary():

@@ -62,6 +62,18 @@ def test_run_writes_to_the_config_out(tmp_path, monkeypatch):
     assert not (tmp_path / "experiment.csv").exists()
 
 
+def test_run_keeps_dots_in_the_out_name(tmp_path):
+    """An output name with a dot gets its suffixes appended, not swapped in."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1,
+                               "parameters": [0.1, 0.2, 0.3, 0.4], "noise": "noiseless",
+                               "methods": ["none"], "coupling_map": "linear",
+                               "out": str(tmp_path / "run.v2")}))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert (tmp_path / "run.v2.csv").exists() and (tmp_path / "run.v2.json").exists()
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"ring": 2}, "methods": []}))
@@ -92,6 +104,20 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, "out": 5}))
     assert main(["run", "--config", str(cfg)]) == 1
+    circuit = tmp_path / "circuit.txt"
+    capsys.readouterr()
+    for text in ("qubits x\n", "qubits 2\nFOO 0\n"):
+        circuit.write_text(text)
+        cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1,
+                                   "parameters": [0.1, 0.2, 0.3, 0.4],
+                                   "circuit_file": str(circuit)}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("config error: bad circuit file")
+    # a 20-qubit evolution is refused before anything is allocated
+    cfg.write_text(json.dumps({"problem": {"ring": 20}, "reps": 1, "parameters": [0.1] * 40,
+                               "coupling_map": "full"}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "density tensors of 20 qubits" in capsys.readouterr().err
     params = tmp_path / "params.json"
     for text in ('{"parameters": [0.1, 0.2, 0.3]}', '{"parameters": [0.1, 0.2, "x", 0.4]}',
                  '{"angles": [0.1, 0.2, 0.3, 0.4]}', '{"parameters": [0.1,'):
@@ -112,6 +138,7 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     ["cut-check", "--seed", "-1"],
     ["cut-check", "--circuits", "-3"],
     ["optimize", "--graph", "."],
+    ["optimize", "--graph", "ring:20"],  # two 16 TiB tensors, refused before allocating
 ])
 def test_sweep_and_optimize_bad_arguments_exit_code(argv, tmp_path, capsys):
     if argv[0] != "cut-check":

@@ -19,7 +19,9 @@ from vdcut.cutting import (
     basis_change_gates,
     build_pairwise_pipelines,
     cut_wire,
+    preparation_gates,
     recombine,
+    reconstruct,
     run_cut,
 )
 from vdcut.noise import NoiseModel, preset
@@ -48,13 +50,15 @@ def valid_cuts(circuit):
 
 
 def test_cut_produces_three_j_and_four_k_fragments():
+    """The measure side in the X, Y and Z bases, then the prepare side for
+    each prepared state, in that order."""
     c = Circuit(2, (h(0), cnot(0, 1)))
-    jobs, plan = cut_wire(c, CutPoint(0, 0))
-    roles = [(j.role, j.variant) for j in jobs]
-    assert roles == [("measure", "X"), ("measure", "Y"), ("measure", "Z"),
-                     ("prepare", "0"), ("prepare", "1"), ("prepare", "+"),
-                     ("prepare", "+i")]
+    fragments, plan = cut_wire(c, CutPoint(0, 0))
     assert (plan.j_measured, plan.k_measured) == ((0,), (0, 1))
+    assert [f.ops for f in fragments] == (
+        [(h(0), *basis_change_gates(basis, 0), measure(0)) for basis in MEASURE_BASES]
+        + [(*preparation_gates(state, 0), cnot(0, 1), measure(0), measure(1))
+           for state in PREP_STATES])
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -136,18 +140,14 @@ def test_sampled_cut_identity_within_tolerance():
 
 def test_reconstruction_negativity_error():
     c = Circuit(2, (h(0), cnot(0, 1)))
-    jobs, plan = cut_wire(c, CutPoint(0, 0))
-    # deliberately inconsistent fragment data
-    bogus_j = {b: distribution({"0": 1.0}, 1) for b in "XYZ"}
-    bogus_k = {
-        "0": distribution({"11": 1.0}, 2),
-        "1": distribution({"00": 1.0}, 2),
-        "+": distribution({"01": 1.0}, 2),
-        "+i": distribution({"10": 1.0}, 2),
-    }
-    with pytest.raises(ReconstructionError):
-        from vdcut.cutting import reconstruct
-        reconstruct(plan, bogus_j, bogus_k)
+    _, plan = cut_wire(c, CutPoint(0, 0))
+    # deliberately inconsistent fragment data: X, Y, Z, then 0, 1, +, +i
+    bogus = [distribution({"0": 1.0}, 1)] * 3 + [
+        distribution({outcome: 1.0}, 2) for outcome in ("11", "00", "01", "10")]
+    with pytest.raises(ReconstructionError, match="below"):
+        reconstruct(plan, bogus)
+    with pytest.raises(ReconstructionError, match="expected 7"):
+        reconstruct(plan, bogus[:6])
 
 
 def test_pairwise_pipeline_structure():

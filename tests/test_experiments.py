@@ -171,6 +171,8 @@ def test_determinism_byte_identical_csv(tmp_path):
 
 
 @pytest.mark.parametrize("noise, digest", [
+    ("basic", "f85540f0697700a69eef9665840c19624a2262e23817f99eaffa550e5aeacd61"),
+    ("basic+gct", "11c8c27768eaaa73e3dfcb0ef1185ba354e5c5f04b959a1e51f0daf9fc3f4f60"),
     ("basic+gct+rct", "2738cefea33d99019e6f09718675b54ea4dd910287295f85e2fd2e35042e99dd"),
     ("noiseless", "fd13736789468f89be796cd96dedf2f8abc009cdc2de88b546da5a6d77d3f88e"),
 ])

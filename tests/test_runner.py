@@ -41,15 +41,14 @@ def test_batch_matches_separate_runs():
             alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, shots=ex.shots,
                                 seed=ex.seed, scale=ex.scale, ideal_diag=ex.ideal_diag)
             assert np.array_equal(rec.distribution.probs, alone.distribution.probs)
-            assert (rec.counts is None) == (alone.counts is None)
-            if rec.counts is not None:
-                assert np.array_equal(rec.counts.values, alone.counts.values)
+            assert (rec.output is rec.distribution) == (ex.shots is None)
+            assert np.array_equal(rec.output.probs, alone.output.probs)
             assert (rec.cnots, rec.rzz_gates, rec.swaps) == (alone.cnots, alone.rzz_gates,
                                                              alone.swaps)
     batch = batches[0]
     # the two scale-1 executions share one evolution but keep their own seeds
     assert np.array_equal(batch[1].distribution.probs, batch[3].distribution.probs)
-    assert not np.array_equal(batch[1].counts.values, batch[3].counts.values)
+    assert not np.array_equal(batch[1].output.probs, batch[3].output.probs)
 
 
 def _compiled_register(register=copies_register):

@@ -5,8 +5,8 @@ import pytest
 from vdcut.circuit import Circuit, PauliObservable, cnot, h, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import (
-    Counts,
     DensityMatrix,
+    Distribution,
     blocks,
     evolve,
     exact_probs,
@@ -27,8 +27,10 @@ from vdcut.vd import (
 
 from helpers import random_density_matrix
 
-def _from_counts(counts: Counts, obs: PauliObservable):
-    return estimate_from_distribution(counts.to_distribution(), obs, shots=counts.shots)
+def _from_counts(counts: list[int], obs: PauliObservable):
+    shots = sum(counts)
+    return estimate_from_distribution(Distribution(2, np.array(counts) / shots), obs,
+                                      shots=shots)
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -207,8 +209,8 @@ def test_sampled_estimator_matches_oracle_within_5_sigma():
     rho = np.diag([0.8, 0.2]).astype(complex)
     probs = _vd_distribution(rho, 1)
     dist = _as_dist(probs, 2)
-    counts = sample(dist, 10 ** 6, seed=11)
-    est = _from_counts(counts, PauliObservable(((1.0, "Z"),)))
+    est = estimate_from_distribution(sample(dist, 10 ** 6, seed=11),
+                                     PauliObservable(((1.0, "Z"),)), shots=10 ** 6)
     want = 0.8823529411764706
     assert abs(est.mitigated - want) < 5 * est.mitigated_se
     assert est.mitigated == pytest.approx(want, abs=0.01)
@@ -242,7 +244,7 @@ def test_noisy_estimator_matches_matrix_oracle():
 
 def test_denominator_insignificance_raises():
     est = VDEstimate(numerator=0.5, denominator=0.01, numerator_se=0.1,
-                     denominator_se=0.05, shots=100)
+                     denominator_se=0.05)
     with pytest.raises(EstimatorError):
         _ = est.mitigated
     est = VDEstimate(numerator=0.5, denominator=0.0, numerator_se=0.0,
@@ -255,15 +257,15 @@ def test_zero_sampled_variance_is_floored_at_one_shot():
     """Shots that all land on one outcome give a standard error of
     max|w| / shots, not 0; a spread sample keeps sqrt(var / shots)."""
     z = PauliObservable(((1.0, "Z"),))
-    est = _from_counts(Counts(2, np.array([50, 0, 0, 0])), z)
+    est = _from_counts([50, 0, 0, 0], z)
     assert (est.numerator, est.denominator) == (1.0, 1.0)
     assert (est.numerator_se, est.denominator_se) == (1 / 50, 1 / 50)
     assert est.mitigated == 1.0
-    single = _from_counts(Counts(2, np.array([1, 0, 0, 0])), z)
+    single = _from_counts([1, 0, 0, 0], z)
     assert single.denominator_se == 1.0
     with pytest.raises(EstimatorError):
         _ = single.mitigated
-    est = _from_counts(Counts(2, np.array([40, 0, 0, 10])), z)
+    est = _from_counts([40, 0, 0, 10], z)
     assert est.numerator_se == pytest.approx(np.sqrt((1 - 0.6 ** 2) / 50), rel=1e-12)
 
 

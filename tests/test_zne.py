@@ -8,7 +8,7 @@ from vdcut.noise import NoiseModel
 from vdcut.simulate import blocks, evolve, exact_probs, tv_distance
 from vdcut.transpile import cnot_count, decompose_to_basis
 from vdcut.vd import build_vd_circuit
-from vdcut.zne import FoldingError, ScaledRun, extrapolate_linear, fold_diagonalizing
+from vdcut.zne import FoldingError, extrapolate_linear, fold_diagonalizing
 
 from helpers import purity
 
@@ -70,19 +70,17 @@ def test_fold_amplifies_mixing():
 
 
 def test_extrapolate_exact_line():
-    runs = [ScaledRun(1, 0.9), ScaledRun(3, 0.7), ScaledRun(5, 0.5)]
-    assert extrapolate_linear(runs) == pytest.approx(1.0, abs=1e-12)
+    assert extrapolate_linear((1, 3, 5), (0.9, 0.7, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extrapolate_constant_data():
-    runs = [ScaledRun(1, 0.42), ScaledRun(3, 0.42), ScaledRun(5, 0.42)]
-    assert extrapolate_linear(runs) == pytest.approx(0.42, abs=1e-12)
+    assert extrapolate_linear((1, 3, 5), (0.42,) * 3) == pytest.approx(0.42, abs=1e-12)
 
 
 def test_extrapolate_validation():
     with pytest.raises(FoldingError):
-        extrapolate_linear([ScaledRun(1, 0.5)])
+        extrapolate_linear((1,), (0.5,))
     with pytest.raises(FoldingError):
-        extrapolate_linear([ScaledRun(3, 0.5), ScaledRun(3, 0.6)])
+        extrapolate_linear((3, 3), (0.5, 0.6))
     with pytest.raises(FoldingError):
-        ScaledRun(2, 0.5)
+        extrapolate_linear((1, 3, 5), (0.5, 0.6))
