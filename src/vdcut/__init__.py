@@ -46,6 +46,7 @@ from .runner import Batch, BatchStats, Execution, ExecutionRecord, run_circuit, 
 from .simulate import (
     DensityMatrix,
     Distribution,
+    PauliState,
     apply_readout,
     evolve,
     exact_probs,

@@ -179,10 +179,13 @@ def reconstruct(plan: ReconstructionPlan, outputs: Sequence[Distribution],
     # interleave the two bit groups back into ascending qubit order
     order = [b for b in plan.j_measured if b != plan.cut.qubit] + list(plan.k_measured)
     full = np.transpose(acc.reshape((2,) * len(order)), np.argsort(order)).reshape(-1)
-    return _clamp_normalize(full, len(order), shots)
+    return _clamp_normalize(full, len(order), shots)[0]
 
 
-def _clamp_normalize(raw: np.ndarray, width: int, shots: int | None) -> Distribution:
+def _clamp_normalize(raw: np.ndarray, width: int,
+                     shots: int | None) -> tuple[Distribution, float]:
+    """``raw`` with its negative entries clipped to 0, renormalized, and the
+    most negative entry clipped (0 when none was)."""
     eps = 1e-9 if shots is None else 10.0 / np.sqrt(shots)
     low = float(raw.min())
     if low < -eps:
@@ -192,7 +195,7 @@ def _clamp_normalize(raw: np.ndarray, width: int, shots: int | None) -> Distribu
     total = clipped.sum()
     if total <= 0.0:
         raise ReconstructionError("reconstructed distribution has no mass")
-    return Distribution(width, clipped / total)
+    return Distribution(width, clipped / total), min(low, 0.0)
 
 
 def run_cut(circuit: Circuit, cut: CutPoint, *,
@@ -264,10 +267,11 @@ def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
 
 
 def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,
-                          cache: DiagonalSimulationCache) -> Distribution:
+                          cache: DiagonalSimulationCache) -> tuple[Distribution, float]:
     """Double-cut reconstruction of one mitigated pairwise distribution from
     the fragment's X, Y and Z outputs (shared between the two identical
-    copies) and the prepare-side variants simulated noiselessly."""
+    copies) and the prepare-side variants simulated noiselessly, with the
+    most negative reconstructed entry it clipped (0 when none was)."""
     w = _prep_weights(outputs, 0)[:, 0]
     raw = np.einsum("a,b,aby->y", w, w, cache.tensor(DIAG_UNITARY))
     return _clamp_normalize(raw, 2, shots)
@@ -278,13 +282,13 @@ def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,
 
 
 def recombine(unmitigated: Distribution,
-              pairwise: Sequence[Distribution]) -> Distribution:
+              pairwise: Sequence[Distribution]) -> tuple[Distribution, float]:
     """Update the unmitigated joint distribution so its pairwise marginals
     match the mitigated pairwise distributions:
     Q(x) propto P_um(x) * prod_i P_i(x_i, x_i') / M_i(x_i, x_i'), where M_i
     is the (i, n+i) marginal of P_um.  Pair outcomes with vanishing M_i have
     their mitigated mass assigned uniformly over the matching joint
-    outcomes."""
+    outcomes; returns the merged distribution and that injected mass."""
     width = unmitigated.width
     if width % 2:
         raise ReconstructionError("unmitigated distribution must span qubit pairs")
@@ -317,7 +321,7 @@ def recombine(unmitigated: Distribution,
     total = probs.sum()
     if total <= 0.0:
         raise ReconstructionError("all-zero recombination (disjoint supports)")
-    return Distribution(width, probs / total)
+    return Distribution(width, probs / total), injected
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +341,17 @@ def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
                  fragment_outputs: Sequence[Distribution],
                  shots: int | None) -> ParityEstimate:
     """The cut method's estimate from each group's unmitigated joint
-    distribution and the outputs of :func:`cut_executions`, in its order."""
+    distribution and the outputs of :func:`cut_executions`, in its order,
+    with each group's recombination events: the degenerate mass
+    :func:`recombine` injected and the most negative pairwise entry clipped."""
     cache = DiagonalSimulationCache()
     outputs = iter(fragment_outputs)
-    parts = []
+    parts, events = [], []
     for group, joint in zip(groups, joints):
-        pairwise = [pairwise_distribution([next(outputs) for _ in MEASURE_BASES], shots, cache)
-                    for _ in range(joint.width // 2)]
-        merged = recombine(joint, pairwise)
+        pairwise, clipped = zip(*(
+            pairwise_distribution([next(outputs) for _ in MEASURE_BASES], shots, cache)
+            for _ in range(joint.width // 2)))
+        merged, injected = recombine(joint, pairwise)
         parts.append(estimate_from_distribution(merged, group.observable, shots=shots))
-    return ParityEstimate(tuple(parts))
+        events.append((injected, min(clipped)))
+    return ParityEstimate(tuple(parts), tuple(events))

@@ -354,13 +354,21 @@ def _mitigate(scaled: dict[int, ParityEstimate]) -> float:
 def _diagnostics(cell: CellResult) -> list[dict]:
     """Per ZNE scale and parity group, the estimate that decides whether
     the distillation can be trusted; ``den_over_se`` below 10 raises
-    ``EstimatorError`` (``None`` for exact estimates)."""
-    return [{"scale": scale, "group": gi,
-             "numerator": p.numerator, "numerator_se": p.numerator_se,
-             "denominator": p.denominator, "denominator_se": p.denominator_se,
-             "den_over_se": (abs(p.denominator) / p.denominator_se
-                             if p.denominator_se else None)}
-            for scale, est in cell.estimates for gi, p in enumerate(est.parts)]
+    ``EstimatorError`` (``None`` for exact estimates).  A cut cell adds the
+    group's ``degenerate_mass`` injected by recombination and its
+    ``clamped_min``, the most negative pairwise entry clipped (0 when none
+    was)."""
+    rows = []
+    for scale, est in cell.estimates:
+        for gi, p in enumerate(est.parts):
+            rows.append({"scale": scale, "group": gi,
+                         "numerator": p.numerator, "numerator_se": p.numerator_se,
+                         "denominator": p.denominator, "denominator_se": p.denominator_se,
+                         "den_over_se": (abs(p.denominator) / p.denominator_se
+                                         if p.denominator_se else None)})
+            if est.recombination:
+                rows[-1]["degenerate_mass"], rows[-1]["clamped_min"] = est.recombination[gi]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 device, decompose to the CNOT basis, insert crosstalk, evolve under noise,
 apply readout error, and return the measured-bit distribution (exact or
 sampled) together with gate statistics.  A batch is planned once as evolution
-steps over shared block prefixes, which its stats, admission and walk read."""
+steps over shared block prefixes, which its stats, admission and walk read.
+A noisy batch evolves real Pauli-transfer blocks on Pauli states, a
+noiseless one complex superoperators on density matrices (see
+:mod:`vdcut.simulate`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ from .simulate import (
     DensityMatrix,
     Distribution,
     FusedCircuit,
+    PauliState,
     admit,
     apply_readout,
     blocks,
@@ -22,6 +26,7 @@ from .simulate import (
     exact_probs,
     marginal,
     sample,
+    state_bytes,
 )
 from .transpile import CouplingMap, compact, decompose_to_basis, fully_connected, route
 from .vd import DIAG_TAG, PARITY_TAG
@@ -123,8 +128,10 @@ class BatchStats:
     of distinct compiled variants, the ops they hold together
     (``ops_requested``), the fused blocks their steps evolved
     (``blocks_evolved``, one full-tensor pass each) and the ops in those
-    blocks (``ops_evolved``), and the most step states held during one
-    evolution (``max_snapshots``)."""
+    blocks (``ops_evolved``), the most step states held during one
+    evolution (``max_snapshots``) and the bytes of one state
+    (``state_bytes``: 8 * 4**width for a noisy batch's Pauli states, 16 *
+    4**width for a noiseless one's density matrices)."""
 
     width: int
     variants: int
@@ -132,6 +139,7 @@ class BatchStats:
     ops_evolved: int
     blocks_evolved: int
     max_snapshots: int
+    state_bytes: int
 
 
 @dataclass(frozen=True)
@@ -194,10 +202,12 @@ def run_circuits(executions: Sequence[Execution], *,
     The variants' prefix trie is planned once as its depth-first steps (see
     :func:`_steps`).  Each step is evolved once from its source step's state
     as a :class:`~vdcut.simulate.FusedCircuit`, and a variant is measured at
-    the step where its blocks end.  The stats are read off the steps, and
-    the batch is admitted as a whole before anything is allocated: the held
-    states at their most, plus the two buffers of one evolution, the first
-    of which becomes its result (see :func:`~vdcut.simulate.evolve`).
+    the step where its blocks end.  Under noise the blocks are Pauli-transfer
+    matrices and each state a :class:`~vdcut.simulate.PauliState`.  The stats
+    are read off the steps, and the batch is admitted as a whole before
+    anything is allocated: the held states at their most, plus the two
+    buffers of one evolution, the first of which becomes its result (see
+    :func:`~vdcut.simulate.evolve`).
     Sampling uses each execution's own shots and seed.
     """
     compiled: dict[tuple, CompiledCircuit] = {}
@@ -216,27 +226,30 @@ def run_circuits(executions: Sequence[Execution], *,
     (width,) = widths
 
     steps = _steps(list(variants))
+    pauli = noise is not None
     stats = BatchStats(width=width, variants=len(variants),
                        ops_requested=sum(len(c.body.ops) for c in variants.values()),
                        ops_evolved=sum(b.gates for step in steps for b in step.blocks),
                        blocks_evolved=sum(len(step.blocks) for step in steps),
                        max_snapshots=max(accumulate((s.hold - s.release for s in steps),
-                                                    initial=0)))
-    admit(width, stats.max_snapshots + 2)
-    states: dict[_Step, DensityMatrix] = {}
+                                                    initial=0)),
+                       state_bytes=state_bytes(width, pauli))
+    admit(width, stats.max_snapshots + 2, pauli)
+    states: dict[_Step, DensityMatrix | PauliState] = {}
     dists: dict[tuple, Distribution] = {}
     for step in steps:
-        dm = evolve(FusedCircuit(width, step.blocks),
-                    initial=None if step.source is None else states[step.source])
+        state = evolve(FusedCircuit(width, step.blocks, pauli),
+                       initial=None if step.source is None else states[step.source])
         if step.release:
             del states[step.source]
         for variant in step.measured:
             c = variants[variant]
-            dist = marginal(exact_probs(dm), c.positions) if c.positions else exact_probs(dm)
+            dist = (marginal(exact_probs(state), c.positions) if c.positions
+                    else exact_probs(state))
             dists[variant] = apply_readout(dist, noise, physical=c.positions, edges=c.edges)
         if step.hold:
-            states[step] = dm
-        del dm
+            states[step] = state
+        del state
 
     records = []
     for ex in executions:

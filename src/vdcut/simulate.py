@@ -1,13 +1,18 @@
 """Dense density-matrix simulation with configurable noise channels,
 measurement distributions, readout error and sampling.
 
-An evolution is a sequence of blocks, each one superoperator over at most
-two qubits, applied to the density tensor by one transpose and one matrix
-product over the block's axes.  :func:`blocks` is the only code that turns
-gates into blocks: one ideal block per gate without noise, and under noise
-:func:`fuse`'s groups of one qubit or one pair, each the product of its
+An evolution is a sequence of blocks, each one linear map over at most two
+qubits, applied to the state tensor by one transpose and one matrix product
+over the block's axes.  :func:`blocks` is the only code that turns gates
+into blocks.  Without noise each gate is one complex superoperator block,
+applied to the 2^n x 2^n density tensor.  Under noise :func:`fuse` groups
+the gates into blocks of one qubit or one pair, each the product of its
 gates' noisy channels, so a noisy circuit makes one full-tensor pass per
-block instead of one per gate.
+block instead of one per gate.  A channel maps Hermitian operators to
+Hermitian operators, so each noisy block is stored as its real
+Pauli-transfer matrix (Greenbaum, arXiv:1509.02921) and the noisy state as
+its 4^n real Pauli coefficients (:class:`PauliState`): half the bytes per
+pass of the complex density tensor.
 
 An evolution holds two full-size buffers and reuses them for every block:
 the block's axes are transposed to the front into buffer A, and the matrix
@@ -139,16 +144,51 @@ def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Pauli-transfer form
+
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
+_PAULI_IMAG_TOL = 1e-12
+
+
+@lru_cache(maxsize=2)
+def _pauli_change(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, T^-1)`` for ``k`` qubits: ``T`` maps a vectorized operator A
+    (rows, then columns) to its coefficients Tr(P A), one per Pauli string P
+    (most significant qubit first), and ``T^-1`` maps them back, as
+    A = sum_P Tr(P A) P / 2^k."""
+    ps = _PAULIS if k == 1 else np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS)
+    ps = ps.reshape(4 ** k, 2 ** k, 2 ** k)
+    return ps.transpose(0, 2, 1).reshape(4 ** k, -1), ps.reshape(4 ** k, -1).T / 2 ** k
+
+
+def _pauli_transfer(S: np.ndarray, k: int) -> np.ndarray:
+    """The real Pauli-transfer matrix ``T S T^-1`` of superoperator ``S`` on
+    ``k`` qubits.  Raises :class:`SimulationError` when its imaginary part
+    exceeds ``_PAULI_IMAG_TOL``: ``S`` does not map Hermitian operators to
+    Hermitian operators, so it is no channel."""
+    T, T_inv = _pauli_change(k)
+    R = T @ S @ T_inv
+    imag = float(np.abs(R.imag).max())
+    if imag > _PAULI_IMAG_TOL:
+        raise SimulationError(
+            f"Pauli-transfer matrix has an imaginary part of {imag}: not Hermiticity-preserving")
+    return np.ascontiguousarray(R.real)
+
+
+# ---------------------------------------------------------------------------
 # blocks and fusion
 
 
 @dataclass(eq=False, slots=True)
 class Block:
     """One step of an evolution: ``superop`` over ``qubits`` (ascending),
-    with index order (rows, then columns, most significant qubit first), the
-    product of ``gates`` gate channels.  Blocks compare by identity: equal
-    blocks that :func:`blocks` builds through one memo are one shared
-    object, never modified."""
+    the product of ``gates`` gate channels.  It is a complex superoperator
+    with index order (rows, then columns, most significant qubit first), or
+    in a Pauli evolution its real Pauli-transfer matrix with index order
+    (one Pauli per qubit, most significant first).  Blocks compare by
+    identity: equal blocks that :func:`blocks` builds through one memo are
+    one shared object, never modified."""
 
     qubits: tuple[int, ...]
     superop: np.ndarray
@@ -157,10 +197,13 @@ class Block:
 
 @dataclass(frozen=True)
 class FusedCircuit:
-    """A ``width``-qubit evolution given as its blocks (see :func:`blocks`)."""
+    """A ``width``-qubit evolution given as its blocks (see :func:`blocks`);
+    ``pauli`` marks blocks given as Pauli-transfer matrices, which evolve a
+    :class:`PauliState`."""
 
     width: int
     ops: tuple[Block, ...]
+    pauli: bool = False
 
 
 def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -218,9 +261,11 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
     the ZZ-crosstalk insertions, which model a coherent error).  Without
     noise each gate is one block, so a noiseless evolution keeps the
     rounding of applying its gates one by one.  Under noise :func:`fuse`
-    groups the gates, and a block's superoperator is the product of its
-    gates' channels, the first rightmost, a single-qubit channel embedded on
-    its side of a pair.
+    groups the gates, and a block is the real Pauli-transfer matrix of the
+    product of its gates' channels, the first rightmost, a single-qubit
+    channel embedded on its side of a pair: 4x4 for one qubit, 16x16 for a
+    pair.  Building it raises :class:`SimulationError` when the product is
+    not Hermiticity-preserving.
 
     ``memo`` shares work between calls under one noise model: each distinct
     channel, and each distinct block (its gates' qubits and channels), is
@@ -257,9 +302,9 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
                     s = (_pair_super(s, _IDENTITY_SUPER) if part.qubits[0] == qubits[0]
                          else _pair_super(_IDENTITY_SUPER, s))
                 S = s if S is None else s @ S
-            block = memo[key] = Block(qubits, S, len(members))
+            block = memo[key] = Block(qubits, _pauli_transfer(S, len(qubits)), len(members))
         fused.append(block)
-    return FusedCircuit(circuit.width, tuple(fused))
+    return FusedCircuit(circuit.width, tuple(fused), pauli=True)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +332,26 @@ class DensityMatrix:
         return DensityMatrix(width, m)
 
 
+#: index of the I and Z coefficients on every axis of a PauliState
+_IZ = slice(None, None, 3)
+
+
+@dataclass(frozen=True)
+class PauliState:
+    """A ``width``-qubit state rho as its real Pauli coefficients
+    ``coeffs[p_0, ..., p_{n-1}] = Tr(P rho)``, one axis per qubit with the
+    Paulis in the order I, X, Y, Z, so rho = sum_P coeffs[P] P / 2^width."""
+
+    width: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.shape != (4,) * self.width:
+            raise ValueError(f"expected shape {(4,) * self.width} for width {self.width}")
+        object.__setattr__(self, "coeffs", c)
+
+
 def _physical_memory() -> int:
     """Bytes of physical memory on this host."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -307,51 +372,70 @@ def _cgroup_memory_limit() -> int | None:
     return None if limit == "max" else int(limit)
 
 
-def admit(width: int, tensors: int) -> None:
-    """Raise :class:`SimulationSizeError` unless ``tensors`` density tensors
-    of ``width`` qubits (16 * 4**width bytes each) fit in the memory this
-    process may use: physical memory, or the cgroup limit when smaller."""
-    need = tensors * 16 * 4 ** width
+def state_bytes(width: int, pauli: bool = False) -> int:
+    """Bytes of one evolution state of ``width`` qubits: 4**width real Pauli
+    coefficients (8 bytes each) or complex density entries (16)."""
+    return (8 if pauli else 16) * 4 ** width
+
+
+def admit(width: int, tensors: int, pauli: bool = False) -> None:
+    """Raise :class:`SimulationSizeError` unless ``tensors`` states of
+    ``width`` qubits, Pauli or density tensors (see :func:`state_bytes`),
+    fit in the memory this process may use: physical memory, or the cgroup
+    limit when smaller."""
+    need = tensors * state_bytes(width, pauli)
     have = _physical_memory()
     limit = _cgroup_memory_limit()
     if limit is not None:
         have = min(have, limit)
     if need > have:
         raise SimulationSizeError(
-            f"{tensors} density tensors of {width} qubits need about "
-            f"{need / 2 ** 30:.1f} GiB; {have / 2 ** 30:.1f} GiB is available")
+            f"{tensors} {'Pauli' if pauli else 'density'} tensors of {width} qubits need "
+            f"about {need / 2 ** 30:.1f} GiB; {have / 2 ** 30:.1f} GiB is available")
 
 
 def evolve(circuit: Circuit | FusedCircuit, *,
-           initial: DensityMatrix | None = None) -> DensityMatrix:
+           initial: DensityMatrix | PauliState | None = None) -> DensityMatrix | PauliState:
     """Evolve |0...0><0...0| (or ``initial``, which is left unchanged)
     through the circuit's blocks, in order.  A :class:`Circuit` evolves
     noiselessly, one block per gate (see :func:`blocks`).
 
+    Blocks of a Pauli :class:`FusedCircuit` (the noisy ones) evolve a real
+    :class:`PauliState`, whose ground state has coefficient 1 wherever every
+    qubit's Pauli is I or Z; other blocks evolve a complex
+    :class:`DensityMatrix`, and ``initial`` must be of the matching kind.
+
     The evolution holds two buffers, A for each block's transposed input and
     B for its output (the ground state starts in B), and the result is
-    copied from B into A.  With ``initial`` that is three density tensors at
+    copied from B into A.  With ``initial`` that is three state tensors at
     the peak; the call raises :class:`SimulationSizeError` before allocating
     when they would not fit in memory (see :func:`admit`).
     """
-    admit(circuit.width, 2 + (initial is not None))
+    pauli = isinstance(circuit, FusedCircuit) and circuit.pauli
+    admit(circuit.width, 2 + (initial is not None), pauli)
     if isinstance(circuit, Circuit):
         circuit = blocks(circuit)
     n = circuit.width
+    kind = PauliState if pauli else DensityMatrix
+    if initial is not None and not isinstance(initial, kind):
+        raise TypeError(f"these blocks evolve a {kind.__name__}, not a "
+                        f"{type(initial).__name__}")
     if initial is not None and initial.width != n:
         raise ValueError(f"initial state has {initial.width} qubits, circuit {n}")
-    a = np.empty((2,) * (2 * n), dtype=complex)
-    b = np.zeros((2,) * (2 * n), dtype=complex)
+    shape = (4,) * n if pauli else (2,) * (2 * n)
+    a = np.empty(shape, dtype=float if pauli else complex)
+    b = np.zeros_like(a)
     if initial is None:
-        b.flat[0] = 1.0
+        b[(_IZ,) * n if pauli else (0,) * (2 * n)] = 1.0
         tensor = b
     else:
-        tensor = initial.matrix.reshape((2,) * (2 * n))
+        tensor = initial.coeffs if pauli else initial.matrix.reshape(shape)
     for block in circuit.ops:
         qs = block.qubits
-        tensor = _apply_super(tensor, block.superop, qs + tuple(n + q for q in qs), a, b)
+        axes = qs if pauli else qs + tuple(n + q for q in qs)
+        tensor = _apply_super(tensor, block.superop, axes, a, b)
     np.copyto(a, tensor)
-    return DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
+    return PauliState(n, a) if pauli else DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +472,28 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
     return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
-def exact_probs(dm: DensityMatrix) -> Distribution:
+_WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def exact_probs(state: DensityMatrix | PauliState) -> Distribution:
     """Computational-basis distribution: the density-matrix diagonal, with
-    tiny negative entries clamped to zero and the result renormalized."""
-    diag = np.real(np.diag(dm.matrix)).copy()
+    tiny negative entries clamped to zero and the result renormalized.
+
+    A :class:`PauliState`'s diagonal is the Walsh-Hadamard transform of its
+    I/Z coefficients over 2^width: rho_xx = sum_s c_s (-1)^(s.x) / 2^n, with
+    s the qubits whose Pauli is Z."""
+    if isinstance(state, PauliState):
+        diag = state.coeffs[(_IZ,) * state.width]
+        for axis in range(state.width):
+            diag = np.moveaxis(np.tensordot(_WALSH, diag, axes=([1], [axis])), 0, axis)
+        diag = diag.reshape(-1) / 2 ** state.width
+    else:
+        diag = np.real(np.diag(state.matrix)).copy()
     if diag.min() < _NEGATIVE_PROB_FLOOR:
         raise SimulationError(
             f"diagonal entry {diag.min()} below {_NEGATIVE_PROB_FLOOR}: simulator bug")
     diag = np.clip(diag, 0.0, None)
-    return Distribution(dm.width, diag / diag.sum())
+    return Distribution(state.width, diag / diag.sum())
 
 
 def marginal(dist: Distribution, qubits: Sequence[int]) -> Distribution:

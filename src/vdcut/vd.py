@@ -329,9 +329,13 @@ class VDEstimate:
 @dataclass(frozen=True)
 class ParityEstimate:
     """Mitigated expectation summed over parity groups, one independently
-    sampled estimate per group (see :func:`parity_groups`)."""
+    sampled estimate per group (see :func:`parity_groups`).  A cut estimate
+    also records, per group, the degenerate mass its recombination injected
+    and the most negative reconstructed pairwise entry it clipped (0 when
+    none was; see :func:`~vdcut.cutting.cut_estimate`)."""
 
     parts: tuple[VDEstimate, ...]
+    recombination: tuple[tuple[float, float], ...] = ()
 
     @property
     def mitigated(self) -> float:

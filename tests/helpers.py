@@ -14,7 +14,7 @@ from vdcut.cutting import (
 )
 from vdcut.noise import NoiseModel
 from vdcut.runner import Execution, run_circuits
-from vdcut.simulate import DensityMatrix, Distribution, _gate_superop
+from vdcut.simulate import DensityMatrix, Distribution, PauliState, _gate_superop
 from vdcut.transpile import CouplingMap
 from vdcut.vd import build_vd_circuit, parity_groups
 
@@ -57,7 +57,34 @@ def pairwise(pipe: PairwisePipeline, noise: NoiseModel | None = None,
     :func:`pairwise_distribution`."""
     records = run_circuits(pipe.executions(None, 0), noise=noise, cmap=cmap).records
     return pairwise_distribution([rec.output for rec in records], None,
-                                 DiagonalSimulationCache() if cache is None else cache)
+                                 DiagonalSimulationCache() if cache is None else cache)[0]
+
+
+_PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+
+
+def density_matrix(state: PauliState) -> DensityMatrix:
+    """The density matrix sum_P c_P P / 2^n of a Pauli state, expanded one
+    qubit's Pauli axis at a time into its (row, column) pair."""
+    n = state.width
+    t = state.coeffs.astype(complex)
+    for _ in range(n):   # each step expands the leading Pauli axis at the end
+        t = np.tensordot(t, _PAULI_MATRICES / 2, axes=([0], [0]))
+    t = np.transpose(t, [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)])
+    return DensityMatrix(n, t.reshape(2 ** n, 2 ** n))
+
+
+def pauli_state(dm: DensityMatrix) -> PauliState:
+    """The Pauli coefficients Tr(P rho) of a density matrix, one qubit's
+    (row, column) pair at a time."""
+    n = dm.width
+    t = dm.matrix.reshape((2,) * (2 * n))
+    t = np.transpose(t, [a for q in range(n) for a in (q, n + q)]).reshape((4,) * n)
+    trace_with = _PAULI_MATRICES.transpose(0, 2, 1).reshape(4, 4)  # [P, (r, c)] = P[c, r]
+    for _ in range(n):   # each step contracts the leading (row, column) axis
+        t = np.tensordot(t, trace_with, axes=([0], [1]))
+    assert np.abs(t.imag).max() < 1e-12, "not Hermitian"
+    return PauliState(n, t.real)
 
 
 def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

@@ -400,7 +400,7 @@ def test_criterion_9_recombination():
         p = rng.random(4 ** n)
         dist = Distribution(2 * n, p / p.sum())
         marginals = [marginal(dist, (i, n + i)) for i in range(n)]
-        worst_fp = max(worst_fp, tv_distance(recombine(dist, marginals), dist))
+        worst_fp = max(worst_fp, tv_distance(recombine(dist, marginals)[0], dist))
     assert worst_fp < 1e-12
 
     theta = _benchmark_parameters(4)
@@ -408,7 +408,7 @@ def test_criterion_9_recombination():
     ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
     cache = DiagonalSimulationCache()
     mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
-    end_to_end = tv_distance(recombine(ref, mitigated), ref)
+    end_to_end = tv_distance(recombine(ref, mitigated)[0], ref)
     ok = worst_fp < 1e-12 and end_to_end < 1e-9
     report(9, ok, f"fixed point worst TV {worst_fp:.2e} over 500 draws; "
                   f"noiseless end-to-end TV {end_to_end:.2e}")

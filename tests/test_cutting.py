@@ -237,13 +237,18 @@ def test_recombine_fixed_point(seed, n):
     p = rng.random(4 ** n)
     dist = Distribution(2 * n, p / p.sum())
     marginals = [marginal(dist, (i, n + i)) for i in range(n)]
-    assert tv_distance(recombine(dist, marginals), dist) < 1e-12
+    assert tv_distance(recombine(dist, marginals)[0], dist) < 1e-12
 
 
 def test_recombine_single_pair_fully_determined():
+    """The pair outcome the unmitigated marginal never reached gets its
+    mitigated mass injected, and recombine reports that mass."""
     unmit = distribution({"00": 1.0}, 2)
     pair = distribution({"01": 1.0}, 2)
-    assert as_dict(recombine(unmit, [pair])) == pytest.approx({"01": 1.0})
+    merged, injected = recombine(unmit, [pair])
+    assert as_dict(merged) == pytest.approx({"01": 1.0}) and injected == 1.0
+    merged, injected = recombine(unmit, [distribution({"00": 0.75, "01": 0.25}, 2)])
+    assert as_dict(merged) == pytest.approx({"00": 0.75, "01": 0.25}) and injected == 0.25
 
 
 def test_recombine_rejects_wrong_count():
@@ -259,5 +264,5 @@ def test_recombined_noiseless_end_to_end():
     ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
     cache = DiagonalSimulationCache()
     mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
-    assert tv_distance(recombine(ref, mitigated), ref) < 1e-9
+    assert tv_distance(recombine(ref, mitigated)[0], ref) < 1e-9
 

@@ -94,8 +94,8 @@ def test_register_failure_fails_only_the_cells_that_read_it(monkeypatch):
 
     methods = ("none", "vd", "vd+zne", "vd+cut")
     fits = run_experiment(_fast_config(methods=methods))
-    # three 4-qubit density tensors do not fit; 2 qubits plus a snapshot do
-    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 16 * 4 ** 4 - 1)
+    # three 4-qubit Pauli tensors do not fit; 2 qubits plus a snapshot do
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 8 * 4 ** 4 - 1)
     res = run_experiment(_fast_config(methods=methods))
     none, *distilled = res.cells
     assert none.error is None
@@ -204,15 +204,17 @@ def test_emit_csv_and_json(tmp_path):
 
 
 def test_json_records_registers_and_estimator_diagnostics(tmp_path):
-    """The JSON records what each register's batch evolved, and every
-    distillation cell's per-group estimates, so a refused denominator can
-    be read from the file; at 10 shots vd's is below 10 standard errors."""
+    """The JSON records what each register's batch evolved and the bytes of
+    its (Pauli) states, and every distillation cell's per-group estimates,
+    so a refused denominator can be read from the file; at 10 shots vd's is
+    below 10 standard errors.  The cut cell adds its recombination events."""
     res = run_experiment(_fast_config(shots=10))
     doc = json.load(open(emit(res, str(tmp_path / "run"))[1]))
     assert [(r["width"], r["variants"]) for r in doc["registers"]] == [(4, 4), (2, 7)]
     for r in doc["registers"]:
         assert r["blocks_evolved"] < r["ops_evolved"] < r["ops_requested"]
         assert r["max_snapshots"] >= 1
+        assert r["state_bytes"] == 8 * 4 ** r["width"]
     cells = {c["method"]: c for c in doc["cells"]}
     assert cells["none"]["diagnostics"] == []
     assert cells["vd"]["error"].startswith("EstimatorError")
@@ -222,6 +224,8 @@ def test_json_records_registers_and_estimator_diagnostics(tmp_path):
         (1, 0), (3, 0), (5, 0)]
     (cut,) = cells["vd+cut"]["diagnostics"]
     assert cells["vd+cut"]["error"] is None and cut["den_over_se"] >= 10
+    assert cut["degenerate_mass"] >= 0.0 >= cut["clamped_min"]
+    assert "degenerate_mass" not in cells["vd+zne"]["diagnostics"][0]
 
 
 def test_single_shot_denominator_is_refused(tmp_path):

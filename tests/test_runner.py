@@ -147,6 +147,7 @@ def test_noiseless_batch_evolves_one_block_per_op():
     executions = copies_register(4)
     batch = run_circuits(executions, cmap=cmap)
     assert batch.stats.blocks_evolved == batch.stats.ops_evolved
+    assert batch.stats.state_bytes == 16 * 4 ** 8
     for ex, rec in zip(executions, batch.records, strict=True):
         c = compile_circuit(ex.circuit, cmap=cmap, scale=ex.scale, ideal_diag=ex.ideal_diag)
         want = marginal(exact_probs(evolve(c.body)), c.positions)

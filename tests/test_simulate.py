@@ -27,6 +27,8 @@ from vdcut.simulate import (
     DensityMatrix,
     Distribution,
     FusedCircuit,
+    PauliState,
+    SimulationError,
     SimulationSizeError,
     apply_readout,
     blocks,
@@ -44,7 +46,9 @@ from helpers import (
     apply_channel,
     as_dict,
     copies_register,
+    density_matrix,
     distribution,
+    pauli_state,
     purity,
     random_circuit,
     random_density_matrix,
@@ -62,7 +66,7 @@ def test_empty_circuit_ground_state():
 def test_full_depolarization_gives_maximally_mixed():
     # zero gate duration disables relaxation, leaving pure depolarization
     nm = NoiseModel(one_qubit_depol=1.0, one_qubit_time=0.0)
-    dm = evolve(blocks(Circuit(1, (x(0),)), nm))
+    dm = density_matrix(evolve(blocks(Circuit(1, (x(0),)), nm)))
     assert np.abs(dm.matrix - np.eye(2) / 2).max() < 1e-15
 
 
@@ -75,7 +79,8 @@ def test_noiseless_purity():
 def test_width_cap(monkeypatch):
     """Admission counts evolve's two buffers (plus ``initial``), and a
     batch's held snapshots on top, against physical memory, and rejects
-    before allocating anything."""
+    before allocating anything; a Pauli state takes half the bytes of a
+    density tensor."""
     from vdcut import runner
     from vdcut.noise import preset
     from vdcut.transpile import coupling_map_for
@@ -90,7 +95,7 @@ def test_width_cap(monkeypatch):
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 7 * gib)
     with pytest.raises(SimulationSizeError):
         evolve(Circuit(14))        # 2 x 4 GiB
-    # table 2: 12 qubits, two snapshots plus two buffers of 256 MiB
+    # table 2: 12 qubits, two snapshots plus two buffers of 128 MiB
     monkeypatch.setattr(runner, "evolve", admitted)
     with pytest.raises(Admitted):
         runner.run_circuits(copies_register(6), noise=preset("basic+gct+rct"),
@@ -98,10 +103,10 @@ def test_width_cap(monkeypatch):
     monkeypatch.undo()
 
     # the ring-4 copies register holds two snapshots: each of its evolutions
-    # fits in three 8-qubit tensors, the batch does not, and is refused
+    # fits in three 8-qubit Pauli tensors, the batch does not, and is refused
     # before its first evolution
-    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 16 * 4 ** 8)
-    simulate.admit(8, 3)
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 8 * 4 ** 8)
+    simulate.admit(8, 3, pauli=True)
     monkeypatch.setattr(runner, "evolve", admitted)
     with pytest.raises(SimulationSizeError):
         runner.run_circuits(copies_register(4), noise=preset("basic+gct"),
@@ -112,6 +117,8 @@ def test_width_cap(monkeypatch):
     evolve(Circuit(10))
     with pytest.raises(SimulationSizeError):   # before the initial state's width is read
         evolve(Circuit(10), initial=DensityMatrix.ground_state(2))
+    pauli = FusedCircuit(10, (), pauli=True)
+    evolve(pauli, initial=evolve(pauli))     # three Pauli tensors
 
 
 def test_admit_honours_a_cgroup_limit(monkeypatch):
@@ -193,18 +200,47 @@ def _tagged_random_circuit(n: int, rng: np.random.Generator) -> Circuit:
 def test_fused_evolution_matches_reference(seed, n, resume, ideal_diag):
     """Evolving the fused blocks is evolving the circuit gate by gate, to
     rounding, with noisy channels composed (tagged ops ideal) and with or
-    without an initial state."""
+    without an initial state, and the Pauli state's exact probabilities are
+    the reference density matrix's."""
     rng = np.random.default_rng(seed)
     noise = preset("basic")
     tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
     c = _tagged_random_circuit(n, rng)
-    initial = DensityMatrix(n, random_density_matrix(n, rng)) if resume else None
-    before = None if initial is None else initial.matrix.copy()
+    rho = random_density_matrix(n, rng) if resume else None
+    initial = None if rho is None else pauli_state(DensityMatrix(n, rho))
+    before = None if initial is None else initial.coeffs.copy()
     got = evolve(blocks(c, noise, tags), initial=initial)
-    want = reference_evolve(c, noise, tags, initial=before)
-    assert np.abs(got.matrix - want).max() < 1e-12
+    want = reference_evolve(c, noise, tags, initial=rho)
+    assert isinstance(got, PauliState)
+    assert np.abs(density_matrix(got).matrix - want).max() < 1e-12
+    assert np.abs(exact_probs(got).probs
+                  - exact_probs(DensityMatrix(n, want)).probs).max() < 1e-12
     if resume:
-        assert initial.matrix.tobytes() == before.tobytes()
+        assert initial.coeffs.tobytes() == before.tobytes()
+
+
+def test_pauli_probabilities_below_the_floor_are_refused():
+    """A Pauli state whose diagonal dips below the negative-probability
+    floor is a simulator bug, not a distribution to clamp; one within it
+    is clamped and renormalized."""
+    coeffs = np.zeros(4)
+    coeffs[[0, 3]] = 1.0, 1.0 + 1e-10      # rho_11 = -5e-11
+    assert as_dict(exact_probs(PauliState(1, coeffs))) == {"0": 1.0}
+    coeffs[3] = 1.0 + 4e-10                # rho_11 = -2e-10
+    with pytest.raises(SimulationError, match="below"):
+        exact_probs(PauliState(1, coeffs))
+
+
+def test_non_hermiticity_preserving_block_is_refused(monkeypatch):
+    """A noisy block whose superoperator does not map Hermitian operators to
+    Hermitian ones has no real Pauli-transfer matrix, and building it
+    raises; ideal, noiseless blocks are never converted."""
+    left = np.kron(np.diag([1.0, 1j]), np.eye(2))   # rho -> S rho, not S rho S^dag
+    monkeypatch.setattr(simulate, "_gate_superop", lambda gate, noise, ideal: left)
+    c = Circuit(1, (rz(0.3, 0),))
+    with pytest.raises(SimulationError, match="imaginary"):
+        blocks(c, preset("basic"))
+    assert blocks(c).ops[0].superop is left
 
 
 def _check_blocks(c: Circuit) -> list:
@@ -247,7 +283,7 @@ def test_fused_copies_register_fuses_every_single_qubit_op():
     c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
     groups = _check_blocks(c.body)
     assert all(len(qubits) == 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
-    got = evolve(blocks(c.body, noise, c.ideal_tags))
+    got = density_matrix(evolve(blocks(c.body, noise, c.ideal_tags)))
     want = reference_evolve(c.body, noise, c.ideal_tags)
     assert np.abs(got.matrix - want).max() < 1e-12
 
@@ -272,6 +308,16 @@ def test_one_memo_shares_blocks_over_a_common_prefix():
         assert evolve(c).matrix.tobytes() == evolve(blocks(c)).matrix.tobytes()
 
 
+def test_initial_state_must_match_the_blocks():
+    """Noisy (Pauli) blocks evolve a Pauli state and plain blocks a density
+    matrix; an initial state of the other kind is refused."""
+    c = Circuit(1, (x(0),))
+    with pytest.raises(TypeError):
+        evolve(blocks(c, preset("basic")), initial=DensityMatrix.ground_state(1))
+    with pytest.raises(TypeError):
+        evolve(c, initial=evolve(blocks(Circuit(1), preset("basic"))))
+
+
 def test_measurement_rejected_by_evolve():
     with pytest.raises(ValueError):
         evolve(Circuit(1, (measure(0),)))
@@ -282,8 +328,7 @@ def test_channels_preserve_density_matrix_invariants():
     nm = NoiseModel(gate_crosstalk=True, readout_crosstalk=True)
     for _ in range(40):
         c = random_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 12)), rng)
-        dm = evolve(blocks(c, nm))
-        validate(dm, atol=1e-10)
+        validate(density_matrix(evolve(blocks(c, nm))), atol=1e-10)
 
 
 def test_noiseless_evolve_matches_statevector():
@@ -383,7 +428,7 @@ def test_diagonal_expectation_equals_trace_bit_for_bit(seed, n):
     """The I/Z density path returns the float of Tr(O rho) exactly, so the
     optimizer that reads it follows the same path as with the matrix."""
     rng = np.random.default_rng(seed)
-    dm = evolve(blocks(random_circuit(n, 4 * n, rng), preset("basic")))
+    dm = density_matrix(evolve(blocks(random_circuit(n, 4 * n, rng), preset("basic"))))
     terms = tuple(
         (float(rng.choice([0.5, -0.5, rng.normal()])), "".join(rng.choice(["I", "Z"], n)))
         for _ in range(int(rng.integers(1, 3 * n + 2))))

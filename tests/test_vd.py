@@ -25,7 +25,7 @@ from vdcut.vd import (
     oracle_mitigated_expectation,
 )
 
-from helpers import random_density_matrix
+from helpers import density_matrix, random_density_matrix
 
 def _from_counts(counts: list[int], obs: PauliObservable):
     shots = sum(counts)
@@ -234,7 +234,7 @@ def test_noisy_estimator_matches_matrix_oracle():
     applied to the noisy copy state (single-qubit observable)."""
     nm = NoiseModel(two_qubit_depol=5e-2, one_qubit_depol=1e-2)
     orig = Circuit(1, (ry(1.1, 0), ry(-0.4, 0)))
-    rho = evolve(blocks(orig, nm))
+    rho = density_matrix(evolve(blocks(orig, nm)))
     probs = _vd_distribution(rho.matrix, 1)
     obs = PauliObservable(((1.0, "Z"),))
     est = estimate_from_distribution(_as_dist(probs, 2), obs)

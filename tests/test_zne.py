@@ -10,7 +10,7 @@ from vdcut.transpile import cnot_count, decompose_to_basis
 from vdcut.vd import build_vd_circuit
 from vdcut.zne import FoldingError, extrapolate_linear, fold_diagonalizing
 
-from helpers import purity
+from helpers import density_matrix, purity
 
 
 def _vd(n=2, seed=0):
@@ -65,7 +65,7 @@ def test_fold_amplifies_mixing():
     nm = NoiseModel()
     vd = _vd(n=2, seed=7).without_measurements()
     folded = [decompose_to_basis(fold_diagonalizing(vd, s)) for s in (1, 3, 5)]
-    purities = [purity(evolve(blocks(c, nm))) for c in folded]
+    purities = [purity(density_matrix(evolve(blocks(c, nm)))) for c in folded]
     assert purities[0] >= purities[1] >= purities[2]
 
 
