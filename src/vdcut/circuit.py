@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -312,13 +312,6 @@ class PauliObservable:
                 m = np.kron(m, singles[ch])
             out += coeff * m
         return out
-
-    @staticmethod
-    def z_string(width: int, qubits: Sequence[int], coeff: float = 1.0) -> "PauliObservable":
-        letters = ["I"] * width
-        for q in qubits:
-            letters[q] = "Z"
-        return PauliObservable(((coeff, "".join(letters)),))
 
 
 # ---------------------------------------------------------------------------

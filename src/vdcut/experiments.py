@@ -28,7 +28,7 @@ from .benchmarks import (
     ring_problem,
 )
 from .circuit import Circuit, from_text, measure
-from .cutting import cut_executions, cut_estimate
+from .cutting import MEASURE_BASES, cut_executions, cut_estimate
 from .noise import NOISELESS, NoiseModel, preset
 from .runner import BatchStats, Execution, ExecutionRecord, run_circuits
 from .simulate import expectation, evolve
@@ -337,7 +337,8 @@ def _distill(method, groups, records, shots) -> tuple[dict[int, ParityEstimate],
         fragments = _take(records, "cut")
         est = cut_estimate(groups, [rec.output for rec in joints],
                            [rec.output for rec in fragments], shots)
-        return {1: est}, fragments[2::3]  # each pair's Z-basis run
+        z = MEASURE_BASES.index("Z")
+        return {1: est}, fragments[z::len(MEASURE_BASES)]  # each pair's Z-basis run
 
     raise ConfigError(f"unknown method {method!r}")
 

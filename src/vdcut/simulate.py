@@ -5,14 +5,15 @@ An evolution is a sequence of blocks, each one linear map over at most two
 qubits, applied to the state tensor by one transpose and one matrix product
 over the block's axes.  :func:`blocks` is the only code that turns gates
 into blocks.  Without noise each gate is one complex superoperator block,
-applied to the 2^n x 2^n density tensor.  Under noise :func:`fuse` groups
-the gates into blocks of one qubit or one pair, each the product of its
-gates' noisy channels, so a noisy circuit makes one full-tensor pass per
-block instead of one per gate.  A channel maps Hermitian operators to
-Hermitian operators, so each noisy block is stored as its real
-Pauli-transfer matrix (Greenbaum, arXiv:1509.02921) and the noisy state as
-its 4^n real Pauli coefficients (:class:`PauliState`): half the bytes per
-pass of the complex density tensor.
+applied to the 2^n x 2^n density tensor.  Under noise every channel maps
+Hermitian operators to Hermitian operators, so each gate's noisy channel is
+built directly as its real Pauli-transfer matrix (Greenbaum,
+arXiv:1509.02921), and the noisy state is its 4^n real Pauli coefficients
+(:class:`PauliState`): half the bytes per pass of the complex density
+tensor.  Complex numbers enter a noisy channel only in its unitary part.
+:func:`fuse` groups the gates into blocks of one qubit or one pair, each the
+product of its gates' Pauli-transfer matrices, so a noisy circuit makes one
+full-tensor pass per block instead of one per gate.
 
 An evolution holds two full-size buffers and reuses them for every block:
 the block's axes are transposed to the front into buffer A, and the matrix
@@ -76,7 +77,7 @@ def _apply_super(tensor: np.ndarray, S: np.ndarray, axes: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# channel superoperators
+# gate channels
 
 
 def _conjugation_super(u: np.ndarray) -> np.ndarray:
@@ -86,65 +87,6 @@ def _conjugation_super(u: np.ndarray) -> np.ndarray:
     d = u.shape[0]
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
 
-
-def _kraus_to_super(ks: Iterable[np.ndarray]) -> np.ndarray:
-    return sum(_conjugation_super(K) for K in ks)
-
-
-def thermal_relaxation_kraus(t1: float, t2: float, duration: float) -> list[np.ndarray]:
-    """Kraus operators of amplitude damping to |0> with parameter
-    1-exp(-d/T1), composed with pure dephasing chosen so that the combined
-    coherence decay is exp(-d/T2)."""
-    g = 1.0 - np.exp(-duration / t1)
-    a0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
-    a1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
-    f = np.exp(duration / (2 * t1) - duration / t2)
-    q = min(max((1.0 - f) / 2.0, 0.0), 0.5)
-    p0 = np.sqrt(1 - q) * np.eye(2, dtype=complex)
-    p1 = np.sqrt(q) * np.diag([1.0, -1.0]).astype(complex)
-    return [p0 @ a0, p0 @ a1, p1 @ a0, p1 @ a1]
-
-
-def _depol_super(p: float, k: int) -> np.ndarray:
-    d = 2 ** k
-    S = (1 - p) * np.eye(d * d, dtype=complex)
-    for r in range(d):
-        for rp in range(d):
-            S[r * d + r, rp * d + rp] += p / d
-    return S
-
-
-def _pair_super(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Combine per-qubit superops on (r1,c1),(r2,c2) into the joint superop
-    with index ordering (r1 r2 c1 c2)."""
-    t = np.einsum("ikjl,mnop->imknjolp",
-                  s1.reshape(2, 2, 2, 2), s2.reshape(2, 2, 2, 2))
-    return t.reshape(16, 16)
-
-
-def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
-    u = gate_matrix(gate)
-    k = len(gate.qubits)
-    # canonicalize to ascending qubit order, the order evolve applies it in
-    if k == 2 and gate.qubits[0] > gate.qubits[1]:
-        from .circuit import _SWAP_MATRIX
-        u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
-    S = _conjugation_super(u)
-    if noise is None or ideal:
-        return S
-    if k == 1:
-        S = _depol_super(noise.one_qubit_depol, 1) @ S
-        relax = _kraus_to_super(
-            thermal_relaxation_kraus(noise.t1, noise.t2, noise.one_qubit_time))
-        return relax @ S
-    S = _depol_super(noise.two_qubit_depol, 2) @ S
-    r = _kraus_to_super(
-        thermal_relaxation_kraus(noise.t1, noise.t2, noise.two_qubit_time))
-    return _pair_super(r, r) @ S
-
-
-# ---------------------------------------------------------------------------
-# Pauli-transfer form
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                     [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
@@ -176,6 +118,43 @@ def _pauli_transfer(S: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(R.real)
 
 
+def _relaxation_transfer(t1: float, t2: float, duration: float) -> np.ndarray:
+    """Pauli-transfer matrix of thermal relaxation for ``duration``:
+    amplitude damping to |0> with g = 1 - exp(-d/T1), and coherences that
+    decay as exp(-d/T2): amplitude damping composed with the pure dephasing
+    that supplies the rest of the coherence decay, a channel because
+    :class:`NoiseModel` enforces T2 <= 2 T1."""
+    g = 1.0 - np.exp(-duration / t1)
+    c = np.exp(-duration / t2)
+    return np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [g, 0, 0, 1 - g]])
+
+
+def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
+    """The channel of ``gate`` on its qubits in ascending order.  Without
+    noise it is the complex superoperator of the gate's unitary.  Under
+    ``noise`` it is a real Pauli-transfer matrix: the unitary's, then (unless
+    ``ideal``) the depolarizing channel on the gate's qubits, then thermal
+    relaxation for the gate's duration on each of them."""
+    u = gate_matrix(gate)
+    k = len(gate.qubits)
+    # canonicalize to ascending qubit order, the order evolve applies it in
+    if k == 2 and gate.qubits[0] > gate.qubits[1]:
+        from .circuit import _SWAP_MATRIX
+        u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
+    S = _conjugation_super(u)
+    if noise is None:
+        return S
+    R = _pauli_transfer(S, k)
+    if ideal:
+        return R
+    depol, duration = ((noise.one_qubit_depol, noise.one_qubit_time) if k == 1
+                       else (noise.two_qubit_depol, noise.two_qubit_time))
+    relax = _relaxation_transfer(noise.t1, noise.t2, duration)
+    if k == 2:
+        relax = np.kron(relax, relax)
+    return relax @ (np.diag([1.0] + [1.0 - depol] * (4 ** k - 1)) @ R)
+
+
 # ---------------------------------------------------------------------------
 # blocks and fusion
 
@@ -183,10 +162,11 @@ def _pauli_transfer(S: np.ndarray, k: int) -> np.ndarray:
 @dataclass(eq=False, slots=True)
 class Block:
     """One step of an evolution: ``superop`` over ``qubits`` (ascending),
-    the product of ``gates`` gate channels.  It is a complex superoperator
-    with index order (rows, then columns, most significant qubit first), or
-    in a Pauli evolution its real Pauli-transfer matrix with index order
-    (one Pauli per qubit, most significant first).  Blocks compare by
+    the product of ``gates`` gate channels.  A noiseless block is one gate's
+    complex superoperator with index order (rows, then columns, most
+    significant qubit first); a noisy block, in a Pauli evolution, is a
+    product of real Pauli-transfer matrices with index order (one Pauli per
+    qubit, most significant first).  Blocks compare by
     identity: equal blocks that :func:`blocks` builds through one memo are
     one shared object, never modified."""
 
@@ -237,12 +217,10 @@ def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
     return [b for b in blocks if b is not None]
 
 
-_IDENTITY_SUPER = np.eye(4, dtype=complex)
-
-
 def _gate_block(g: Gate, noise: NoiseModel | None, ideal: bool, memo: dict) -> Block:
-    """The one-gate block of ``g``, its channel superoperator built once per
-    ``memo`` for each kind, angle or unitary, orientation and ideal flag."""
+    """The one-gate block of ``g``, its channel (see :func:`_gate_superop`)
+    built once per ``memo`` for each kind, angle or unitary, orientation and
+    ideal flag."""
     flipped = len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]
     key = (g.kind, g.angle if g.unitary is None else g.unitary.tobytes(), flipped, ideal)
     S = memo.get(key)
@@ -259,13 +237,14 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
     depolarizing channel on its qubits, then thermal relaxation for its
     duration; gates whose tag is in ``ideal_tags`` stay ideal (by default
     the ZZ-crosstalk insertions, which model a coherent error).  Without
-    noise each gate is one block, so a noiseless evolution keeps the
-    rounding of applying its gates one by one.  Under noise :func:`fuse`
-    groups the gates, and a block is the real Pauli-transfer matrix of the
-    product of its gates' channels, the first rightmost, a single-qubit
-    channel embedded on its side of a pair: 4x4 for one qubit, 16x16 for a
-    pair.  Building it raises :class:`SimulationError` when the product is
-    not Hermiticity-preserving.
+    noise each gate is one block, its complex superoperator, so a noiseless
+    evolution keeps the rounding of applying its gates one by one.  Under
+    noise each channel is a real Pauli-transfer matrix, :func:`fuse` groups
+    the gates, and a block is the product of its gates' matrices, the first
+    rightmost, a single-qubit matrix embedded on its side of a pair by a
+    Kronecker product with the 4x4 identity: 4x4 for one qubit, 16x16 for a
+    pair.  Building a channel raises :class:`SimulationError` when its
+    unitary part is not Hermiticity-preserving.
 
     ``memo`` shares work between calls under one noise model: each distinct
     channel, and each distinct block (its gates' qubits and channels), is
@@ -295,14 +274,14 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
         key = (qubits, tuple(keys[i] for i in members))
         block = memo.get(key)
         if block is None:
-            S = None
+            R = None
             for part in (gate_blocks[i] for i in members):
-                s = part.superop
+                r = part.superop
                 if len(part.qubits) < len(qubits):
-                    s = (_pair_super(s, _IDENTITY_SUPER) if part.qubits[0] == qubits[0]
-                         else _pair_super(_IDENTITY_SUPER, s))
-                S = s if S is None else s @ S
-            block = memo[key] = Block(qubits, _pauli_transfer(S, len(qubits)), len(members))
+                    r = (np.kron(r, np.eye(4)) if part.qubits[0] == qubits[0]
+                         else np.kron(np.eye(4), r))
+                R = r if R is None else r @ R
+            block = memo[key] = Block(qubits, R, len(members))
         fused.append(block)
     return FusedCircuit(circuit.width, tuple(fused), pauli=True)
 
@@ -324,12 +303,6 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix for width {self.width}")
         object.__setattr__(self, "matrix", m)
-
-    @staticmethod
-    def ground_state(width: int) -> "DensityMatrix":
-        m = np.zeros((2 ** width, 2 ** width), dtype=complex)
-        m[0, 0] = 1.0
-        return DensityMatrix(width, m)
 
 
 #: index of the I and Z coefficients on every axis of a PauliState

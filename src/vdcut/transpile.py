@@ -10,6 +10,7 @@ against its matrix, and any other explicit unitary is refused (see
 """
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -83,9 +84,6 @@ class CouplingMap:
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return tuple(sorted(b if a == q else a for a, b in self.edges if q in (a, b)))
-
-    def is_edge(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.edges
 
     def distances(self) -> np.ndarray:
         """All-pairs shortest-path distances (BFS)."""
@@ -225,17 +223,9 @@ def _route_pass_inorder(body: list[Gate], cmap: CouplingMap, dist: np.ndarray,
     out: list[Gate] = []
 
     def lookahead_cost(from_idx: int, l2p_view: list[int]) -> int:
-        cost = 0
-        seen = 0
-        for j in twoq_positions:
-            if j < from_idx:
-                continue
-            a, b = body[j].qubits
-            cost += int(dist[l2p_view[a], l2p_view[b]])
-            seen += 1
-            if seen >= _LOOKAHEAD:
-                break
-        return cost
+        start = bisect.bisect_left(twoq_positions, from_idx)
+        return sum(int(dist[l2p_view[a], l2p_view[b]]) for a, b in
+                   (body[j].qubits for j in twoq_positions[start:start + _LOOKAHEAD]))
 
     for i, g in enumerate(body):
         if len(g.qubits) == 1:

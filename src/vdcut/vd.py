@@ -279,20 +279,6 @@ def oracle_mitigated_expectation(rho: DensityMatrix, obs: PauliObservable,
     return float(num / denom)
 
 
-def eigen_spectrum(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvectors; debug accessor for
-    the exponential-suppression analysis."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
-def dominant_eigenstate_expectation(rho: DensityMatrix, obs: PauliObservable) -> float:
-    _, vecs = eigen_spectrum(rho)
-    psi = vecs[:, 0]
-    return float(np.real(psi.conj() @ obs.matrix() @ psi))
-
-
 # ---------------------------------------------------------------------------
 # sampled estimator
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
-from vdcut.circuit import MEASURE, Circuit, Gate, gate_matrix, measure
+from vdcut.circuit import MEASURE, Circuit, Gate, PauliObservable, gate_matrix, measure
 from vdcut.cutting import (
     DiagonalSimulationCache,
     PairwisePipeline,
@@ -14,7 +14,7 @@ from vdcut.cutting import (
 )
 from vdcut.noise import NoiseModel
 from vdcut.runner import Execution, run_circuits
-from vdcut.simulate import DensityMatrix, Distribution, PauliState, _gate_superop
+from vdcut.simulate import DensityMatrix, Distribution, FusedCircuit, PauliState
 from vdcut.transpile import CouplingMap
 from vdcut.vd import build_vd_circuit, parity_groups
 
@@ -32,6 +32,38 @@ def as_dict(dist: Distribution) -> dict:
     return {format(i, f"0{dist.width}b"): p.item() for i, p in enumerate(dist.probs) if p}
 
 
+def ground_state(width: int) -> DensityMatrix:
+    """|0...0><0...0| on ``width`` qubits."""
+    m = np.zeros((2 ** width, 2 ** width), dtype=complex)
+    m[0, 0] = 1.0
+    return DensityMatrix(width, m)
+
+
+def z_string(width: int, qubits, coeff: float = 1.0) -> PauliObservable:
+    """``coeff`` times the product of Z on ``qubits``."""
+    letters = ["I"] * width
+    for q in qubits:
+        letters[q] = "Z"
+    return PauliObservable(((coeff, "".join(letters)),))
+
+
+def is_edge(cmap: CouplingMap, a: int, b: int) -> bool:
+    return tuple(sorted((a, b))) in cmap.edges
+
+
+def eigen_spectrum(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and matching eigenvectors."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    order = np.argsort(vals)[::-1]
+    return vals[order], vecs[:, order]
+
+
+def dominant_eigenstate_expectation(rho: DensityMatrix, obs: PauliObservable) -> float:
+    _, vecs = eigen_spectrum(rho)
+    psi = vecs[:, 0]
+    return float(np.real(psi.conj() @ obs.matrix() @ psi))
+
+
 def purity(dm: DensityMatrix) -> float:
     return float(np.real(np.trace(dm.matrix @ dm.matrix)))
 
@@ -47,6 +79,29 @@ def validate(dm: DensityMatrix, atol: float = 1e-10) -> None:
 def apply_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
     """Sum_i K_i rho K_i^dag."""
     return sum(K @ rho @ K.conj().T for K in kraus)
+
+
+def thermal_relaxation_kraus(t1: float, t2: float, duration: float) -> list[np.ndarray]:
+    """Kraus operators of amplitude damping to |0> with parameter
+    1-exp(-d/T1), composed with pure dephasing chosen so that the combined
+    coherence decay is exp(-d/T2)."""
+    g = 1.0 - np.exp(-duration / t1)
+    a0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
+    a1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
+    f = np.exp(duration / (2 * t1) - duration / t2)
+    q = min(max((1.0 - f) / 2.0, 0.0), 0.5)
+    p0 = np.sqrt(1 - q) * np.eye(2, dtype=complex)
+    p1 = np.sqrt(q) * np.diag([1.0, -1.0]).astype(complex)
+    return [p0 @ a0, p0 @ a1, p1 @ a0, p1 @ a1]
+
+
+def fully_mixed_on(rho: np.ndarray, qubits, n: int) -> np.ndarray:
+    """(Tr_qubits rho) tensored with the maximally mixed state on ``qubits``."""
+    t = rho.reshape((2,) * (2 * n))
+    for q in qubits:
+        traced = np.trace(t, axis1=q, axis2=n + q)
+        t = np.moveaxis(np.multiply.outer(traced, np.eye(2) / 2), [-2, -1], [q, n + q])
+    return t.reshape(rho.shape)
 
 
 def pairwise(pipe: PairwisePipeline, noise: NoiseModel | None = None,
@@ -88,7 +143,7 @@ def pauli_state(dm: DensityMatrix) -> PauliState:
 
 
 def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Expand a 1- or 2-qubit unitary to the full 2^n space by explicit kron
+    """Expand a 1- or 2-qubit operator to the full 2^n space by explicit kron
     and index permutation (deliberately different from the engine's
     tensor-contraction path)."""
     k = len(qubits)
@@ -151,25 +206,49 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(abs(d) - dim))
 
 
+def reference_kernel(fused: FusedCircuit, initial: np.ndarray | None = None) -> np.ndarray:
+    """The state after ``fused``'s blocks, per block one transpose, reshape
+    and product into a fresh array: the kernel that evolve's two reused
+    buffers must reproduce byte for byte.  The state is a density matrix,
+    or for Pauli blocks a ``(4,) * n`` Pauli coefficient tensor; it starts
+    in ``initial`` or in the ground state."""
+    n = fused.width
+    shape = (4,) * n if fused.pauli else (2,) * (2 * n)
+    if initial is None:
+        initial = np.zeros(shape, dtype=float if fused.pauli else complex)
+        initial[(slice(None, None, 3),) * n if fused.pauli else (0,) * (2 * n)] = 1.0
+    tensor = initial.reshape(shape)
+    for block in fused.ops:
+        qs = list(block.qubits)
+        axes = qs if fused.pauli else qs + [n + q for q in qs]
+        perm = axes + [a for a in range(len(shape)) if a not in axes]
+        tt = np.transpose(tensor, perm).reshape(len(block.superop), -1)
+        tensor = np.transpose((block.superop @ tt).reshape(shape), np.argsort(perm))
+    return tensor.reshape(initial.shape)
+
+
 def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
                      ideal_tags: tuple[str, ...] = ("xtalk",),
                      initial: np.ndarray | None = None) -> np.ndarray:
-    """Density matrix after ``circuit``: per gate one transpose, reshape and
-    ``S @ tt`` into a fresh array, the kernel that evolve's two reused
-    buffers must reproduce byte for byte."""
+    """Density matrix after ``circuit``, built from the channels' definitions
+    on the full space rather than from the engine's: each gate's unitary,
+    then (under ``noise``, unless its tag is in ``ideal_tags``) the
+    depolarizing channel (1-p) rho + p (Tr_q rho) I/2^k on its qubits and
+    thermal relaxation by :func:`thermal_relaxation_kraus` on each of them."""
     n = circuit.width
-    if initial is None:
-        initial = np.zeros((2 ** n, 2 ** n), dtype=complex)
-        initial[0, 0] = 1.0
-    tensor = initial.reshape((2,) * (2 * n))
+    rho = ground_state(n).matrix if initial is None else initial
     for g in circuit.ops:
-        S = _gate_superop(g, noise, g.tag in ideal_tags)
-        qs = sorted(g.qubits)
-        axes = qs + [n + q for q in qs]
-        perm = axes + [a for a in range(2 * n) if a not in axes]
-        tt = np.transpose(tensor, perm).reshape(2 ** len(axes), -1)
-        tensor = np.transpose((S @ tt).reshape((2,) * (2 * n)), np.argsort(perm))
-    return tensor.reshape(2 ** n, 2 ** n)
+        u = embed(gate_matrix(g), g.qubits, n)
+        rho = u @ rho @ u.conj().T
+        if noise is None or g.tag in ideal_tags:
+            continue
+        p, duration = ((noise.one_qubit_depol, noise.one_qubit_time) if len(g.qubits) == 1
+                       else (noise.two_qubit_depol, noise.two_qubit_time))
+        rho = (1 - p) * rho + p * fully_mixed_on(rho, g.qubits, n)
+        kraus = thermal_relaxation_kraus(noise.t1, noise.t2, duration)
+        for q in g.qubits:
+            rho = apply_channel(rho, [embed(k, (q,), n) for k in kraus])
+    return rho
 
 
 def _register_circuit(n: int, reps: int) -> Circuit:

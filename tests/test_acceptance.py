@@ -36,15 +36,21 @@ from vdcut.sweep import growth_exponent, overhead_sweep
 from vdcut.transpile import cnot_count, decompose_to_basis
 from vdcut.vd import (
     build_vd_circuit,
-    dominant_eigenstate_expectation,
-    eigen_spectrum,
     estimate_from_distribution,
     oracle_mitigated_expectation,
     parity_groups,
 )
 from vdcut.zne import extrapolate_linear, fold_diagonalizing
 
-from helpers import full_unitary, pairwise, random_circuit, random_density_matrix
+from helpers import (
+    dominant_eigenstate_expectation,
+    eigen_spectrum,
+    full_unitary,
+    pairwise,
+    random_circuit,
+    random_density_matrix,
+    z_string,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -178,7 +184,7 @@ def test_criterion_2_single_qubit_strings_and_denominator():
         r2 = rho @ rho
         purity = float(np.real(np.trace(r2)))
         for j in range(n):
-            obs = PauliObservable.z_string(n, [j])
+            obs = z_string(n, [j])
             est = estimate_from_distribution(dist, obs)
             worst_num = max(worst_num, abs(est.numerator -
                                            np.real(np.trace(obs.matrix() @ r2))))
@@ -205,7 +211,7 @@ def test_criterion_2_two_qubit_strings():
         purity = float(np.real(np.trace(r2)))
         for i in range(n):
             for j in range(i + 1, n):
-                obs = PauliObservable.z_string(n, [i, j])
+                obs = z_string(n, [i, j])
                 (group,) = parity_groups(obs)
                 c = full_unitary(Circuit(n, group.gates()))
                 dist = _vd_outcome_distribution(c @ rho @ c.conj().T, n)

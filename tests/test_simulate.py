@@ -22,8 +22,8 @@ from vdcut.circuit import (
 from vdcut.noise import NoiseModel, preset
 from vdcut.simulate import (
     _gate_superop,
-    _kraus_to_super,
-    Block,
+    _pauli_transfer,
+    _relaxation_transfer,
     DensityMatrix,
     Distribution,
     FusedCircuit,
@@ -38,7 +38,6 @@ from vdcut.simulate import (
     fuse,
     marginal,
     sample,
-    thermal_relaxation_kraus,
     tv_distance,
 )
 
@@ -48,12 +47,15 @@ from helpers import (
     copies_register,
     density_matrix,
     distribution,
+    ground_state,
     pauli_state,
     purity,
     random_circuit,
     random_density_matrix,
     reference_evolve,
+    reference_kernel,
     statevector,
+    thermal_relaxation_kraus,
     validate,
 )
 
@@ -116,7 +118,7 @@ def test_width_cap(monkeypatch):
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 2 * 16 * 4 ** 10)
     evolve(Circuit(10))
     with pytest.raises(SimulationSizeError):   # before the initial state's width is read
-        evolve(Circuit(10), initial=DensityMatrix.ground_state(2))
+        evolve(Circuit(10), initial=ground_state(2))
     pauli = FusedCircuit(10, (), pauli=True)
     evolve(pauli, initial=evolve(pauli))     # three Pauli tensors
 
@@ -165,22 +167,27 @@ def test_cgroup_memory_limit_reads_memory_max(monkeypatch, tmp_path):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
-def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume):
-    """The two-buffer kernel computes every noisy gate as a fresh transpose
-    and product would, byte for byte, and leaves ``initial`` unchanged."""
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
+def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume, noisy):
+    """The two-buffer kernel computes every block, a noisy Pauli-transfer
+    matrix or a noiseless complex superoperator, as a fresh transpose and
+    product would, byte for byte, and leaves ``initial`` unchanged."""
     rng = np.random.default_rng(seed)
-    noise = preset("basic")
     c = random_circuit(n, int(rng.integers(0, 4 * n + 1)), rng)
-    initial = DensityMatrix(n, random_density_matrix(n, rng)) if resume else None
-    before = None if initial is None else initial.matrix.copy()
-    per_gate = FusedCircuit(n, tuple(
-        Block(tuple(sorted(g.qubits)), _gate_superop(g, noise, False)) for g in c.ops))
-    got = evolve(per_gate, initial=initial)
-    want = reference_evolve(c, noise, initial=before)
-    assert got.matrix.tobytes() == want.tobytes()
+    fused = blocks(c, preset("basic") if noisy else None)
+    initial = None
     if resume:
-        assert initial.matrix.tobytes() == before.tobytes()
+        dm = DensityMatrix(n, random_density_matrix(n, rng))
+        initial = pauli_state(dm) if noisy else dm
+
+    def tensor(state):
+        return state.coeffs if noisy else state.matrix
+
+    before = None if initial is None else tensor(initial).copy()
+    got = evolve(fused, initial=initial)
+    assert tensor(got).tobytes() == reference_kernel(fused, initial=before).tobytes()
+    if resume:
+        assert tensor(initial).tobytes() == before.tobytes()
 
 
 def _tagged_random_circuit(n: int, rng: np.random.Generator) -> Circuit:
@@ -232,14 +239,16 @@ def test_pauli_probabilities_below_the_floor_are_refused():
 
 
 def test_non_hermiticity_preserving_block_is_refused(monkeypatch):
-    """A noisy block whose superoperator does not map Hermitian operators to
-    Hermitian ones has no real Pauli-transfer matrix, and building it
-    raises; ideal, noiseless blocks are never converted."""
+    """A gate whose superoperator does not map Hermitian operators to
+    Hermitian ones has no real Pauli-transfer matrix, so building its
+    channel under noise raises, for an ideal-tagged gate too; noiseless
+    blocks are never converted."""
     left = np.kron(np.diag([1.0, 1j]), np.eye(2))   # rho -> S rho, not S rho S^dag
-    monkeypatch.setattr(simulate, "_gate_superop", lambda gate, noise, ideal: left)
+    monkeypatch.setattr(simulate, "_conjugation_super", lambda u: left)
     c = Circuit(1, (rz(0.3, 0),))
-    with pytest.raises(SimulationError, match="imaginary"):
-        blocks(c, preset("basic"))
+    for ideal_tags in ((), ("",)):
+        with pytest.raises(SimulationError, match="imaginary"):
+            blocks(c, preset("basic"), ideal_tags)
     assert blocks(c).ops[0].superop is left
 
 
@@ -313,7 +322,7 @@ def test_initial_state_must_match_the_blocks():
     matrix; an initial state of the other kind is refused."""
     c = Circuit(1, (x(0),))
     with pytest.raises(TypeError):
-        evolve(blocks(c, preset("basic")), initial=DensityMatrix.ground_state(1))
+        evolve(blocks(c, preset("basic")), initial=ground_state(1))
     with pytest.raises(TypeError):
         evolve(c, initial=evolve(blocks(Circuit(1), preset("basic"))))
 
@@ -355,31 +364,39 @@ def test_gate_superoperator_equals_kron_bit_for_bit():
         u = gate_matrix(g)
         if len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]:
             u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
-        want = np.kron(u, u.conj()).tobytes()
-        assert _gate_superop(g, None, False).tobytes() == want, g
-        assert _gate_superop(g, preset("basic"), True).tobytes() == want, g
-    for d in (10e-9, 300e-9, 60e-6):
-        ks = thermal_relaxation_kraus(120e-6, 140e-6, d) + [_random_unitary(2, rng)]
-        want = sum(np.kron(k, k.conj()) for k in ks)
-        assert _kraus_to_super(ks).tobytes() == want.tobytes()
+        want = np.kron(u, u.conj())
+        assert _gate_superop(g, None, False).tobytes() == want.tobytes(), g
+        # under noise, an ideal-tagged gate is its unitary's Pauli-transfer matrix only
+        ideal = _pauli_transfer(want, len(g.qubits)).tobytes()
+        assert _gate_superop(g, preset("basic"), True).tobytes() == ideal, g
+
+
+def _relaxed(rho: np.ndarray, t1: float, t2: float, d: float) -> np.ndarray:
+    """``rho`` after the closed-form relaxation, applied to its Pauli coefficients."""
+    coeffs = _relaxation_transfer(t1, t2, d) @ pauli_state(DensityMatrix(1, rho)).coeffs
+    return density_matrix(PauliState(1, coeffs)).matrix
 
 
 def test_thermal_relaxation_fixed_point():
     """An idle qubit relaxed for t >> T1 ends in |0> regardless of start."""
     t1, t2 = 120.385e-6, 138.652e-6
-    ks = thermal_relaxation_kraus(t1, t2, 60 * t1)
-    rho = np.array([[0.2, 0.4 - 0.1j], [0.4 + 0.1j, 0.8]])
-    out = apply_channel(rho, ks)
+    out = _relaxed(np.array([[0.2, 0.4 - 0.1j], [0.4 + 0.1j, 0.8]]), t1, t2, 60 * t1)
     z = np.real(out[0, 0] - out[1, 1])
     assert abs(z - 1.0) < 1e-6
 
 
 def test_thermal_relaxation_coherence_decay():
+    """The closed form decays coherences as exp(-d/T2), and is the channel
+    of the amplitude-damping and dephasing Kraus operators up to T2 = 2 T1."""
     t1, t2, d = 100e-6, 150e-6, 5e-6
-    ks = thermal_relaxation_kraus(t1, t2, d)
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = apply_channel(plus, ks)
-    assert abs(abs(out[0, 1]) - 0.5 * np.exp(-d / t2)) < 1e-12
+    assert abs(abs(_relaxed(plus, t1, t2, d)[0, 1]) - 0.5 * np.exp(-d / t2)) < 1e-12
+    rng = np.random.default_rng(13)
+    for t1, t2, d in ((100e-6, 150e-6, 5e-6), (120.385e-6, 138.652e-6, 346.667e-9),
+                      (120e-6, 240e-6, 60e-6), (120e-6, 20e-6, 35.5e-9)):
+        for rho in (plus, random_density_matrix(1, rng)):
+            want = apply_channel(rho, thermal_relaxation_kraus(t1, t2, d))
+            assert np.abs(_relaxed(rho, t1, t2, d) - want).max() < 1e-12
 
 
 def test_exact_probs_examples():

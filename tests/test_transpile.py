@@ -31,7 +31,7 @@ from vdcut.transpile import (
 from vdcut.vd import DIAG_TAG, DIAG_UNITARY, PARITY_TAG, build_vd_circuit, parity_groups
 from vdcut.zne import fold_diagonalizing
 
-from helpers import full_unitary, phase_distance, random_circuit
+from helpers import full_unitary, is_edge, phase_distance, random_circuit
 
 
 def test_coupling_map_validation():
@@ -39,7 +39,7 @@ def test_coupling_map_validation():
         linear(3).__class__(3, frozenset({(0, 3)}))  # invalid qubit
     with pytest.raises(RoutingError):
         linear(3).__class__(4, frozenset({(0, 1)}))  # disconnected
-    assert fully_connected(4).is_edge(1, 3)
+    assert is_edge(fully_connected(4), 1, 3)
     assert linear(4).neighbors(1) == (0, 2)
 
 
@@ -92,7 +92,7 @@ def test_route_all_two_qubit_gates_on_edges():
         rc = route(c, cmap)
         for g in rc.circuit.ops:
             if len(g.qubits) == 2:
-                assert cmap.is_edge(*g.qubits)
+                assert is_edge(cmap, *g.qubits)
 
 
 def test_route_layout_permutation_consistency():

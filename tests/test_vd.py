@@ -19,13 +19,17 @@ from vdcut.vd import (
     EstimatorError,
     VDEstimate,
     build_vd_circuit,
-    dominant_eigenstate_expectation,
-    eigen_spectrum,
     estimate_from_distribution,
     oracle_mitigated_expectation,
 )
 
-from helpers import density_matrix, random_density_matrix
+from helpers import (
+    density_matrix,
+    dominant_eigenstate_expectation,
+    eigen_spectrum,
+    random_density_matrix,
+    z_string,
+)
 
 def _from_counts(counts: list[int], obs: PauliObservable):
     shots = sum(counts)
@@ -147,7 +151,7 @@ def test_estimator_unbiased_single_qubit_strings():
             probs = _vd_distribution(rho, n)
             r2 = rho @ rho
             for j in range(n):
-                obs = PauliObservable.z_string(n, [j])
+                obs = z_string(n, [j])
                 est = estimate_from_distribution(
                     _as_dist(probs, 2 * n), obs)
                 want = np.real(np.trace(obs.matrix() @ r2))
@@ -163,7 +167,7 @@ def test_estimator_exact_on_diagonal_states_all_strings():
         probs = _vd_distribution(rho, n)
         r2 = rho @ rho
         for qubits in ([0], [n - 1], [0, 1], [0, n - 1]):
-            obs = PauliObservable.z_string(n, qubits)
+            obs = z_string(n, qubits)
             est = estimate_from_distribution(_as_dist(probs, 2 * n), obs)
             want = np.real(np.trace(obs.matrix() @ r2))
             assert abs(est.numerator - want) < 1e-10
@@ -175,9 +179,9 @@ def test_estimator_multiqubit_strings_measure_symmetrized_functional():
     observable qubits are invisible to pairwise measurements."""
     rng = np.random.default_rng(7)
     n = 2
-    zz = PauliObservable.z_string(n, [0, 1])
-    z0 = PauliObservable.z_string(n, [0]).matrix()
-    z1 = PauliObservable.z_string(n, [1]).matrix()
+    zz = z_string(n, [0, 1])
+    z0 = z_string(n, [0]).matrix()
+    z1 = z_string(n, [1]).matrix()
     for _ in range(10):
         rho = random_density_matrix(n, rng)
         probs = _vd_distribution(rho, n)
@@ -198,7 +202,7 @@ def test_estimator_purity_bound():
         for _ in range(10):
             rho = random_density_matrix(n, rng)
             probs = _vd_distribution(rho, n)
-            obs = PauliObservable.z_string(n, [0])
+            obs = z_string(n, [0])
             est = estimate_from_distribution(_as_dist(probs, 2 * n), obs)
             assert 1.0 / 2 ** n - 1e-12 <= est.denominator <= 1.0 + 1e-12
 
@@ -224,7 +228,7 @@ def test_noise_free_fixed_point_single_qubit_terms():
     vd = build_vd_circuit(orig)
     dist = exact_probs(evolve(vd.without_measurements()))
     for j in range(2):
-        obs = PauliObservable.z_string(2, [j])
+        obs = z_string(2, [j])
         est = estimate_from_distribution(dist, obs)
         assert abs(est.mitigated - expectation(dm, obs)) < 1e-10
 
