@@ -106,7 +106,7 @@ def real_amplitudes(n: int, reps: int = 2, entanglement: str = "circular",
         if layer < reps and n >= 2:
             for a, b in pairs:
                 ops.append(cnot(a, b))
-    return Circuit(n, tuple(ops), name=f"ra{n}x{reps}")
+    return Circuit(n, tuple(ops))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ Conventions used throughout the package:
   significant bit of a basis-state index.
 * Two-qubit gate matrices are written with the first listed qubit as the most
   significant index, e.g. ``CNOT(a, b)`` has control ``a``.
-* Circuits are immutable values; every transformation returns a new circuit.
+* Circuits are immutable values holding only a width and a gate tuple;
+  every transformation returns a new circuit.  What a gate belongs to
+  (a copy, a diagonalizing gate, crosstalk) travels in its tag.
 """
 from __future__ import annotations
 
@@ -121,7 +123,8 @@ def measure(q: int, tag: str = "") -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over ``width`` qubits.
+    """Ordered gate list over ``width`` qubits; these two fields are the
+    whole circuit.
 
     Measurements are terminal per qubit: once a qubit is measured no further
     gate may touch it.
@@ -129,7 +132,6 @@ class Circuit:
 
     width: int
     ops: tuple[Gate, ...] = ()
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -158,7 +160,7 @@ class Circuit:
         return any(g.kind == MEASURE for g in self.ops)
 
     def without_measurements(self) -> "Circuit":
-        return Circuit(self.width, tuple(g for g in self.ops if g.kind != MEASURE), self.name)
+        return Circuit(self.width, tuple(g for g in self.ops if g.kind != MEASURE))
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.ops if g.kind == kind)
@@ -166,11 +168,11 @@ class Circuit:
 
 def append(circuit: Circuit, gate: Gate) -> Circuit:
     """Return ``circuit`` with ``gate`` appended; the input is unchanged."""
-    return Circuit(circuit.width, circuit.ops + (gate,), circuit.name)
+    return Circuit(circuit.width, circuit.ops + (gate,))
 
 
 def extend(circuit: Circuit, gates: Iterable[Gate]) -> Circuit:
-    return Circuit(circuit.width, circuit.ops + tuple(gates), circuit.name)
+    return Circuit(circuit.width, circuit.ops + tuple(gates))
 
 
 def tensor_two_copies(circuit: Circuit) -> Circuit:
@@ -185,7 +187,7 @@ def tensor_two_copies(circuit: Circuit) -> Circuit:
     for g in circuit.ops:
         ops.append(g.retagged("copy-0"))
         ops.append(g.shifted(n).retagged("copy-1"))
-    return Circuit(2 * n, tuple(ops), name=f"{circuit.name}x2" if circuit.name else "")
+    return Circuit(2 * n, tuple(ops))
 
 
 def lightcone(circuit: Circuit, sink_qubits: Iterable[int]) -> Circuit:
@@ -200,7 +202,7 @@ def lightcone(circuit: Circuit, sink_qubits: Iterable[int]) -> Circuit:
         if active.intersection(g.qubits):
             kept.append(g)
             active.update(g.qubits)
-    return Circuit(circuit.width, tuple(reversed(kept)), circuit.name)
+    return Circuit(circuit.width, tuple(reversed(kept)))
 
 
 def layers(circuit: Circuit) -> tuple[int, ...]:

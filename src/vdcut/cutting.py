@@ -27,6 +27,7 @@ import numpy as np
 from .circuit import (
     Circuit,
     Gate,
+    extend,
     h,
     lightcone,
     measure,
@@ -251,9 +252,7 @@ class PairwisePipeline:
     def executions(self, shots: int | None, seed: int) -> list[Execution]:
         """The fragment measured on qubit ``pair_index`` in the X, Y and Z bases."""
         i, base = self.pair_index, self.copy_fragment
-        return [Execution(Circuit(base.width,
-                                  base.ops + tuple(basis_change_gates(basis, i)) + (measure(i),),
-                                  name=f"pair{i}-{basis}"),
+        return [Execution(extend(base, basis_change_gates(basis, i) + [measure(i)]),
                           shots=shots, seed=seed + 11 * bi + 3)
                 for bi, basis in enumerate(MEASURE_BASES)]
 
@@ -261,9 +260,7 @@ class PairwisePipeline:
 def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
     """One pipeline per qubit pair (i, n+i) of the distillation circuit, each
     holding the lightcone of qubit i in ``original``."""
-    return [PairwisePipeline(i, Circuit(original.width, lightcone(original, {i}).ops,
-                                        name=f"pair{i}-copy"))
-            for i in range(original.width)]
+    return [PairwisePipeline(i, lightcone(original, {i})) for i in range(original.width)]
 
 
 def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,

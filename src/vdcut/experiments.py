@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -183,23 +183,26 @@ def _resolve_parameters(config: ExperimentConfig, ansatz: AnsatzSpec) -> np.ndar
             theta = np.array(json.load(f)["parameters"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters file {config.parameters}: {exc!r}") from exc
-    if config.circuit_file is None and theta.shape != (ansatz.parameter_count,):
+    if theta.shape != (ansatz.parameter_count,):
         raise ConfigError(f"parameters file {config.parameters}: expected "
                           f"{ansatz.parameter_count} parameters, got shape {theta.shape}")
     return theta
 
 
-def _prepare_circuit(config: ExperimentConfig, ansatz: AnsatzSpec,
-                     theta: np.ndarray) -> Circuit:
-    if config.circuit_file is not None:
-        try:
-            circuit = from_text(Path(config.circuit_file).read_text())
-        except ValueError as exc:  # CircuitError included
-            raise ConfigError(f"bad circuit file {config.circuit_file}: {exc}") from exc
-        if circuit.width != config.problem.n:
-            raise ConfigError("circuit file width does not match the problem size")
-        return circuit.without_measurements()
-    return ansatz.circuit(theta)
+def _prepare_circuit(config: ExperimentConfig,
+                     ansatz: AnsatzSpec) -> tuple[Circuit, np.ndarray]:
+    """The circuit to mitigate and the ansatz angles that built it; a
+    circuit file has none, so its parameters are never resolved."""
+    if config.circuit_file is None:
+        theta = _resolve_parameters(config, ansatz)
+        return ansatz.circuit(theta), theta
+    try:
+        circuit = from_text(Path(config.circuit_file).read_text())
+    except ValueError as exc:  # CircuitError included
+        raise ConfigError(f"bad circuit file {config.circuit_file}: {exc}") from exc
+    if circuit.width != config.problem.n:
+        raise ConfigError("circuit file width does not match the problem size")
+    return circuit.without_measurements(), np.empty(0)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -215,8 +218,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     without aborting the remaining methods.
     """
     ansatz = AnsatzSpec(config.problem.n, config.reps, config.entanglement)
-    theta = _resolve_parameters(config, ansatz)
-    circuit = _prepare_circuit(config, ansatz, theta)
+    circuit, theta = _prepare_circuit(config, ansatz)
     hamiltonian = maxcut_hamiltonian(config.problem)
     noise = preset(config.noise)
     shots = None if noise is NOISELESS else config.shots
@@ -442,18 +444,8 @@ def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
 
 
 def _noise_doc(noise: NoiseModel | None) -> dict | None:
+    """Every ``NoiseModel`` field in declaration order, arrays as lists."""
     if noise is None:
         return None
-    return {
-        "two_qubit_depol": noise.two_qubit_depol,
-        "one_qubit_depol": noise.one_qubit_depol,
-        "two_qubit_time": noise.two_qubit_time,
-        "one_qubit_time": noise.one_qubit_time,
-        "t1": noise.t1,
-        "t2": noise.t2,
-        "readout": noise.readout.tolist(),
-        "gate_crosstalk": noise.gate_crosstalk,
-        "crosstalk_angle": noise.crosstalk_angle,
-        "readout_crosstalk": noise.readout_crosstalk,
-        "readout_pair": noise.readout_pair.tolist(),
-    }
+    doc = {f.name: getattr(noise, f.name) for f in fields(noise)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}

@@ -144,4 +144,4 @@ def insert_zz_crosstalk(circuit: Circuit, edges: Iterable[tuple[int, int]],
                 if cross:
                     a, b = cross[0]
                     out.append(rzz(angle, a, b, tag=CROSSTALK_TAG))
-    return Circuit(circuit.width, tuple(out), circuit.name)
+    return Circuit(circuit.width, tuple(out))

@@ -244,9 +244,8 @@ def run_circuits(executions: Sequence[Execution], *,
             del states[step.source]
         for variant in step.measured:
             c = variants[variant]
-            dist = (marginal(exact_probs(state), c.positions) if c.positions
-                    else exact_probs(state))
-            dists[variant] = apply_readout(dist, noise, physical=c.positions, edges=c.edges)
+            dists[variant] = apply_readout(marginal(exact_probs(state), c.positions), noise,
+                                           physical=c.positions, edges=c.edges)
         if step.hold:
             states[step] = state
         del state

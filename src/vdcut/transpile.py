@@ -61,26 +61,15 @@ class CouplingMap:
         for a, b in edges:
             if a == b or a < 0 or b >= self.n_qubits:
                 raise RoutingError(f"edge ({a},{b}) references invalid qubits")
-        if self.n_qubits > 1 and len(self._components()) != 1:
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            for r in self.neighbors(frontier.pop()):
+                if r not in reached:
+                    reached.add(r)
+                    frontier.append(r)
+        if len(reached) < self.n_qubits:
             raise RoutingError("coupling graph must be connected")
-
-    def _components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n_qubits):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                q = frontier.pop()
-                for r in self.neighbors(q):
-                    if r not in comp:
-                        comp.add(r)
-                        frontier.append(r)
-            seen |= comp
-            comps.append(comp)
-        return comps
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return tuple(sorted(b if a == q else a for a, b in self.edges if q in (a, b)))
@@ -285,7 +274,7 @@ def route(circuit: Circuit, cmap: CouplingMap, *,
     for m in measures:
         out.append(measure(final_layout[m.qubits[0]], tag=m.tag))
     return RoutedCircuit(
-        Circuit(cmap.n_qubits, tuple(out), circuit.name),
+        Circuit(cmap.n_qubits, tuple(out)),
         initial_layout=tuple(start[:n]),
         final_layout=tuple(final_layout[:n]),
     )
@@ -308,7 +297,7 @@ def compact(rc: RoutedCircuit, cmap: CouplingMap) -> tuple[RoutedCircuit, tuple[
     edges = tuple(sorted(
         (relabel[a], relabel[b]) for a, b in cmap.edges if a in used and b in used))
     out = RoutedCircuit(
-        Circuit(len(order), ops, rc.circuit.name),
+        Circuit(len(order), ops),
         initial_layout=tuple(relabel[p] for p in rc.initial_layout),
         final_layout=tuple(relabel[p] for p in rc.final_layout),
     )
@@ -369,7 +358,7 @@ def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circu
             out.extend(diag_basis_gates(*g.qubits, g.tag))
         else:
             out.append(g)
-    return Circuit(circuit.width, tuple(out), circuit.name)
+    return Circuit(circuit.width, tuple(out))
 
 
 def cnot_count(circuit: Circuit) -> int:

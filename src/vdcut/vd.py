@@ -125,7 +125,7 @@ def build_vd_circuit(original: Circuit, rotation: Sequence[Gate] = ()) -> Circui
         ops.append(diag_gate_on(i, n + i))
     for q in range(2 * n):
         ops.append(measure(q))
-    return Circuit(2 * n, tuple(ops), name=f"vd({original.name})" if original.name else "vd")
+    return Circuit(2 * n, tuple(ops))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def fold_diagonalizing(circuit: Circuit, scale: int) -> Circuit:
             for _ in range((scale - 1) // 2):
                 ops.append(two_qubit(adjoint, *g.qubits, tag=DIAG_TAG))
                 ops.append(two_qubit(np.asarray(g.unitary), *g.qubits, tag=DIAG_TAG))
-    return Circuit(circuit.width, tuple(ops), circuit.name)
+    return Circuit(circuit.width, tuple(ops))
 
 
 def extrapolate_linear(scales: Sequence[int], values: Sequence[float]) -> float:

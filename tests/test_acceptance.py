@@ -7,6 +7,7 @@ the table-2 distillation removes the diagonalizing-gate noise but not the
 coherent crosstalk of the 6-qubit preparation, so the extrapolated error
 stays slightly above the unmitigated one and "zne < none" fails.
 """
+import functools
 import time
 
 import numpy as np
@@ -274,6 +275,7 @@ def test_criterion_3_cutting_identity():
     assert ok
 
 
+@functools.cache  # criteria 3, 6 and 9 share one optimization; criterion 10 reruns its own
 def _benchmark_parameters(n):
     from vdcut.benchmarks import optimize_parameters
     from vdcut.experiments import _derive_seed

@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, method cells, persistence."""
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vdcut.experiments import (
     emit,
     run_experiment,
 )
+from vdcut.noise import NoiseModel
 
 
 def _fast_config(**overrides):
@@ -197,6 +199,7 @@ def test_emit_csv_and_json(tmp_path):
     assert doc["ideal"] == pytest.approx(res.ideal)
     assert doc["config"]["shots"] == 200
     assert doc["noise_parameters"]["two_qubit_depol"] == pytest.approx(7.936e-3)
+    assert list(doc["noise_parameters"]) == [f.name for f in fields(NoiseModel)]
     assert len(doc["cells"]) == 2
     # round trip: the JSON reproduces the result values
     for cell, stored in zip(res.cells, doc["cells"]):
@@ -265,6 +268,28 @@ def test_circuit_file_override(tmp_path):
     cfg = _fast_config(circuit_file=str(path), methods=("none",))
     res = run_experiment(cfg)
     assert res.cells[0].error is None
+
+
+def test_circuit_file_run_never_optimizes(tmp_path, monkeypatch):
+    """A circuit file replaces the ansatz, so its run resolves no
+    parameters, and a malformed file is refused before any optimization."""
+    from vdcut import experiments
+    from vdcut.circuit import Circuit, ry, to_text
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize_parameters called")
+
+    monkeypatch.setattr(experiments, "optimize_parameters", forbidden)
+    path = tmp_path / "circ.txt"
+    path.write_text(to_text(Circuit(2, (ry(0.4, 0), ry(1.1, 1)))))
+    cfg = _fast_config(circuit_file=str(path), parameters="optimize", methods=("none",))
+    res = run_experiment(cfg)
+    assert res.cells[0].error is None and res.parameters == ()
+    doc = json.load(open(emit(res, str(tmp_path / "run"))[1]))
+    assert doc["parameters"] == []
+    path.write_text("qubits 2\nRY 0\n")
+    with pytest.raises(ConfigError, match="bad circuit file"):
+        run_experiment(cfg)
 
 
 def test_noiseless_bell_ring_distillation_is_exact():

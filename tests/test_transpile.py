@@ -17,6 +17,7 @@ from vdcut.circuit import (
 from vdcut.simulate import evolve, exact_probs, marginal, tv_distance
 from vdcut.sweep import overhead_point
 from vdcut.transpile import (
+    CouplingMap,
     DecompositionError,
     RoutingError,
     cnot_count,
@@ -37,8 +38,10 @@ from helpers import full_unitary, is_edge, phase_distance, random_circuit
 def test_coupling_map_validation():
     with pytest.raises(RoutingError):
         linear(3).__class__(3, frozenset({(0, 3)}))  # invalid qubit
-    with pytest.raises(RoutingError):
-        linear(3).__class__(4, frozenset({(0, 1)}))  # disconnected
+    for edges in ({(0, 1)}, {(1, 2), (2, 3)}, {(0, 1), (2, 3)}):  # disconnected
+        with pytest.raises(RoutingError):
+            CouplingMap(4, frozenset(edges))
+    assert CouplingMap(1, frozenset()).n_qubits == 1
     assert is_edge(fully_connected(4), 1, 3)
     assert linear(4).neighbors(1) == (0, 2)
 
