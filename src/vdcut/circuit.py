@@ -10,9 +10,12 @@ Conventions used throughout the package:
 * Circuits are immutable values holding only a width and a gate tuple;
   every transformation returns a new circuit.  What a gate belongs to
   (a copy, a diagonalizing gate, crosstalk) travels in its tag.
+* Circuits hold gates only.  Which qubits a run reads out travels with the
+  run, as :attr:`vdcut.runner.Execution.measured`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -26,9 +29,8 @@ H = "H"
 CNOT = "CNOT"
 SWAP = "SWAP"
 TWO_QUBIT_UNITARY = "TwoQubitUnitary"
-MEASURE = "Measure"
 
-_ONE_QUBIT_KINDS = {RY, RZ, X, H, MEASURE}
+_ONE_QUBIT_KINDS = {RY, RZ, X, H}
 _TWO_QUBIT_KINDS = {RZZ, CNOT, SWAP, TWO_QUBIT_UNITARY}
 _ROTATION_KINDS = {RY, RZ, RZZ}
 KINDS = _ONE_QUBIT_KINDS | _TWO_QUBIT_KINDS
@@ -76,7 +78,10 @@ class Gate:
             u.setflags(write=False)
             object.__setattr__(self, "unitary", u)
         if self.angle is not None:
-            object.__setattr__(self, "angle", float(self.angle))
+            angle = float(self.angle)
+            if not math.isfinite(angle):
+                raise CircuitError(f"{self.kind} angle must be finite, got {angle}")
+            object.__setattr__(self, "angle", angle)
 
     def retagged(self, tag: str) -> "Gate":
         return replace(self, tag=tag)
@@ -117,18 +122,10 @@ def two_qubit(u: np.ndarray, a: int, b: int, tag: str = "") -> Gate:
     return Gate(TWO_QUBIT_UNITARY, (a, b), unitary=u, tag=tag)
 
 
-def measure(q: int, tag: str = "") -> Gate:
-    return Gate(MEASURE, (q,), tag=tag)
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over ``width`` qubits; these two fields are the
-    whole circuit.
-
-    Measurements are terminal per qubit: once a qubit is measured no further
-    gate may touch it.
-    """
+    whole circuit."""
 
     width: int
     ops: tuple[Gate, ...] = ()
@@ -137,30 +134,13 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.width < 0:
             raise CircuitError("width must be non-negative")
-        measured: set[int] = set()
         for g in self.ops:
-            for q in g.qubits:
-                if q >= self.width:
-                    raise CircuitError(
-                        f"gate {g.kind}{g.qubits} out of range for width {self.width}")
-                if q in measured:
-                    raise CircuitError(f"gate after measurement on qubit {q}")
-            if g.kind == MEASURE:
-                measured.add(g.qubits[0])
+            if max(g.qubits) >= self.width:
+                raise CircuitError(
+                    f"gate {g.kind}{g.qubits} out of range for width {self.width}")
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        """Measured qubits in ascending order."""
-        return tuple(sorted(g.qubits[0] for g in self.ops if g.kind == MEASURE))
-
-    def has_measurements(self) -> bool:
-        return any(g.kind == MEASURE for g in self.ops)
-
-    def without_measurements(self) -> "Circuit":
-        return Circuit(self.width, tuple(g for g in self.ops if g.kind != MEASURE))
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.ops if g.kind == kind)
@@ -180,8 +160,6 @@ def tensor_two_copies(circuit: Circuit) -> Circuit:
     ``copy-0``) and copy 1 on ``n..2n-1`` (tagged ``copy-1``).  Qubit ``i`` of
     copy 0 pairs with qubit ``n+i`` of copy 1.  Gates are interleaved so the
     copies execute in the same layers."""
-    if circuit.has_measurements():
-        raise CircuitError("cannot duplicate a circuit that contains measurements")
     n = circuit.width
     ops: list[Gate] = []
     for g in circuit.ops:
@@ -250,7 +228,7 @@ _SWAP_MATRIX = np.array(
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary of a gate, with the first listed qubit as the most significant
-    index.  Measurements have no matrix."""
+    index."""
     if gate.kind == RY:
         return _ry_matrix(gate.angle)
     if gate.kind == RZ:
@@ -265,9 +243,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _CNOT_MATRIX
     if gate.kind == SWAP:
         return _SWAP_MATRIX
-    if gate.kind == TWO_QUBIT_UNITARY:
-        return np.array(gate.unitary, dtype=complex)
-    raise CircuitError(f"{gate.kind} has no unitary matrix")
+    return np.array(gate.unitary, dtype=complex)  # TWO_QUBIT_UNITARY
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +312,31 @@ def to_text(circuit: Circuit) -> str:
 
 
 def from_text(text: str) -> Circuit:
+    """Parse :func:`to_text` output.  ``Measure q`` lines of older circuit
+    files are read and dropped, since a run names the qubits it reads; a
+    gate after one on the same qubit is still rejected."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits "):
         raise CircuitError("missing `qubits N` header")
     width = int(lines[0].split()[1])
     ops = []
+    measured: set[int] = set()
     for ln in lines[1:]:
         try:
             kind, rest = ln.split(None, 1)
         except ValueError:
             raise CircuitError(f"malformed line {ln!r}") from None
-        if kind not in KINDS:
-            raise CircuitError(f"unknown gate kind {kind!r} in {ln!r}")
         fields = rest.split(",")
         tag = ""
         if fields and fields[-1].startswith("#"):
             tag = fields.pop()[1:]
+        if kind == "Measure":
+            if len(fields) != 1 or not 0 <= int(fields[0]) < width:
+                raise CircuitError(f"bad measurement {ln!r}")
+            measured.add(int(fields[0]))
+            continue
+        if kind not in KINDS:
+            raise CircuitError(f"unknown gate kind {kind!r} in {ln!r}")
         arity = 1 if kind in _ONE_QUBIT_KINDS else 2
         qubits = tuple(int(f) for f in fields[:arity])
         angle = None
@@ -361,5 +346,7 @@ def from_text(text: str) -> Circuit:
             angle = float(fields[arity])
         elif len(fields) != arity:
             raise CircuitError(f"wrong field count in {ln!r}")
+        if measured.intersection(qubits):
+            raise CircuitError(f"gate after measurement in {ln!r}")
         ops.append(Gate(kind, qubits, angle=angle, tag=tag))
     return Circuit(width, tuple(ops))

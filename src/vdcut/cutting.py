@@ -30,13 +30,12 @@ from .circuit import (
     extend,
     h,
     lightcone,
-    measure,
     rz,
     x,
 )
 from .noise import NoiseModel
 from .runner import Execution, run_circuits
-from .simulate import Distribution, marginal
+from .simulate import Distribution, marginal, outcome_bits
 from .vd import (
     DIAG_UNITARY,
     ParityEstimate,
@@ -54,7 +53,7 @@ class ReconstructionError(RuntimeError):
     the sampling-noise allowance, or an all-zero recombination)."""
 
 
-MEASURE_BASES = ("X", "Y", "Z")
+READ_BASES = ("X", "Y", "Z")
 PREP_STATES = ("0", "1", "+", "+i")
 
 _PREP_VECTORS = {
@@ -118,8 +117,6 @@ def preparation_gates(state: str, qubit: int) -> list[Gate]:
 
 
 def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate], set[int]]:
-    if circuit.has_measurements():
-        raise CutError("cut circuits before inserting measurements")
     if not 0 <= cut.position < len(circuit.ops):
         raise CutError(f"cut position {cut.position} outside circuit")
     if not 0 <= cut.qubit < circuit.width:
@@ -139,19 +136,19 @@ def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate], 
 
 def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[Circuit], ReconstructionPlan]:
     """Sever one wire into seven fragment circuits: first the measure side
-    in each of :data:`MEASURE_BASES` (the basis change on the cut qubit,
-    then it and the upstream-exclusive bits measured), then the prepare side
-    for each of :data:`PREP_STATES` (the state prepared on a fresh wire that
-    feeds the downstream gates, whose bits are measured)."""
+    in each of :data:`READ_BASES` (the basis change on the cut qubit), then
+    the prepare side for each of :data:`PREP_STATES` (the state prepared on
+    a fresh wire that feeds the downstream gates).  The fragments hold gates
+    only: a measure-side run reads the plan's ``j_measured`` bits (the cut
+    qubit and the upstream-exclusive bits), a prepare-side run its
+    ``k_measured`` bits (the downstream ones)."""
     pre, post, post_qubits = _split_at(circuit, cut)
     q = cut.qubit
     j_bits = tuple(sorted({q} | set(range(circuit.width)) - post_qubits))
     k_bits = tuple(sorted(post_qubits))
-    fragments = [Circuit(circuit.width, tuple(pre + basis_change_gates(basis, q)
-                                              + [measure(b) for b in j_bits]))
-                 for basis in MEASURE_BASES]
-    fragments += [Circuit(circuit.width, tuple(preparation_gates(state, q) + post
-                                               + [measure(b) for b in k_bits]))
+    fragments = [Circuit(circuit.width, tuple(pre + basis_change_gates(basis, q)))
+                 for basis in READ_BASES]
+    fragments += [Circuit(circuit.width, tuple(preparation_gates(state, q) + post))
                   for state in PREP_STATES]
     return fragments, ReconstructionPlan(cut=cut, j_measured=j_bits, k_measured=k_bits)
 
@@ -159,7 +156,7 @@ def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[Circuit], Reconstruc
 def _prep_weights(outputs: Sequence[Distribution], q_pos: int) -> np.ndarray:
     """The (4, 2**n_j) weights of the prepared states, in :data:`PREP_STATES`
     order, per outcome of the measure side's other n_j bits, from its outputs
-    in :data:`MEASURE_BASES` order with the cut qubit at bit ``q_pos``."""
+    in :data:`READ_BASES` order with the cut qubit at bit ``q_pos``."""
     x, y, z = (np.moveaxis(d.probs.reshape((2,) * d.width), q_pos, 0).reshape(2, -1)
                for d in outputs)
     return _PREP_WEIGHTS @ np.stack([z[0] + z[1], z[0] - z[1], x[0] - x[1], y[0] - y[1]])
@@ -172,11 +169,11 @@ def reconstruct(plan: ReconstructionPlan, outputs: Sequence[Distribution],
     combined with the prepared-state weights of :func:`_prep_weights`.
     Small negative entries (quasiprobability noise) are clamped and the
     result renormalized."""
-    if len(outputs) != len(MEASURE_BASES) + len(PREP_STATES):
+    if len(outputs) != len(READ_BASES) + len(PREP_STATES):
         raise ReconstructionError(f"expected 7 fragment outputs, got {len(outputs)}")
     q_pos = plan.j_measured.index(plan.cut.qubit)
-    weights = _prep_weights(outputs[:len(MEASURE_BASES)], q_pos)
-    acc = weights.T @ np.stack([d.probs for d in outputs[len(MEASURE_BASES):]])
+    weights = _prep_weights(outputs[:len(READ_BASES)], q_pos)
+    acc = weights.T @ np.stack([d.probs for d in outputs[len(READ_BASES):]])
     # interleave the two bit groups back into ascending qubit order
     order = [b for b in plan.j_measured if b != plan.cut.qubit] + list(plan.k_measured)
     full = np.transpose(acc.reshape((2,) * len(order)), np.argsort(order)).reshape(-1)
@@ -205,8 +202,10 @@ def run_cut(circuit: Circuit, cut: CutPoint, *,
     """Convenience executor: run all fragments of a single cut as one batch
     and stitch the full-circuit distribution."""
     fragments, plan = cut_wire(circuit, cut)
-    batch = run_circuits([Execution(f, shots=shots, seed=seed + 7 * i + 1)
-                          for i, f in enumerate(fragments)], noise=noise)
+    reads = [plan.j_measured] * len(READ_BASES) + [plan.k_measured] * len(PREP_STATES)
+    batch = run_circuits([Execution(f, shots=shots, seed=seed + 7 * i + 1, measured=bits)
+                          for i, (f, bits) in enumerate(zip(fragments, reads))],
+                         noise=noise)
     return reconstruct(plan, [rec.output for rec in batch.records], shots=shots)
 
 
@@ -252,9 +251,9 @@ class PairwisePipeline:
     def executions(self, shots: int | None, seed: int) -> list[Execution]:
         """The fragment measured on qubit ``pair_index`` in the X, Y and Z bases."""
         i, base = self.pair_index, self.copy_fragment
-        return [Execution(extend(base, basis_change_gates(basis, i) + [measure(i)]),
-                          shots=shots, seed=seed + 11 * bi + 3)
-                for bi, basis in enumerate(MEASURE_BASES)]
+        return [Execution(extend(base, basis_change_gates(basis, i)),
+                          shots=shots, seed=seed + 11 * bi + 3, measured=(i,))
+                for bi, basis in enumerate(READ_BASES)]
 
 
 def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
@@ -293,9 +292,8 @@ def recombine(unmitigated: Distribution,
     if len(pairwise) != n:
         raise ReconstructionError(f"expected {n} pairwise distributions, got {len(pairwise)}")
     probs = unmitigated.probs.copy()
-    idx = np.arange(probs.size)
-    pair_codes = [(((idx >> (width - 1 - i)) & 1) << 1) | ((idx >> (width - 1 - (n + i))) & 1)
-                  for i in range(n)]
+    bits = outcome_bits(width)
+    pair_codes = [(bits[i] << 1) | bits[n + i] for i in range(n)]
     degenerate: list[tuple[int, int, float]] = []
     for i, p_i in enumerate(pairwise):
         if p_i.width != 2:
@@ -346,7 +344,7 @@ def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
     parts, events = [], []
     for group, joint in zip(groups, joints):
         pairwise, clipped = zip(*(
-            pairwise_distribution([next(outputs) for _ in MEASURE_BASES], shots, cache)
+            pairwise_distribution([next(outputs) for _ in READ_BASES], shots, cache)
             for _ in range(joint.width // 2)))
         merged, injected = recombine(joint, pairwise)
         parts.append(estimate_from_distribution(merged, group.observable, shots=shots))

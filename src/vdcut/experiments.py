@@ -11,6 +11,7 @@ no-mitigation cell reproduce the ideal value exactly.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, fields
@@ -27,8 +28,8 @@ from .benchmarks import (
     real_amplitudes,
     ring_problem,
 )
-from .circuit import Circuit, from_text, measure
-from .cutting import MEASURE_BASES, cut_executions, cut_estimate
+from .circuit import Circuit, from_text
+from .cutting import READ_BASES, cut_executions, cut_estimate
 from .noise import NOISELESS, NoiseModel, preset
 from .runner import BatchStats, Execution, ExecutionRecord, run_circuits
 from .simulate import expectation, evolve
@@ -99,6 +100,8 @@ class ExperimentConfig:
                                    tuple(float(v) for v in self.parameters))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        if not isinstance(self.parameters, str) and not all(map(math.isfinite, self.parameters)):
+            raise ConfigError(f"parameters must be finite, got {self.parameters}")
         count = parameter_count(self.problem.n, self.reps)
         if (self.circuit_file is None and not isinstance(self.parameters, str)
                 and len(self.parameters) != count):
@@ -186,6 +189,8 @@ def _resolve_parameters(config: ExperimentConfig, ansatz: AnsatzSpec) -> np.ndar
     if theta.shape != (ansatz.parameter_count,):
         raise ConfigError(f"parameters file {config.parameters}: expected "
                           f"{ansatz.parameter_count} parameters, got shape {theta.shape}")
+    if not all(map(math.isfinite, theta)):
+        raise ConfigError(f"parameters file {config.parameters}: parameters must be finite")
     return theta
 
 
@@ -202,7 +207,7 @@ def _prepare_circuit(config: ExperimentConfig,
         raise ConfigError(f"bad circuit file {config.circuit_file}: {exc}") from exc
     if circuit.width != config.problem.n:
         raise ConfigError("circuit file width does not match the problem size")
-    return circuit.without_measurements(), np.empty(0)
+    return circuit, np.empty(0)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -297,9 +302,7 @@ def _plan(circuit, groups, methods, seeds, shots) -> list[dict]:
             copies["vd+cut", gi] = sampled("vd+cut")
     single: dict[tuple, Execution] = {}
     if "none" in methods:
-        bare = Circuit(circuit.width,
-                       circuit.ops + tuple(measure(q) for q in range(circuit.width)))
-        single[("none",)] = Execution(bare, shots=shots, seed=seeds["none"])
+        single[("none",)] = Execution(circuit, shots=shots, seed=seeds["none"])
     if "vd+cut" in methods:
         single.update((("cut", k), ex) for k, ex in
                       enumerate(cut_executions(circuit, groups, shots, seeds["vd+cut"])))
@@ -339,8 +342,8 @@ def _distill(method, groups, records, shots) -> tuple[dict[int, ParityEstimate],
         fragments = _take(records, "cut")
         est = cut_estimate(groups, [rec.output for rec in joints],
                            [rec.output for rec in fragments], shots)
-        z = MEASURE_BASES.index("Z")
-        return {1: est}, fragments[z::len(MEASURE_BASES)]  # each pair's Z-basis run
+        z = READ_BASES.index("Z")
+        return {1: est}, fragments[z::len(READ_BASES)]  # each pair's Z-basis run
 
     raise ConfigError(f"unknown method {method!r}")
 

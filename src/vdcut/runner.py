@@ -1,8 +1,9 @@
-"""Shared execution pipeline: route a measured logical circuit onto a
-device, decompose to the CNOT basis, insert crosstalk, evolve under noise,
-apply readout error, and return the measured-bit distribution (exact or
-sampled) together with gate statistics.  A batch is planned once as evolution
-steps over shared block prefixes, which its stats, admission and walk read.
+"""Shared execution pipeline: route a logical circuit onto a device,
+decompose to the CNOT basis, insert crosstalk, evolve under noise, apply
+readout error, and return the distribution of the bits an execution reads
+(exact or sampled) together with gate statistics.  A batch is planned once
+as evolution steps over shared block prefixes, which its stats, admission
+and walk read.
 A noisy batch evolves real Pauli-transfer blocks on Pauli states, a
 noiseless one complex superoperators on density matrices (see
 :mod:`vdcut.simulate`)."""
@@ -49,22 +50,32 @@ class ExecutionRecord:
 
 @dataclass(frozen=True)
 class Execution:
-    """One requested execution of a measured logical circuit: diagonalizing
-    gate fold ``scale``, ``ideal_diag`` reference mode and sampling budget
-    (``shots=None`` keeps the exact distribution)."""
+    """One requested execution of a logical circuit: diagonalizing gate fold
+    ``scale``, ``ideal_diag`` reference mode, sampling budget
+    (``shots=None`` keeps the exact distribution) and the logical qubits it
+    reads (``measured=None`` reads every qubit)."""
 
     circuit: Circuit
     scale: int = 1
     ideal_diag: bool = False
     shots: int | None = None
     seed: int = 0
+    measured: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        read = self.measured
+        if read is not None and (len(set(read)) != len(read)
+                                 or not set(read) <= set(range(self.circuit.width))):
+            raise ValueError(f"measured qubits {read} must be distinct qubits of the "
+                             f"width-{self.circuit.width} circuit")
 
 
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A logical circuit as the simulator evolves it: routed, folded,
-    basis-decomposed and crosstalk-augmented, without measurements, with the
-    device ``edges`` between its qubits that readout crosstalk reads."""
+    basis-decomposed and crosstalk-augmented, with the device ``edges``
+    between its qubits that readout crosstalk reads and the ``positions``
+    of the bits it reads."""
 
     body: Circuit
     edges: tuple[tuple[int, int], ...]
@@ -77,21 +88,21 @@ def compile_circuit(circuit: Circuit, *,
                     noise: NoiseModel | None = None,
                     cmap: CouplingMap | None = None,
                     scale: int = 1,
-                    ideal_diag: bool = False) -> CompiledCircuit:
+                    ideal_diag: bool = False,
+                    measured: tuple[int, ...] | None = None) -> CompiledCircuit:
     """Route (on ``cmap``, or all-to-all when it is None), fold
-    (``scale``), decompose and insert crosstalk.  Measured bits are reported
-    in ascending logical qubit order.
+    (``scale``), decompose and insert crosstalk.  The bits of the
+    ``measured`` logical qubits (every qubit when None) are reported in
+    ascending logical qubit order.
 
     A distillation circuit's measurement stage (parity rotation and
     diagonalizing gates) is routed after its state preparation, so every
     parity group measures the same compiled preparation."""
-    measured_logical = circuit.measured_qubits
-    if not measured_logical:
-        measured_logical = tuple(range(circuit.width))
+    read = range(circuit.width) if measured is None else sorted(measured)
     cmap = fully_connected(circuit.width) if cmap is None else cmap
     rc, edges = compact(route(circuit, cmap, stage_tags=(PARITY_TAG, DIAG_TAG)), cmap)
     body = rc.circuit
-    positions = tuple(rc.final_layout[q] for q in measured_logical)
+    positions = tuple(rc.final_layout[q] for q in read)
     if scale != 1:
         body = fold_diagonalizing(body, scale)
     body = decompose_to_basis(body, keep_tags=("diag",) if ideal_diag else ())
@@ -100,8 +111,7 @@ def compile_circuit(circuit: Circuit, *,
         # circuit, mirroring per-CNOT scheduling on hardware
         body = insert_zz_crosstalk(body, edges, angle=noise.crosstalk_angle)
     ideal_tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
-    return CompiledCircuit(body.without_measurements(), edges, ideal_tags, positions,
-                           rc.circuit.count(SWAP))
+    return CompiledCircuit(body, edges, ideal_tags, positions, rc.circuit.count(SWAP))
 
 
 def run_circuit(circuit: Circuit, *,
@@ -111,9 +121,9 @@ def run_circuit(circuit: Circuit, *,
                 seed: int = 0,
                 scale: int = 1,
                 ideal_diag: bool = False) -> ExecutionRecord:
-    """Execute a logical circuit end to end.
+    """Execute a logical circuit end to end, reading every qubit.
 
-    Measured bits are reported in ascending logical qubit order.  ``scale``
+    Bits are reported in ascending logical qubit order.  ``scale``
     folds the diagonalizing gates before decomposition; ``ideal_diag`` keeps
     them atomic and noiseless (the noise-free-diagonalizing reference).
     """
@@ -192,10 +202,12 @@ def run_circuits(executions: Sequence[Execution], *,
                  noise: NoiseModel | None = None,
                  cmap: CouplingMap | None = None) -> Batch:
     """Execute variants of one register on one device under one noise model,
-    with the results of one :func:`run_circuit` call each.
+    with the results each execution would give in a batch of its own.
 
-    Executions of the same circuit object share its compilation.  Each
-    distinct compiled variant becomes its evolution blocks through
+    Executions of the same circuit object, fold, reference mode and read
+    qubits share one compilation.  Each reads its ``measured`` qubits (every
+    qubit when None) in ascending logical order.  Each distinct compiled
+    variant becomes its evolution blocks through
     :func:`~vdcut.simulate.blocks` (fused under noise, one per op without),
     with one memo per batch, so every distinct gate channel and every
     distinct block is built once per batch and equal blocks are one object.
@@ -212,10 +224,11 @@ def run_circuits(executions: Sequence[Execution], *,
     """
     compiled: dict[tuple, CompiledCircuit] = {}
     for ex in executions:
-        key = (id(ex.circuit), ex.scale, ex.ideal_diag)
+        key = (id(ex.circuit), ex.scale, ex.ideal_diag, ex.measured)
         if key not in compiled:
             compiled[key] = compile_circuit(ex.circuit, noise=noise, cmap=cmap,
-                                            scale=ex.scale, ideal_diag=ex.ideal_diag)
+                                            scale=ex.scale, ideal_diag=ex.ideal_diag,
+                                            measured=ex.measured)
     memo: dict = {}
     variant_of = {key: (blocks(c.body, noise, c.ideal_tags, memo).ops, c.positions)
                   for key, c in compiled.items()}
@@ -252,7 +265,7 @@ def run_circuits(executions: Sequence[Execution], *,
 
     records = []
     for ex in executions:
-        key = (id(ex.circuit), ex.scale, ex.ideal_diag)
+        key = (id(ex.circuit), ex.scale, ex.ideal_diag, ex.measured)
         c, dist = compiled[key], dists[variant_of[key]]
         records.append(ExecutionRecord(
             distribution=dist,

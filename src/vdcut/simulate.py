@@ -231,7 +231,7 @@ def _gate_block(g: Gate, noise: NoiseModel | None, ideal: bool, memo: dict) -> B
 
 def blocks(circuit: Circuit, noise: NoiseModel | None = None,
            ideal_tags: Sequence[str] = ("xtalk",), memo: dict | None = None) -> FusedCircuit:
-    """The evolution blocks of a measureless ``circuit``.
+    """The evolution blocks of ``circuit``.
 
     A gate's channel is its ideal unitary, then (under ``noise``) the
     depolarizing channel on its qubits, then thermal relaxation for its
@@ -253,8 +253,6 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
     a gate's (kind, angle or unitary, qubits, ideal) and a fused block's
     (qubits, its gates' keys).
     """
-    if circuit.has_measurements():
-        raise ValueError("strip measurements before evolution (see exact_probs/sample)")
     memo = {} if memo is None else memo
     ideal = frozenset(ideal_tags)
     keys, gate_blocks = [], []
@@ -429,8 +427,8 @@ class Distribution:
             raise ValueError(f"expected {2 ** self.width} entries for width {self.width}")
         if p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min()}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        if not abs(p.sum() - 1.0) <= 1e-9:  # a NaN or infinite entry fails too
+            raise ValueError(f"probabilities must be finite and sum to 1, not {p.sum()}")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -538,12 +536,25 @@ def apply_readout(dist: Distribution, noise: NoiseModel | None,
 # expectation values
 
 
+@lru_cache(maxsize=32)
+def outcome_bits(width: int) -> np.ndarray:
+    """The read-only (width, 2**width) table whose row q holds qubit q's bit
+    of every outcome index: the one place that fixes the bit order (qubit 0
+    is the most significant bit)."""
+    idx = np.arange(2 ** width)
+    bits = np.empty((width, idx.size), dtype=np.int64)
+    for q in range(width):
+        bits[q] = (idx >> (width - 1 - q)) & 1
+    bits.setflags(write=False)
+    return bits
+
+
 def _parity_signs(width: int, mask_qubits: Iterable[int]) -> np.ndarray:
     """(-1)^(number of set bits among mask_qubits) for every outcome index."""
-    idx = np.arange(2 ** width)
+    bits = outcome_bits(width)
     acc = np.zeros(2 ** width, dtype=np.int64)
     for q in mask_qubits:
-        acc += (idx >> (width - 1 - q)) & 1
+        acc += bits[q]
     return 1.0 - 2.0 * (acc % 2)
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .circuit import (
     CNOT,
-    MEASURE,
     RZZ,
     SWAP,
     TWO_QUBIT_UNITARY,
@@ -27,7 +26,6 @@ from .circuit import (
     Gate,
     cnot,
     gate_matrix,
-    measure,
     rz,
     swap as swap_gate,
 )
@@ -49,48 +47,54 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """Undirected device connectivity graph."""
+    """Undirected device connectivity graph, with its neighbour table and
+    all-pairs distance matrix built once, with the map."""
 
     n_qubits: int
     edges: frozenset[tuple[int, int]]
     name: str = "custom"
+    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.n_qubits
         edges = frozenset(tuple(sorted((int(a), int(b)))) for a, b in self.edges)
         object.__setattr__(self, "edges", edges)
         for a, b in edges:
-            if a == b or a < 0 or b >= self.n_qubits:
+            if a == b or a < 0 or b >= n:
                 raise RoutingError(f"edge ({a},{b}) references invalid qubits")
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            for r in self.neighbors(frontier.pop()):
-                if r not in reached:
-                    reached.add(r)
-                    frontier.append(r)
-        if len(reached) < self.n_qubits:
-            raise RoutingError("coupling graph must be connected")
-
-    def neighbors(self, q: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == q else a for a, b in self.edges if q in (a, b)))
-
-    def distances(self) -> np.ndarray:
-        """All-pairs shortest-path distances (BFS)."""
-        n = self.n_qubits
-        dist = np.full((n, n), n + 1, dtype=np.int64)
-        adj = [self.neighbors(q) for q in range(n)]
-        for s in range(n):
-            dist[s, s] = 0
+        neighbours = [[] for _ in range(n)]
+        for a, b in edges:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        adjacency = tuple(tuple(sorted(nbs)) for nbs in neighbours)
+        rows = []
+        for s in range(n):  # BFS from each qubit; n + 1 marks unreachable
+            row = [n + 1] * n
+            row[s] = 0
             frontier = [s]
             while frontier:
                 nxt = []
                 for q in frontier:
-                    for r in adj[q]:
-                        if dist[s, r] > dist[s, q] + 1:
-                            dist[s, r] = dist[s, q] + 1
+                    for r in adjacency[q]:
+                        if row[r] > row[q] + 1:
+                            row[r] = row[q] + 1
                             nxt.append(r)
                 frontier = nxt
-        return dist
+            rows.append(row)
+        if any(n + 1 in row for row in rows):
+            raise RoutingError("coupling graph must be connected")
+        dist = np.array(rows, dtype=np.int64).reshape(n, n)
+        dist.setflags(write=False)
+        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_distances", dist)
+
+    def neighbors(self, q: int) -> tuple[int, ...]:
+        return self._adjacency[q]
+
+    def distances(self) -> np.ndarray:
+        """All-pairs shortest-path distances, read-only."""
+        return self._distances
 
 
 def fully_connected(n: int) -> CouplingMap:
@@ -198,7 +202,7 @@ def path_placement(cmap: CouplingMap) -> list[int]:
     return order
 
 
-def _route_pass_inorder(body: list[Gate], cmap: CouplingMap, dist: np.ndarray,
+def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarray,
                         start_layout: list[int]) -> tuple[list[Gate], list[int]]:
     """Greedy in-order routing: gates are placed in list order; a blocked
     two-qubit gate triggers swaps (restricted to strict distance
@@ -251,9 +255,8 @@ def route(circuit: Circuit, cmap: CouplingMap, *,
     The initial layout snakes the logical qubits along a DFS path of the
     coupling graph (the identity on linear and fully-connected maps).  Gates
     are placed strictly in list order; a blocked two-qubit gate gets the
-    SWAPs that the next 20 two-qubit gates favour.  Measurements are
-    re-appended on final physical positions.  Deterministic: the heuristic
-    draws no randomness.
+    SWAPs that the next 20 two-qubit gates favour.  Deterministic: the
+    heuristic draws no randomness.
 
     With ``stage_tags``, the gates from the first one carrying such a tag on
     form a second stage, routed from the layout the first stage ends in: the
@@ -262,17 +265,14 @@ def route(circuit: Circuit, cmap: CouplingMap, *,
     n = circuit.width
     if n > cmap.n_qubits:
         raise RoutingError(f"circuit width {n} exceeds device size {cmap.n_qubits}")
-    body = [g for g in circuit.ops if g.kind != MEASURE]
-    measures = [g for g in circuit.ops if g.kind == MEASURE]
+    ops = circuit.ops
     dist = cmap.distances()
     stage_tags = frozenset(stage_tags)
-    split = next((i for i, g in enumerate(body) if g.tag in stage_tags), len(body))
+    split = next((i for i, g in enumerate(ops) if g.tag in stage_tags), len(ops))
     start = path_placement(cmap)
-    out, mid_layout = _route_pass_inorder(body[:split], cmap, dist, start)
-    rest, final_layout = _route_pass_inorder(body[split:], cmap, dist, mid_layout)
+    out, mid_layout = _route_pass_inorder(ops[:split], cmap, dist, start)
+    rest, final_layout = _route_pass_inorder(ops[split:], cmap, dist, mid_layout)
     out += rest
-    for m in measures:
-        out.append(measure(final_layout[m.qubits[0]], tag=m.tag))
     return RoutedCircuit(
         Circuit(cmap.n_qubits, tuple(out)),
         initial_layout=tuple(start[:n]),
@@ -328,7 +328,7 @@ def _check_diag_basis_form() -> None:
 
 
 def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circuit:
-    """Rewrite to {RY, RZ, X, H, CNOT} (measurements pass through).
+    """Rewrite to {RY, RZ, X, H, CNOT}.
 
     SWAP becomes three CNOTs and RZZ becomes CNOT-RZ-CNOT.  The only
     explicit unitary with a basis form is the diagonalizing gate (value-equal

@@ -41,16 +41,14 @@ from .circuit import (
     RY,
     RZ,
     Circuit,
-    CircuitError,
     Gate,
     PauliObservable,
     cnot,
     extend,
-    measure,
     tensor_two_copies,
     two_qubit,
 )
-from .simulate import DensityMatrix, Distribution
+from .simulate import DensityMatrix, Distribution, outcome_bits
 
 DIAG_TAG = "diag"
 #: tag of the parity-rotation CNOTs; with DIAG_TAG it marks the measurement
@@ -109,13 +107,11 @@ def diag_basis_gates(a: int, b: int, tag: str) -> list[Gate]:
 
 def build_vd_circuit(original: Circuit, rotation: Sequence[Gate] = ()) -> Circuit:
     """Two copies of ``original``, then the ``rotation`` gates (a parity
-    rotation, see :class:`ParityGroup`) on each copy, a diagonalizing gate on
-    each pair (i, n+i) in ascending pair order, and measurements on all 2n
+    rotation, see :class:`ParityGroup`) on each copy and a diagonalizing gate
+    on each pair (i, n+i) in ascending pair order; a run reads all 2n
     qubits.  Rotating both copies is rotating ``original`` before it is
     duplicated; keeping the rotation after the copies lets the device
     compile the state preparation the same way for every rotation."""
-    if original.has_measurements():
-        raise CircuitError("original circuit must not contain measurements")
     n = original.width
     c = tensor_two_copies(original)
     ops = list(c.ops)
@@ -123,8 +119,6 @@ def build_vd_circuit(original: Circuit, rotation: Sequence[Gate] = ()) -> Circui
         ops += [g, g.shifted(n)]
     for i in range(n):
         ops.append(diag_gate_on(i, n + i))
-    for q in range(2 * n):
-        ops.append(measure(q))
     return Circuit(2 * n, tuple(ops))
 
 
@@ -328,22 +322,6 @@ class ParityEstimate:
         return sum(p.mitigated for p in self.parts)
 
 
-def _pair_weight_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-outcome (over 2n bits) arrays: per-pair swap signs (-1 on
-    :data:`SINGLET_OUTCOME`) and the two copy bits, as (n, 4^n)-shaped
-    tables."""
-    width = 2 * n
-    idx = np.arange(2 ** width)
-    z = np.empty((n, idx.size), dtype=np.int8)
-    zp = np.empty((n, idx.size), dtype=np.int8)
-    for i in range(n):
-        z[i] = (idx >> (width - 1 - i)) & 1
-        zp[i] = (idx >> (width - 1 - (n + i))) & 1
-    sb0, sb1 = int(SINGLET_OUTCOME[0]), int(SINGLET_OUTCOME[1])
-    s = np.where((z == sb0) & (zp == sb1), -1.0, 1.0)
-    return s, z, zp
-
-
 def estimate_from_distribution(dist: Distribution, obs: PauliObservable,
                                shots: int | None = None) -> VDEstimate:
     """Exact weighting of a (possibly reconstructed or sampled) outcome
@@ -356,7 +334,11 @@ def estimate_from_distribution(dist: Distribution, obs: PauliObservable,
         raise ValueError(f"observable width {obs.width} != {n} system qubits")
     if not obs.is_diagonal():
         raise ValueError("sampled estimation supports I/Z observables only")
-    s, z, zp = _pair_weight_tables(n)
+    # per pair i, over the 4^n outcomes: the copy bits z, zp and the swap
+    # sign s (-1 on SINGLET_OUTCOME)
+    bits = outcome_bits(2 * n)
+    z, zp = bits[:n], bits[n:]
+    s = np.where((z == int(SINGLET_OUTCOME[0])) & (zp == int(SINGLET_OUTCOME[1])), -1.0, 1.0)
     den_w = s.prod(axis=0)
     num_w = np.zeros(den_w.shape)
     for coeff, pauli in obs.terms:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
-from vdcut.circuit import MEASURE, Circuit, Gate, PauliObservable, gate_matrix, measure
+from vdcut.circuit import Circuit, Gate, PauliObservable, gate_matrix
 from vdcut.cutting import (
     DiagonalSimulationCache,
     PairwisePipeline,
@@ -161,8 +161,6 @@ def full_unitary(circuit: Circuit) -> np.ndarray:
     """Whole-circuit unitary built gate by gate with explicit embedding."""
     u = np.eye(2 ** circuit.width, dtype=complex)
     for g in circuit.ops:
-        if g.kind == MEASURE:
-            raise ValueError("no unitary for measuring circuits")
         u = embed(gate_matrix(g), g.qubits, circuit.width) @ u
     return u
 
@@ -183,7 +181,7 @@ def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_circuit(n: int, n_gates: int, rng: np.random.Generator,
                    two_qubit_prob: float = 0.45) -> Circuit:
-    """Random measureless circuit over RY/RZ/H/X/CNOT."""
+    """Random circuit over RY/RZ/H/X/CNOT."""
     ops: list[Gate] = []
     from vdcut.circuit import cnot, h, ry, rz, x
 
@@ -270,9 +268,8 @@ def copies_register(n: int, reps: int = 2) -> list[Execution]:
 
 def single_register(n: int, reps: int = 2) -> list[Execution]:
     """An experiment's single-copy register for the ring-``n`` problem
-    without sampling: the bare measured circuit, then per parity group each
-    pair's X, Y and Z cut fragments."""
+    without sampling: the bare circuit, then per parity group each pair's X,
+    Y and Z cut fragments."""
     orig = _register_circuit(n, reps)
-    bare = Circuit(n, orig.ops + tuple(measure(q) for q in range(n)))
     groups = parity_groups(maxcut_hamiltonian(ring_problem(n)))
-    return [Execution(bare)] + cut_executions(orig, groups, None, 0)
+    return [Execution(orig)] + cut_executions(orig, groups, None, 0)

@@ -261,7 +261,7 @@ def test_criterion_3_cutting_identity():
     # double-cut pairwise pipelines of the 4-qubit benchmark, noiseless
     theta = _benchmark_parameters(4)
     orig = AnsatzSpec(4).circuit(theta)
-    ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
+    ref = exact_probs(evolve(build_vd_circuit(orig)))
     cache = DiagonalSimulationCache()
     worst_pair = 0.0
     for pipe in build_pairwise_pipelines(orig):
@@ -338,7 +338,7 @@ def test_criterion_5_table2_ordering(table2_result):
 
 def test_criterion_6_zne_sanity(table1_results):
     theta = _benchmark_parameters(4)
-    vd = build_vd_circuit(AnsatzSpec(4).circuit(theta)).without_measurements()
+    vd = build_vd_circuit(AnsatzSpec(4).circuit(theta))
     ref = exact_probs(evolve(vd))
     worst = 0.0
     for scale in (3, 5):
@@ -413,7 +413,7 @@ def test_criterion_9_recombination():
 
     theta = _benchmark_parameters(4)
     orig = AnsatzSpec(4).circuit(theta)
-    ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
+    ref = exact_probs(evolve(build_vd_circuit(orig)))
     cache = DiagonalSimulationCache()
     mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
     end_to_end = tv_distance(recombine(ref, mitigated)[0], ref)

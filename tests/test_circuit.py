@@ -14,7 +14,6 @@ from vdcut.circuit import (
     h,
     layers,
     lightcone,
-    measure,
     ry,
     rz,
     rzz,
@@ -24,6 +23,7 @@ from vdcut.circuit import (
     two_qubit,
     x,
 )
+from vdcut.benchmarks import real_amplitudes
 from vdcut.simulate import evolve
 
 from helpers import full_unitary, random_circuit
@@ -43,11 +43,17 @@ def test_append_out_of_range():
 
 
 def test_gate_after_measurement_rejected():
-    c = append(Circuit(2), measure(0))
+    """Circuit files may still carry ``Measure q`` lines: they are dropped,
+    and a gate after one on the same qubit is refused."""
+    c = from_text("qubits 2\nRY 0,0.5\nMeasure 0\nRY 1,0.25\nMeasure 1,#readout\n")
+    assert c == Circuit(2, (ry(0.5, 0), ry(0.25, 1)))
     with pytest.raises(CircuitError):
-        append(c, ry(0.1, 0))
+        from_text("qubits 2\nMeasure 0\nRY 0,0.1\n")
     # other qubits remain usable
-    append(c, ry(0.1, 1))
+    assert from_text("qubits 2\nMeasure 0\nRY 1,0.1\n").ops == (ry(0.1, 1),)
+    for bad in ("Measure 2", "Measure -1", "Measure 0,1"):
+        with pytest.raises(CircuitError):
+            from_text(f"qubits 2\n{bad}\n")
 
 
 def test_gate_validation():
@@ -59,6 +65,18 @@ def test_gate_validation():
         two_qubit(np.eye(4) * 2.0, 0, 1)  # not unitary
     u = two_qubit(np.eye(4), 0, 1, tag="diag")
     assert u.unitary.flags.writeable is False
+
+
+def test_non_finite_angle_rejected():
+    """A NaN or infinite angle is refused by the gate itself, so also when
+    it comes from a circuit file or from the ansatz parameters."""
+    for angle in (np.nan, np.inf, -np.inf):
+        with pytest.raises(CircuitError, match="finite"):
+            rzz(angle, 0, 1)
+    with pytest.raises(CircuitError, match="finite"):
+        from_text("qubits 1\nRY 0,nan\n")
+    with pytest.raises(CircuitError, match="finite"):
+        real_amplitudes(2, 1, "circular", [0.1, np.nan, 0.3, 0.4])
 
 
 def test_tensor_two_copies_single_qubit():
@@ -75,11 +93,6 @@ def test_tensor_two_copies_counts():
     c2 = tensor_two_copies(c)
     assert c2.width == 6
     assert len(c2) == 2 * len(c)
-
-
-def test_tensor_two_copies_rejects_measurement():
-    with pytest.raises(CircuitError):
-        tensor_two_copies(Circuit(1, (measure(0),)))
 
 
 def test_two_copies_state_is_product():
@@ -169,7 +182,7 @@ def test_observable_validation():
 
 
 def test_text_roundtrip_examples():
-    c = Circuit(3, (ry(np.pi / 3, 0), cnot(2, 0, tag="copy-1"), rzz(-0.4, 0, 1), measure(2)))
+    c = Circuit(3, (ry(np.pi / 3, 0), cnot(2, 0, tag="copy-1"), rzz(-0.4, 0, 1), h(2)))
     txt = to_text(c)
     assert txt.splitlines()[0] == "qubits 3"
     c2 = from_text(txt)

@@ -74,6 +74,18 @@ def test_run_keeps_dots_in_the_out_name(tmp_path):
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_run_non_finite_parameters_exit_code(tmp_path, capsys):
+    """A NaN literal in a JSON config fails the run with exit code 1 instead
+    of reporting NaN cells."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, "noise": "noiseless",
+                               "parameters": [0.1, float("nan"), 0.3, 0.4]}))
+    assert "NaN" in cfg.read_text()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"ring": 2}, "methods": []}))

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vdcut.benchmarks import real_amplitudes
-from vdcut.circuit import Circuit, cnot, gate_matrix, h, lightcone, measure, ry
+from vdcut.circuit import Circuit, cnot, gate_matrix, h, lightcone, ry
 from vdcut.cutting import (
     _PREP_VECTORS,
     _prep_weights,
-    MEASURE_BASES,
+    READ_BASES,
     PREP_STATES,
     CutError,
     CutPoint,
@@ -50,15 +50,15 @@ def valid_cuts(circuit):
 
 
 def test_cut_produces_three_j_and_four_k_fragments():
-    """The measure side in the X, Y and Z bases, then the prepare side for
-    each prepared state, in that order."""
-    c = Circuit(2, (h(0), cnot(0, 1)))
-    fragments, plan = cut_wire(c, CutPoint(0, 0))
-    assert (plan.j_measured, plan.k_measured) == ((0,), (0, 1))
-    assert [f.ops for f in fragments] == (
-        [(h(0), *basis_change_gates(basis, 0), measure(0)) for basis in MEASURE_BASES]
-        + [(*preparation_gates(state, 0), cnot(0, 1), measure(0), measure(1))
-           for state in PREP_STATES])
+    """The measure side in the X, Y and Z bases, read on the cut qubit and
+    the upstream-exclusive qubit 2, then the prepare side for each prepared
+    state, read downstream, in that order."""
+    c = Circuit(3, (h(2), cnot(2, 0), cnot(0, 1)))
+    fragments, plan = cut_wire(c, CutPoint(0, 1))
+    reads = [plan.j_measured] * len(READ_BASES) + [plan.k_measured] * len(PREP_STATES)
+    assert [(f.ops, bits) for f, bits in zip(fragments, reads, strict=True)] == (
+        [((h(2), cnot(2, 0), *basis_change_gates(basis, 0)), (0, 2)) for basis in READ_BASES]
+        + [((*preparation_gates(state, 0), cnot(0, 1)), (0, 1)) for state in PREP_STATES])
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -71,7 +71,7 @@ def test_prep_weights_rebuild_any_single_qubit_state(direction, radius):
     paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
     rho = (np.eye(2) + sum(r * p for r, p in zip(bloch, paulis))) / 2
     outputs = []
-    for basis in MEASURE_BASES:
+    for basis in READ_BASES:
         u = np.eye(2)
         for g in basis_change_gates(basis, 0):
             u = gate_matrix(g) @ u
@@ -90,8 +90,6 @@ def test_cut_validation():
         cut_wire(c, CutPoint(1, 0))  # qubit 0 crosses the partition
     with pytest.raises(CutError):
         cut_wire(c, CutPoint(0, 5))  # position outside circuit
-    with pytest.raises(CutError):
-        cut_wire(Circuit(1, (ry(0.4, 0), measure(0))), CutPoint(0, 0))
 
 
 def test_cut_on_fresh_wire_preserves_state():
@@ -172,8 +170,8 @@ def test_pairwise_fragment_counts():
     for pipe in pipes:
         i = pipe.pair_index
         executions = pipe.executions(shots=100, seed=5)
-        assert [ex.circuit.ops for ex in executions] == [
-            lightcone(orig, {i}).ops + tuple(basis_change_gates(basis, i)) + (measure(i),)
+        assert [(ex.circuit.ops, ex.measured) for ex in executions] == [
+            (lightcone(orig, {i}).ops + tuple(basis_change_gates(basis, i)), (i,))
             for basis in ("X", "Y", "Z")]
         assert [(ex.shots, ex.seed) for ex in executions] == [(100, 8), (100, 19), (100, 30)]
     with pytest.raises(FrozenInstanceError):
@@ -186,7 +184,7 @@ def test_pairwise_noiseless_matches_vd_marginals():
     rng = np.random.default_rng(14)
     theta = rng.uniform(0, 2 * np.pi, 12)
     orig = real_amplitudes(4, 2, "circular", theta)
-    ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
+    ref = exact_probs(evolve(build_vd_circuit(orig)))
     cache = DiagonalSimulationCache()
     for pipe in build_pairwise_pipelines(orig):
         got = pairwise(pipe, cache=cache)
@@ -217,7 +215,7 @@ def test_pairwise_closer_to_ideal_than_uncut_marginals():
     nm = preset("basic")
     cmap = linear(8)
     vd = build_vd_circuit(orig)
-    ideal = exact_probs(evolve(vd.without_measurements()))
+    ideal = exact_probs(evolve(vd))
     noisy = run_circuit(vd, noise=nm, cmap=cmap).distribution
     cache = DiagonalSimulationCache()
     wins = 0
@@ -261,7 +259,7 @@ def test_recombined_noiseless_end_to_end():
     rng = np.random.default_rng(16)
     theta = rng.uniform(0, 2 * np.pi, 12)
     orig = real_amplitudes(4, 2, "circular", theta)
-    ref = exact_probs(evolve(build_vd_circuit(orig).without_measurements()))
+    ref = exact_probs(evolve(build_vd_circuit(orig)))
     cache = DiagonalSimulationCache()
     mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
     assert tv_distance(recombine(ref, mitigated)[0], ref) < 1e-9

@@ -260,6 +260,24 @@ def test_parameters_from_file(tmp_path):
     assert res.parameters == (0.1, 0.2, 0.3, 0.4)
 
 
+def test_non_finite_parameters_rejected_before_optimizing(tmp_path, monkeypatch):
+    """NaN or infinite parameters, given inline or in a parameters file,
+    are a config error raised before any optimization or simulation."""
+    from vdcut import experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize_parameters called")
+
+    monkeypatch.setattr(experiments, "optimize_parameters", forbidden)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            _fast_config(parameters=(0.1, bad, 0.3, 0.4))
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"parameters": [0.1, float("nan"), 0.3, 0.4]}))
+    with pytest.raises(ConfigError, match="finite"):
+        run_experiment(_fast_config(parameters=str(path), noise="noiseless"))
+
+
 def test_circuit_file_override(tmp_path):
     from vdcut.circuit import Circuit, ry, to_text
 

@@ -7,11 +7,10 @@ import pytest
 
 from vdcut import runner, simulate
 from vdcut.benchmarks import real_amplitudes
-from vdcut.circuit import Circuit, measure
 from vdcut.cutting import build_pairwise_pipelines
 from vdcut.noise import preset
-from vdcut.runner import Execution, compile_circuit, run_circuit, run_circuits
-from vdcut.simulate import blocks
+from vdcut.runner import Execution, compile_circuit, run_circuits
+from vdcut.simulate import blocks, marginal
 from vdcut.transpile import coupling_map_for
 from vdcut.vd import build_vd_circuit
 
@@ -29,8 +28,7 @@ def test_batch_matches_separate_runs():
               Execution(vd, shots=500, seed=3)]
     # distinct circuits of one register: the bare circuit and the X/Y/Z
     # fragments of both pairs, as an experiment's single-copy batch holds them
-    bare = Circuit(2, orig.ops + (measure(0), measure(1)))
-    single = [Execution(bare, shots=500, seed=4)] + [
+    single = [Execution(orig, shots=500, seed=4)] + [
         ex for pipe in build_pairwise_pipelines(orig)
         for ex in pipe.executions(500, 5 + 100 * pipe.pair_index)]
     assert len(single) == 7
@@ -38,8 +36,7 @@ def test_batch_matches_separate_runs():
                for executions in (copies, single)]
     for executions, batch in zip((copies, single), batches):
         for ex, rec in zip(executions, batch, strict=True):
-            alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, shots=ex.shots,
-                                seed=ex.seed, scale=ex.scale, ideal_diag=ex.ideal_diag)
+            (alone,) = run_circuits([ex], noise=noise, cmap=cmap).records
             assert np.array_equal(rec.distribution.probs, alone.distribution.probs)
             assert (rec.output is rec.distribution) == (ex.shots is None)
             assert np.array_equal(rec.output.probs, alone.output.probs)
@@ -51,12 +48,29 @@ def test_batch_matches_separate_runs():
     assert not np.array_equal(batch[1].output.probs, batch[3].output.probs)
 
 
+def test_execution_reads_its_measured_qubits():
+    """An execution reads the qubits it names, in ascending logical order,
+    and one circuit object read two ways in one batch keeps both reads."""
+    circuit = real_amplitudes(3, 1, "circular", np.linspace(0.2, 1.4, 6))
+    cmap = coupling_map_for("heavyhex:3", 3)
+    every, pair, single = run_circuits(
+        [Execution(circuit), Execution(circuit, measured=(2, 0)),
+         Execution(circuit, measured=(1,))], noise=preset("basic"), cmap=cmap).records
+    assert (every.distribution.width, pair.distribution.width) == (3, 2)
+    assert np.allclose(pair.distribution.probs, marginal(every.distribution, (0, 2)).probs)
+    assert np.allclose(single.distribution.probs, marginal(every.distribution, (1,)).probs)
+    for measured in ((0, 0), (3,), (-1,)):
+        with pytest.raises(ValueError):
+            Execution(circuit, measured=measured)
+
+
 def _compiled_register(register=copies_register):
     noise = preset("basic+gct")
     cmap = coupling_map_for("heavyhex:3", 8)
     executions = register(4)
     compiled = [compile_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
-                                ideal_diag=ex.ideal_diag) for ex in executions]
+                                ideal_diag=ex.ideal_diag, measured=ex.measured)
+                for ex in executions]
     return executions, noise, cmap, compiled
 
 
@@ -109,8 +123,7 @@ def test_trie_evolves_each_distinct_prefix_once(monkeypatch, register, width, va
     assert stats.ops_evolved == sum(p[-1].gates for p in block_prefixes) < one_prefix
     assert max(crowded) == stats.max_snapshots == snapshots
     for ex, rec in zip(executions, batch.records, strict=True):
-        alone = run_circuit(ex.circuit, noise=noise, cmap=cmap, scale=ex.scale,
-                            ideal_diag=ex.ideal_diag)
+        (alone,) = run_circuits([ex], noise=noise, cmap=cmap).records
         assert rec.distribution.probs.tobytes() == alone.distribution.probs.tobytes()
 
 
@@ -149,6 +162,7 @@ def test_noiseless_batch_evolves_one_block_per_op():
     assert batch.stats.blocks_evolved == batch.stats.ops_evolved
     assert batch.stats.state_bytes == 16 * 4 ** 8
     for ex, rec in zip(executions, batch.records, strict=True):
-        c = compile_circuit(ex.circuit, cmap=cmap, scale=ex.scale, ideal_diag=ex.ideal_diag)
+        c = compile_circuit(ex.circuit, cmap=cmap, scale=ex.scale, ideal_diag=ex.ideal_diag,
+                            measured=ex.measured)
         want = marginal(exact_probs(evolve(c.body)), c.positions)
         assert rec.distribution.probs.tobytes() == want.probs.tobytes()

@@ -11,7 +11,6 @@ from vdcut.circuit import (
     cnot,
     gate_matrix,
     h,
-    measure,
     ry,
     rz,
     rzz,
@@ -327,11 +326,6 @@ def test_initial_state_must_match_the_blocks():
         evolve(c, initial=evolve(blocks(Circuit(1), preset("basic"))))
 
 
-def test_measurement_rejected_by_evolve():
-    with pytest.raises(ValueError):
-        evolve(Circuit(1, (measure(0),)))
-
-
 def test_channels_preserve_density_matrix_invariants():
     rng = np.random.default_rng(4)
     nm = NoiseModel(gate_crosstalk=True, readout_crosstalk=True)
@@ -499,6 +493,15 @@ def test_readout_preserves_normalization():
     d = Distribution(4, p / p.sum())
     out = apply_readout(d, nm, edges=((0, 1), (1, 2), (2, 3)))
     assert abs(out.probs.sum() - 1.0) < 1e-12
+
+
+def test_distribution_rejects_non_finite_entries():
+    """A NaN entry compares false with every bound, so it used to pass both
+    the negativity and the normalization check; it and infinite entries are
+    refused."""
+    for probs in ([np.nan, 1.0], [np.inf, 0.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(1, probs)
 
 
 def test_tv_distance():

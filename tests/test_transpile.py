@@ -7,7 +7,6 @@ from vdcut.circuit import (
     Circuit,
     cnot,
     gate_matrix,
-    measure,
     ry,
     rzz,
     swap,
@@ -125,7 +124,7 @@ def test_route_preserves_semantics():
         c = random_circuit(4, 14, rng)
         rc = route(c, cmap)
         ref = exact_probs(evolve(c))
-        routed = exact_probs(evolve(rc.circuit.without_measurements()))
+        routed = exact_probs(evolve(rc.circuit))
         got = marginal(routed, rc.final_layout)
         assert tv_distance(got, ref) < 1e-10
 
@@ -136,7 +135,7 @@ def test_route_rejects_oversized_circuit():
 
 
 def test_compact_restricts_to_used_qubits():
-    c = Circuit(3, (cnot(0, 2), measure(0), measure(1), measure(2)))
+    c = Circuit(3, (cnot(0, 2),))
     rc = route(c, heavy_hex(3))
     cc, edges = compact(rc, heavy_hex(3))
     assert cc.circuit.width <= 5
@@ -157,9 +156,9 @@ def test_decompose_swap_and_rzz():
 def test_decompose_basis_only_and_idempotent():
     rng = np.random.default_rng(6)
     c = random_circuit(3, 15, rng)
-    c = Circuit(3, c.ops + (swap(0, 2), rzz(-0.4, 1, 2), measure(0)))
+    c = Circuit(3, c.ops + (swap(0, 2), rzz(-0.4, 1, 2)))
     out = decompose_to_basis(c)
-    assert set(g.kind for g in out.ops) <= {"RY", "RZ", "X", "H", "CNOT", "Measure"}
+    assert set(g.kind for g in out.ops) <= {"RY", "RZ", "X", "H", "CNOT"}
     assert decompose_to_basis(out).ops == out.ops
 
 

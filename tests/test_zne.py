@@ -35,7 +35,7 @@ def test_fold_counts_and_tags():
 
 
 def test_fold_preserves_noiseless_semantics():
-    vd = _vd(n=2, seed=3).without_measurements()
+    vd = _vd(n=2, seed=3)
     ref = exact_probs(evolve(vd))
     for scale in (3, 5):
         got = exact_probs(evolve(fold_diagonalizing(vd, scale)))
@@ -63,7 +63,7 @@ def test_fold_amplifies_mixing():
     """Purity of the folded circuit's output is non-increasing in the scale
     under the depolarizing model."""
     nm = NoiseModel()
-    vd = _vd(n=2, seed=7).without_measurements()
+    vd = _vd(n=2, seed=7)
     folded = [decompose_to_basis(fold_diagonalizing(vd, s)) for s in (1, 3, 5)]
     purities = [purity(density_matrix(evolve(blocks(c, nm)))) for c in folded]
     assert purities[0] >= purities[1] >= purities[2]
