@@ -16,7 +16,6 @@ from .circuit import (
     CircuitError,
     Gate,
     PauliObservable,
-    append,
     from_text,
     layers,
     lightcone,

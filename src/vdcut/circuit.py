@@ -10,6 +10,8 @@ Conventions used throughout the package:
 * Circuits are immutable values holding only a width and a gate tuple;
   every transformation returns a new circuit.  What a gate belongs to
   (a copy, a diagonalizing gate, crosstalk) travels in its tag.
+* Every gate kind has a fixed matrix, up to its angle; the diagonalizing
+  gate of virtual distillation is the fixed two-qubit kind ``DIAG``.
 * Circuits hold gates only.  Which qubits a run reads out travels with the
   run, as :attr:`vdcut.runner.Execution.measured`.
 """
@@ -28,14 +30,12 @@ X = "X"
 H = "H"
 CNOT = "CNOT"
 SWAP = "SWAP"
-TWO_QUBIT_UNITARY = "TwoQubitUnitary"
+DIAG = "DIAG"
 
 _ONE_QUBIT_KINDS = {RY, RZ, X, H}
-_TWO_QUBIT_KINDS = {RZZ, CNOT, SWAP, TWO_QUBIT_UNITARY}
+_TWO_QUBIT_KINDS = {RZZ, CNOT, SWAP, DIAG}
 _ROTATION_KINDS = {RY, RZ, RZZ}
 KINDS = _ONE_QUBIT_KINDS | _TWO_QUBIT_KINDS
-
-_UNITARITY_ATOL = 1e-12
 
 
 class CircuitError(ValueError):
@@ -44,14 +44,18 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class Gate:
-    """A single operation: gate kind, target qubits, optional angle/unitary,
-    and a free-form label tag (e.g. ``"diag"``, ``"copy-0"``, ``"xtalk"``)."""
+    """A single operation: gate kind, target qubits, optional angle, and a
+    free-form label tag (e.g. ``"diag"``, ``"copy-0"``, ``"xtalk"``)."""
 
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    unitary: np.ndarray | None = None
     tag: str = ""
+
+    #: not a field, and None for every gate: the benchmark's gate key
+    #: (``perfbench/tracing.py``) still reads it, and it goes when that
+    #: key stops.
+    unitary = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,16 +71,6 @@ class Gate:
             raise CircuitError(f"negative qubit index in {qubits}")
         if (self.angle is not None) != (self.kind in _ROTATION_KINDS):
             raise CircuitError(f"angle must be present iff kind is a rotation ({self.kind})")
-        if (self.unitary is not None) != (self.kind == TWO_QUBIT_UNITARY):
-            raise CircuitError(f"explicit unitary present iff kind is {TWO_QUBIT_UNITARY}")
-        if self.unitary is not None:
-            u = np.array(self.unitary, dtype=complex)
-            if u.shape != (4, 4):
-                raise CircuitError(f"two-qubit unitary must be 4x4, got {u.shape}")
-            if np.abs(u.conj().T @ u - np.eye(4)).max() > _UNITARITY_ATOL:
-                raise CircuitError("matrix is not unitary to within 1e-12")
-            u.setflags(write=False)
-            object.__setattr__(self, "unitary", u)
         if self.angle is not None:
             angle = float(self.angle)
             if not math.isfinite(angle):
@@ -118,10 +112,6 @@ def swap(a: int, b: int, tag: str = "") -> Gate:
     return Gate(SWAP, (a, b), tag=tag)
 
 
-def two_qubit(u: np.ndarray, a: int, b: int, tag: str = "") -> Gate:
-    return Gate(TWO_QUBIT_UNITARY, (a, b), unitary=u, tag=tag)
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over ``width`` qubits; these two fields are the
@@ -146,12 +136,8 @@ class Circuit:
         return sum(1 for g in self.ops if g.kind == kind)
 
 
-def append(circuit: Circuit, gate: Gate) -> Circuit:
-    """Return ``circuit`` with ``gate`` appended; the input is unchanged."""
-    return Circuit(circuit.width, circuit.ops + (gate,))
-
-
 def extend(circuit: Circuit, gates: Iterable[Gate]) -> Circuit:
+    """Return ``circuit`` with ``gates`` appended; the input is unchanged."""
     return Circuit(circuit.width, circuit.ops + tuple(gates))
 
 
@@ -224,6 +210,12 @@ _CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+_R2 = 1.0 / np.sqrt(2.0)
+#: the diagonalizing gate, :data:`vdcut.vd.DIAG_UNITARY`: identity on |00>
+#: and |11>, a Hadamard on span(|01>, |10>); real and its own inverse
+_DIAG_MATRIX = np.array(
+    [[1, 0, 0, 0], [0, _R2, _R2, 0], [0, _R2, -_R2, 0], [0, 0, 0, 1]], dtype=complex)
+_DIAG_MATRIX.setflags(write=False)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -243,7 +235,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _CNOT_MATRIX
     if gate.kind == SWAP:
         return _SWAP_MATRIX
-    return np.array(gate.unitary, dtype=complex)  # TWO_QUBIT_UNITARY
+    return _DIAG_MATRIX
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +291,6 @@ class PauliObservable:
 def to_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.width}"]
     for g in circuit.ops:
-        if g.kind == TWO_QUBIT_UNITARY:
-            raise CircuitError(
-                "explicit two-qubit unitaries are not representable in the text format")
         fields = [str(q) for q in g.qubits]
         if g.angle is not None:
             fields.append(f"{g.angle:.17g}")

@@ -13,12 +13,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import platform
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .benchmarks import (
     AnsatzSpec,
     MaxCutProblem,
@@ -137,9 +141,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Outcome of one (method, preset) cell.  ``cnots`` and ``rzz`` hold one
-    count per execution; distillation methods list them group by group
-    (per group: one run for vd, the ZNE scales, or one fragment per pair).
+    """Outcome of one (method, preset) cell.  ``cnots``, ``rzz`` and
+    ``swaps`` (the SWAPs routing inserted) hold one count per execution;
+    distillation methods list them group by group (per group: one run for
+    vd, the ZNE scales, or one fragment per pair).
     ``estimates`` holds a distillation cell's parity estimate per ZNE scale
     (scale 1 only, outside vd+zne), kept when its mitigation fails too."""
 
@@ -149,6 +154,7 @@ class CellResult:
     abs_error: float | None
     cnots: tuple[int, ...]
     rzz: tuple[int, ...]
+    swaps: tuple[int, ...]
     wall_time: float
     error: str | None = None
     estimates: tuple[tuple[int, ParityEstimate], ...] = ()
@@ -268,6 +274,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             abs_error=None if error else abs(value - ideal),
             cnots=tuple(rec.cnots for rec in counted),
             rzz=tuple(rec.rzz_gates for rec in counted),
+            swaps=tuple(rec.swaps for rec in counted),
             wall_time=time.perf_counter() - started, error=error,
             estimates=tuple(scaled.items())))
     return ExperimentResult(config=config, ideal=ideal,
@@ -387,7 +394,8 @@ def _fmt(value: float | None) -> str:
 
 def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
     """Write ``<out>.csv`` (fixed table mirroring the method rows) and
-    ``<out>.json`` (full provenance).  Returns the two paths."""
+    ``<out>.json`` (full provenance, with the vdcut, Python, numpy and scipy
+    versions and ``os.cpu_count()``).  Returns the two paths."""
     if not result.cells:
         raise ConfigError("nothing to emit: no method cells")
     base = out if out is not None else result.config.out
@@ -419,6 +427,9 @@ def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
         "parameters": list(result.parameters),
         "ideal": result.ideal,
         "reference_noiseless_diag": result.reference_noiseless_diag,
+        "versions": {"vdcut": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "cpu_count": os.cpu_count(),
         "parity_groups": [
             {"cnots": [list(c) for c in g.cnots],
              "shots": None if noise is NOISELESS else result.config.shots}
@@ -435,6 +446,7 @@ def emit(result: ExperimentResult, out: str | None = None) -> tuple[str, str]:
                 "abs_error": c.abs_error,
                 "cnots": list(c.cnots),
                 "rzz": list(c.rzz),
+                "swaps": list(c.swaps),
                 "wall_time": c.wall_time,
                 "error": c.error,
                 "diagnostics": _diagnostics(c),

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import CNOT, SWAP, TWO_QUBIT_UNITARY, Circuit, Gate, layers, rzz
+from .circuit import CNOT, DIAG, SWAP, Circuit, Gate, layers, rzz
 
 CROSSTALK_TAG = "xtalk"
 
@@ -107,7 +107,7 @@ def preset(name: str) -> NoiseModel | None:
 
 #: two-qubit device gates that participate in crosstalk (RZZ itself models
 #: the crosstalk and is excluded)
-_CROSSTALK_KINDS = (CNOT, SWAP, TWO_QUBIT_UNITARY)
+_CROSSTALK_KINDS = (CNOT, SWAP, DIAG)
 
 
 def insert_zz_crosstalk(circuit: Circuit, edges: Iterable[tuple[int, int]],
@@ -115,8 +115,8 @@ def insert_zz_crosstalk(circuit: Circuit, edges: Iterable[tuple[int, int]],
     """Insert coherent RZZ crosstalk after layers with adjacent parallel
     two-qubit gates.
 
-    For every unordered pair of two-qubit device gates (CNOT, SWAP or an
-    explicit two-qubit unitary) in the same dependency layer whose qubit
+    For every unordered pair of two-qubit device gates (CNOT, SWAP or the
+    diagonalizing gate DIAG) in the same dependency layer whose qubit
     sets contain qubits coupled by one of ``edges``, one ``RZZ(angle)`` tagged
     ``"xtalk"`` is inserted immediately after that layer on the lowest-index
     adjacent cross-gate qubit pair.  :func:`~vdcut.runner.compile_circuit`

@@ -75,11 +75,12 @@ class CompiledCircuit:
     """A logical circuit as the simulator evolves it: routed, folded,
     basis-decomposed and crosstalk-augmented, with the device ``edges``
     between its qubits that readout crosstalk reads and the ``positions``
-    of the bits it reads."""
+    of the bits it reads.  Its ``DIAG`` gates, kept only by the
+    noiseless-diagonalizing reference, evolve ideal, as its crosstalk does
+    (see :func:`~vdcut.simulate.blocks`)."""
 
     body: Circuit
     edges: tuple[tuple[int, int], ...]
-    ideal_tags: tuple[str, ...]
     positions: tuple[int, ...]
     swaps: int
 
@@ -105,13 +106,12 @@ def compile_circuit(circuit: Circuit, *,
     positions = tuple(rc.final_layout[q] for q in read)
     if scale != 1:
         body = fold_diagonalizing(body, scale)
-    body = decompose_to_basis(body, keep_tags=("diag",) if ideal_diag else ())
+    body = decompose_to_basis(body, keep_tags=(DIAG_TAG,) if ideal_diag else ())
     if noise is not None and noise.gate_crosstalk:
         # crosstalk between parallel two-qubit gates of the basis-decomposed
         # circuit, mirroring per-CNOT scheduling on hardware
         body = insert_zz_crosstalk(body, edges, angle=noise.crosstalk_angle)
-    ideal_tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
-    return CompiledCircuit(body, edges, ideal_tags, positions, rc.circuit.count(SWAP))
+    return CompiledCircuit(body, edges, positions, rc.circuit.count(SWAP))
 
 
 def run_circuit(circuit: Circuit, *,
@@ -230,7 +230,7 @@ def run_circuits(executions: Sequence[Execution], *,
                                             scale=ex.scale, ideal_diag=ex.ideal_diag,
                                             measured=ex.measured)
     memo: dict = {}
-    variant_of = {key: (blocks(c.body, noise, c.ideal_tags, memo).ops, c.positions)
+    variant_of = {key: (blocks(c.body, noise, memo).ops, c.positions)
                   for key, c in compiled.items()}
     variants = {variant_of[key]: c for key, c in compiled.items()}
     widths = {c.body.width for c in variants.values()}

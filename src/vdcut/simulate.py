@@ -31,12 +31,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import (
+    _SWAP_MATRIX,
+    DIAG,
     Circuit,
     Gate,
     PauliObservable,
     gate_matrix,
 )
-from .noise import NoiseModel
+from .noise import CROSSTALK_TAG, NoiseModel
 
 _NEGATIVE_PROB_FLOOR = -1e-10
 
@@ -139,7 +141,6 @@ def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
     k = len(gate.qubits)
     # canonicalize to ascending qubit order, the order evolve applies it in
     if k == 2 and gate.qubits[0] > gate.qubits[1]:
-        from .circuit import _SWAP_MATRIX
         u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
     S = _conjugation_super(u)
     if noise is None:
@@ -219,10 +220,10 @@ def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
 
 def _gate_block(g: Gate, noise: NoiseModel | None, ideal: bool, memo: dict) -> Block:
     """The one-gate block of ``g``, its channel (see :func:`_gate_superop`)
-    built once per ``memo`` for each kind, angle or unitary, orientation and
-    ideal flag."""
+    built once per ``memo`` for each kind, angle, orientation and ideal
+    flag."""
     flipped = len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]
-    key = (g.kind, g.angle if g.unitary is None else g.unitary.tobytes(), flipped, ideal)
+    key = (g.kind, g.angle, flipped, ideal)
     S = memo.get(key)
     if S is None:
         S = memo[key] = _gate_superop(g, noise, ideal)
@@ -230,16 +231,17 @@ def _gate_block(g: Gate, noise: NoiseModel | None, ideal: bool, memo: dict) -> B
 
 
 def blocks(circuit: Circuit, noise: NoiseModel | None = None,
-           ideal_tags: Sequence[str] = ("xtalk",), memo: dict | None = None) -> FusedCircuit:
+           memo: dict | None = None) -> FusedCircuit:
     """The evolution blocks of ``circuit``.
 
     A gate's channel is its ideal unitary, then (under ``noise``) the
     depolarizing channel on its qubits, then thermal relaxation for its
-    duration; gates whose tag is in ``ideal_tags`` stay ideal (by default
-    the ZZ-crosstalk insertions, which model a coherent error).  Without
-    noise each gate is one block, its complex superoperator, so a noiseless
-    evolution keeps the rounding of applying its gates one by one.  Under
-    noise each channel is a real Pauli-transfer matrix, :func:`fuse` groups
+    duration.  Two kinds of gate stay ideal: the ``xtalk``-tagged
+    ZZ-crosstalk insertions, which model a coherent error, and ``DIAG``
+    gates, which a compiled body keeps only in the noiseless-diagonalizing
+    reference.  Without noise each gate is one block, its complex
+    superoperator, so a noiseless evolution keeps the rounding of applying
+    its gates one by one.  Under noise each channel is a real Pauli-transfer matrix, :func:`fuse` groups
     the gates, and a block is the product of its gates' matrices, the first
     rightmost, a single-qubit matrix embedded on its side of a pair by a
     Kronecker product with the 4x4 identity: 4x4 for one qubit, 16x16 for a
@@ -249,17 +251,15 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
     ``memo`` shares work between calls under one noise model: each distinct
     channel, and each distinct block (its gates' qubits and channels), is
     built once per memo, and equal blocks are one object.  Its keys have
-    three shapes: a channel's (kind, angle or unitary, orientation, ideal),
-    a gate's (kind, angle or unitary, qubits, ideal) and a fused block's
-    (qubits, its gates' keys).
+    three shapes: a channel's (kind, angle, orientation, ideal), a gate's
+    (kind, angle, qubits, ideal) and a fused block's (qubits, its gates'
+    keys).
     """
     memo = {} if memo is None else memo
-    ideal = frozenset(ideal_tags)
     keys, gate_blocks = [], []
     for g in circuit.ops:
-        is_ideal = g.tag in ideal
-        key = (g.kind, g.angle if g.unitary is None else g.unitary.tobytes(),
-               g.qubits, is_ideal)
+        is_ideal = g.tag == CROSSTALK_TAG or g.kind == DIAG
+        key = (g.kind, g.angle, g.qubits, is_ideal)
         block = memo.get(key)
         if block is None:
             block = memo[key] = _gate_block(g, noise, is_ideal, memo)

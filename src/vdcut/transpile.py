@@ -3,9 +3,8 @@
 
 Routing is one greedy pass that places gates in list order from a snake
 layout, optionally in two stages (see :func:`route`).  The diagonalizing
-gate of virtual distillation is the only explicit two-qubit unitary the
-package builds; it decomposes to a pinned three-CNOT form checked once
-against its matrix, and any other explicit unitary is refused (see
+gate of virtual distillation, the ``DIAG`` kind, decomposes to a pinned
+three-CNOT form checked once against its matrix (see
 :func:`decompose_to_basis`).
 """
 from __future__ import annotations
@@ -19,9 +18,9 @@ import numpy as np
 
 from .circuit import (
     CNOT,
+    DIAG,
     RZZ,
     SWAP,
-    TWO_QUBIT_UNITARY,
     Circuit,
     Gate,
     cnot,
@@ -37,8 +36,8 @@ class RoutingError(ValueError):
 
 
 class DecompositionError(RuntimeError):
-    """Raised for an explicit two-qubit unitary without a basis form, or when
-    the diagonalizing gate's basis form fails its accuracy check."""
+    """Raised when the diagonalizing gate's basis form fails its accuracy
+    check."""
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +221,7 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
 
     for i, g in enumerate(body):
         if len(g.qubits) == 1:
-            out.append(Gate(g.kind, (l2p[g.qubits[0]],), angle=g.angle,
-                            unitary=g.unitary, tag=g.tag))
+            out.append(Gate(g.kind, (l2p[g.qubits[0]],), angle=g.angle, tag=g.tag))
             continue
         la, lb = g.qubits
         while dist[l2p[la], l2p[lb]] > 1:
@@ -243,8 +241,7 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
             lu, lv = p2l[u], p2l[v]
             l2p[lu], l2p[lv] = v, u
             p2l[u], p2l[v] = lv, lu
-        out.append(Gate(g.kind, (l2p[la], l2p[lb]), angle=g.angle,
-                        unitary=g.unitary, tag=g.tag))
+        out.append(Gate(g.kind, (l2p[la], l2p[lb]), angle=g.angle, tag=g.tag))
     return out, l2p
 
 
@@ -291,8 +288,7 @@ def compact(rc: RoutedCircuit, cmap: CouplingMap) -> tuple[RoutedCircuit, tuple[
     order = sorted(used)
     relabel = {p: i for i, p in enumerate(order)}
     ops = tuple(
-        Gate(g.kind, tuple(relabel[q] for q in g.qubits), angle=g.angle,
-             unitary=g.unitary, tag=g.tag)
+        Gate(g.kind, tuple(relabel[q] for q in g.qubits), angle=g.angle, tag=g.tag)
         for g in rc.circuit.ops)
     edges = tuple(sorted(
         (relabel[a], relabel[b]) for a, b in cmap.edges if a in used and b in used))
@@ -330,13 +326,11 @@ def _check_diag_basis_form() -> None:
 def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circuit:
     """Rewrite to {RY, RZ, X, H, CNOT}.
 
-    SWAP becomes three CNOTs and RZZ becomes CNOT-RZ-CNOT.  The only
-    explicit unitary with a basis form is the diagonalizing gate (value-equal
-    to ``DIAG_UNITARY``, its adjoint included): it becomes the pinned
-    three-CNOT list ``vd.DIAG_BASIS_FORM`` on its qubits, with its tag.  Any
-    other explicit unitary raises :class:`DecompositionError`.  Gates whose
-    tag is in ``keep_tags`` are left untouched.  Idempotent on
-    already-decomposed circuits.
+    SWAP becomes three CNOTs and RZZ becomes CNOT-RZ-CNOT.  The
+    diagonalizing gate ``DIAG`` becomes the pinned three-CNOT list
+    ``vd.DIAG_BASIS_FORM`` on its qubits, with its tag.  Gates whose tag is
+    in ``keep_tags`` are left untouched.  Idempotent on already-decomposed
+    circuits.
     """
     keep = frozenset(keep_tags)
     out: list[Gate] = []
@@ -349,11 +343,7 @@ def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circu
         elif g.kind == RZZ:
             a, b = g.qubits
             out.extend([cnot(a, b, tag=g.tag), rz(g.angle, b, tag=g.tag), cnot(a, b, tag=g.tag)])
-        elif g.kind == TWO_QUBIT_UNITARY:
-            if not np.array_equal(g.unitary, DIAG_UNITARY):
-                raise DecompositionError(
-                    f"explicit unitary on {g.qubits} has no basis form: only the "
-                    "diagonalizing gate is supported")
+        elif g.kind == DIAG:
             _check_diag_basis_form()
             out.extend(diag_basis_gates(*g.qubits, g.tag))
         else:

@@ -2,11 +2,11 @@
 diagonalizing gates, exact matrix-power oracles, and measurement
 post-processing estimators.
 
-The copies are joined by one fixed two-qubit gate per qubit pair,
-:data:`DIAG_UNITARY`, which diagonalizes the pair swap.  It is the only
-explicit unitary the package builds, so its {RY, RZ, CNOT} form is a
-constant here, :data:`DIAG_BASIS_FORM`, which the basis decomposition emits
-in its place (see :func:`vdcut.transpile.decompose_to_basis`).
+The copies are joined by one fixed two-qubit gate per qubit pair, the
+``DIAG`` gate kind with matrix :data:`DIAG_UNITARY`, which diagonalizes the
+pair swap.  Its {RY, RZ, CNOT} form is a constant here,
+:data:`DIAG_BASIS_FORM`, which the basis decomposition emits in its place
+(see :func:`vdcut.transpile.decompose_to_basis`).
 
 The estimator computes, for a Pauli-Z string T over outcome bits
 (z_i, z_i') of each qubit pair:
@@ -37,7 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import (
+    _DIAG_MATRIX,
     CNOT,
+    DIAG,
     RY,
     RZ,
     Circuit,
@@ -46,7 +48,6 @@ from .circuit import (
     cnot,
     extend,
     tensor_two_copies,
-    two_qubit,
 )
 from .simulate import DensityMatrix, Distribution, outcome_bits
 
@@ -55,18 +56,12 @@ DIAG_TAG = "diag"
 #: stage of a distillation circuit
 PARITY_TAG = "parity"
 
-_H = 1.0 / np.sqrt(2.0)
-
-#: The diagonalizing gate: identity on |00> and |11>, and the Bell-basis
-#: rotation sending (|01>+|10>)/sqrt(2) to |01> and (|01>-|10>)/sqrt(2) to
-#: |10>.  Conjugating SWAP gives diag(1, 1, -1, 1): the singlet outcome is
-#: the bit pattern "10" (copy-0 bit first).
-DIAG_UNITARY = np.array(
-    [[1, 0, 0, 0],
-     [0, _H, _H, 0],
-     [0, _H, -_H, 0],
-     [0, 0, 0, 1]], dtype=complex)
-DIAG_UNITARY.setflags(write=False)
+#: The matrix of the diagonalizing gate kind ``DIAG`` (read-only):
+#: identity on |00> and |11>, and the Bell-basis rotation sending
+#: (|01>+|10>)/sqrt(2) to |01> and (|01>-|10>)/sqrt(2) to |10>.
+#: Conjugating SWAP gives diag(1, 1, -1, 1): the singlet outcome is the bit
+#: pattern "10" (copy-0 bit first).
+DIAG_UNITARY = _DIAG_MATRIX
 
 SINGLET_OUTCOME = "10"
 
@@ -95,7 +90,7 @@ class EstimatorError(RuntimeError):
 
 
 def diag_gate_on(a: int, b: int) -> Gate:
-    return two_qubit(DIAG_UNITARY, a, b, tag=DIAG_TAG)
+    return Gate(DIAG, (a, b), tag=DIAG_TAG)
 
 
 def diag_basis_gates(a: int, b: int, tag: str) -> list[Gate]:

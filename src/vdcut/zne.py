@@ -1,14 +1,14 @@
 """Zero-noise extrapolation over folded diagonalizing gates: each
-``diag``-tagged gate G becomes G (G' G)^(scale-1)/2 with G' its adjoint, so
-the noiseless unitary is unchanged while the gate noise is amplified; a
-linear fit over the measured scales extrapolates to zero noise."""
+``diag``-tagged gate G becomes G (G^dag G)^((scale-1)/2), so the noiseless
+unitary is unchanged while the gate noise is amplified; a linear fit over
+the measured scales extrapolates to zero noise."""
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import TWO_QUBIT_UNITARY, Circuit, Gate, two_qubit
+from .circuit import DIAG, Circuit, Gate
 from .vd import DIAG_TAG
 
 
@@ -18,24 +18,22 @@ class FoldingError(ValueError):
 
 def fold_diagonalizing(circuit: Circuit, scale: int) -> Circuit:
     """Replace every ``diag``-tagged gate G by G followed by (scale-1)/2
-    adjoint pairs (G^dag G); only diagonalizing gates are folded."""
+    adjoint pairs (G^dag G).  Only ``DIAG`` gates are folded: the gate is
+    its own inverse, so the fold repeats it ``scale`` times."""
     if scale < 1 or scale % 2 == 0:
         raise FoldingError(f"scale must be an odd positive integer, got {scale}")
-    diags = [g for g in circuit.ops if g.tag == DIAG_TAG]
-    if not diags:
+    if not any(g.tag == DIAG_TAG for g in circuit.ops):
         raise FoldingError("circuit contains no diag-tagged gates to fold")
     if scale == 1:
         return circuit
     ops: list[Gate] = []
     for g in circuit.ops:
-        ops.append(g)
-        if g.tag == DIAG_TAG:
-            if g.kind != TWO_QUBIT_UNITARY:
-                raise FoldingError("can only fold explicit-unitary diagonalizing gates")
-            adjoint = np.asarray(g.unitary).conj().T
-            for _ in range((scale - 1) // 2):
-                ops.append(two_qubit(adjoint, *g.qubits, tag=DIAG_TAG))
-                ops.append(two_qubit(np.asarray(g.unitary), *g.qubits, tag=DIAG_TAG))
+        if g.tag != DIAG_TAG:
+            ops.append(g)
+        elif g.kind == DIAG:
+            ops += [g] * scale
+        else:
+            raise FoldingError(f"can only fold {DIAG} gates, not a diag-tagged {g.kind}")
     return Circuit(circuit.width, tuple(ops))
 
 

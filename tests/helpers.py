@@ -226,19 +226,19 @@ def reference_kernel(fused: FusedCircuit, initial: np.ndarray | None = None) -> 
 
 
 def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
-                     ideal_tags: tuple[str, ...] = ("xtalk",),
                      initial: np.ndarray | None = None) -> np.ndarray:
     """Density matrix after ``circuit``, built from the channels' definitions
     on the full space rather than from the engine's: each gate's unitary,
-    then (under ``noise``, unless its tag is in ``ideal_tags``) the
-    depolarizing channel (1-p) rho + p (Tr_q rho) I/2^k on its qubits and
-    thermal relaxation by :func:`thermal_relaxation_kraus` on each of them."""
+    then (under ``noise``, unless it is an ``xtalk``-tagged crosstalk gate
+    or a ``DIAG`` gate, which stay ideal) the depolarizing channel
+    (1-p) rho + p (Tr_q rho) I/2^k on its qubits and thermal relaxation by
+    :func:`thermal_relaxation_kraus` on each of them."""
     n = circuit.width
     rho = ground_state(n).matrix if initial is None else initial
     for g in circuit.ops:
         u = embed(gate_matrix(g), g.qubits, n)
         rho = u @ rho @ u.conj().T
-        if noise is None or g.tag in ideal_tags:
+        if noise is None or g.tag == "xtalk" or g.kind == "DIAG":
             continue
         p, duration = ((noise.one_qubit_depol, noise.one_qubit_time) if len(g.qubits) == 1
                        else (noise.two_qubit_depol, noise.two_qubit_time))

@@ -7,8 +7,8 @@ from vdcut.circuit import (
     Circuit,
     CircuitError,
     PauliObservable,
-    append,
     cnot,
+    extend,
     from_text,
     gate_matrix,
     h,
@@ -20,18 +20,18 @@ from vdcut.circuit import (
     swap,
     tensor_two_copies,
     to_text,
-    two_qubit,
     x,
 )
 from vdcut.benchmarks import real_amplitudes
 from vdcut.simulate import evolve
+from vdcut.vd import DIAG_UNITARY, diag_gate_on
 
 from helpers import full_unitary, random_circuit
 
 
 def test_append_returns_new_circuit():
     c = Circuit(2)
-    c2 = append(c, cnot(0, 1))
+    c2 = extend(c, [cnot(0, 1)])
     assert len(c) == 0
     assert len(c2) == 1
     assert c2.ops[0].kind == "CNOT"
@@ -39,7 +39,7 @@ def test_append_returns_new_circuit():
 
 def test_append_out_of_range():
     with pytest.raises(CircuitError):
-        append(Circuit(1), cnot(0, 1))
+        extend(Circuit(1), [cnot(0, 1)])
 
 
 def test_gate_after_measurement_rejected():
@@ -62,9 +62,7 @@ def test_gate_validation():
     with pytest.raises(CircuitError):
         ry(None, 0)
     with pytest.raises(CircuitError):
-        two_qubit(np.eye(4) * 2.0, 0, 1)  # not unitary
-    u = two_qubit(np.eye(4), 0, 1, tag="diag")
-    assert u.unitary.flags.writeable is False
+        diag_gate_on(0, 0)
 
 
 def test_non_finite_angle_rejected():
@@ -159,9 +157,13 @@ def test_dag_no_shared_layer_on_shared_qubit():
 
 
 def test_gate_matrices_unitary():
-    for g in (ry(0.7, 0), rz(-1.2, 0), rzz(0.5, 0, 1), x(0), h(0), cnot(0, 1), swap(0, 1)):
+    for g in (ry(0.7, 0), rz(-1.2, 0), rzz(0.5, 0, 1), x(0), h(0), cnot(0, 1), swap(0, 1),
+              diag_gate_on(0, 1)):
         u = gate_matrix(g)
         assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() < 1e-12
+    # the diagonalizing gate's matrix is the one constant, and its own inverse
+    assert gate_matrix(diag_gate_on(1, 0)) is DIAG_UNITARY
+    assert np.abs(DIAG_UNITARY @ DIAG_UNITARY - np.eye(4)).max() < 1e-15
 
 
 def test_rzz_matrix_diagonal():
@@ -198,10 +200,15 @@ def test_text_roundtrip_random(seed):
     assert from_text(to_text(c)).ops == c.ops
 
 
-def test_text_rejects_explicit_unitary():
-    c = Circuit(2, (two_qubit(np.eye(4), 0, 1),))
+def test_text_roundtrips_diag_gate():
+    """The diagonalizing gate is a gate kind, so a circuit file can hold it,
+    in either orientation."""
+    c = Circuit(3, (h(0), diag_gate_on(0, 2), diag_gate_on(1, 0).retagged("")))
+    txt = to_text(c)
+    assert txt.splitlines()[2:] == ["DIAG 0,2,#diag", "DIAG 1,0"]
+    assert from_text(txt).ops == c.ops
     with pytest.raises(CircuitError):
-        to_text(c)
+        from_text("qubits 2\nDIAG 0,1,0.5\n")  # the gate takes no angle
 
 
 def test_full_unitary_oracle_matches_engine():

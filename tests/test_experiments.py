@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, method cells, persistence."""
 import hashlib
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -229,6 +230,40 @@ def test_json_records_registers_and_estimator_diagnostics(tmp_path):
     assert cells["vd+cut"]["error"] is None and cut["den_over_se"] >= 10
     assert cut["degenerate_mass"] >= 0.0 >= cut["clamped_min"]
     assert "degenerate_mass" not in cells["vd+zne"]["diagnostics"][0]
+
+
+def test_json_cells_record_swaps(tmp_path):
+    """Each cell lists the SWAPs that routing inserted, one count per
+    execution, next to its CNOT and RZZ counts.  On a 4-qubit line the
+    copies of ring 2 sit on (0, 1) and (2, 3), so the diagonalizing gates on
+    (0, 2) and (1, 3) need one SWAP; folding comes after routing and adds
+    none, and the single-copy runs need none.  The CSV does not list them."""
+    res = run_experiment(_fast_config())
+    csv_path, json_path = emit(res, str(tmp_path / "run"))
+    cells = {c["method"]: c for c in json.load(open(json_path))["cells"]}
+    assert {m: c["swaps"] for m, c in cells.items()} == {
+        "none": [0], "vd": [1], "vd+zne": [1, 1, 1], "vd+cut": [0, 0]}
+    for cell in res.cells:
+        assert cells[cell.method]["swaps"] == list(cell.swaps)
+        assert len(cell.swaps) == len(cell.cnots) == len(cell.rzz)
+    assert open(csv_path).readline().strip() == CSV_HEADER
+
+
+def test_json_records_versions_and_cpu_count(tmp_path):
+    """The JSON names the software versions and the CPU count of the host
+    that wrote it, so a timing can be read against them."""
+    import platform
+
+    import scipy
+
+    import vdcut
+
+    res = run_experiment(_fast_config(methods=("none",), noise="noiseless"))
+    doc = json.load(open(emit(res, str(tmp_path / "run"))[1]))
+    assert doc["versions"] == {"vdcut": vdcut.__version__,
+                               "python": platform.python_version(),
+                               "numpy": np.__version__, "scipy": scipy.__version__}
+    assert doc["cpu_count"] == os.cpu_count() >= 1
 
 
 def test_single_shot_denominator_is_refused(tmp_path):

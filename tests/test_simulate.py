@@ -15,10 +15,10 @@ from vdcut.circuit import (
     rz,
     rzz,
     swap,
-    two_qubit,
     x,
 )
 from vdcut.noise import NoiseModel, preset
+from vdcut.vd import diag_gate_on
 from vdcut.simulate import (
     _gate_superop,
     _pauli_transfer,
@@ -191,32 +191,32 @@ def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume, noisy):
 
 def _tagged_random_circuit(n: int, rng: np.random.Generator) -> Circuit:
     """A random circuit with some ops tagged ``diag`` or ``xtalk`` and, on
-    two or more qubits, some crosstalk RZZs."""
+    two or more qubits, some crosstalk RZZs and some diagonalizing gates."""
     ops = []
     for g in random_circuit(n, int(rng.integers(0, 6 * n + 1)), rng).ops:
         ops.append(g.retagged(str(rng.choice(["", "", "diag", "xtalk"]))))
-        if n >= 2 and rng.random() < 0.2:
-            a, b = rng.choice(n, size=2, replace=False)
-            ops.append(rzz(float(rng.uniform(-0.1, 0.1)), int(a), int(b), tag="xtalk"))
+        if n >= 2 and rng.random() < 0.3:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            ops.append(rzz(float(rng.uniform(-0.1, 0.1)), a, b, tag="xtalk")
+                       if rng.random() < 0.6 else diag_gate_on(a, b))
     return Circuit(n, tuple(ops))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
-def test_fused_evolution_matches_reference(seed, n, resume, ideal_diag):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+def test_fused_evolution_matches_reference(seed, n, resume):
     """Evolving the fused blocks is evolving the circuit gate by gate, to
-    rounding, with noisy channels composed (tagged ops ideal) and with or
-    without an initial state, and the Pauli state's exact probabilities are
-    the reference density matrix's."""
+    rounding, with noisy channels composed (crosstalk and diagonalizing
+    gates ideal) and with or without an initial state, and the Pauli
+    state's exact probabilities are the reference density matrix's."""
     rng = np.random.default_rng(seed)
     noise = preset("basic")
-    tags = ("xtalk", "diag") if ideal_diag else ("xtalk",)
     c = _tagged_random_circuit(n, rng)
     rho = random_density_matrix(n, rng) if resume else None
     initial = None if rho is None else pauli_state(DensityMatrix(n, rho))
     before = None if initial is None else initial.coeffs.copy()
-    got = evolve(blocks(c, noise, tags), initial=initial)
-    want = reference_evolve(c, noise, tags, initial=rho)
+    got = evolve(blocks(c, noise), initial=initial)
+    want = reference_evolve(c, noise, initial=rho)
     assert isinstance(got, PauliState)
     assert np.abs(density_matrix(got).matrix - want).max() < 1e-12
     assert np.abs(exact_probs(got).probs
@@ -240,14 +240,14 @@ def test_pauli_probabilities_below_the_floor_are_refused():
 def test_non_hermiticity_preserving_block_is_refused(monkeypatch):
     """A gate whose superoperator does not map Hermitian operators to
     Hermitian ones has no real Pauli-transfer matrix, so building its
-    channel under noise raises, for an ideal-tagged gate too; noiseless
+    channel under noise raises, for an ideal (crosstalk) gate too; noiseless
     blocks are never converted."""
     left = np.kron(np.diag([1.0, 1j]), np.eye(2))   # rho -> S rho, not S rho S^dag
     monkeypatch.setattr(simulate, "_conjugation_super", lambda u: left)
     c = Circuit(1, (rz(0.3, 0),))
-    for ideal_tags in ((), ("",)):
+    for tag in ("", "xtalk"):
         with pytest.raises(SimulationError, match="imaginary"):
-            blocks(c, preset("basic"), ideal_tags)
+            blocks(Circuit(1, (rz(0.3, 0, tag=tag),)), preset("basic"))
     assert blocks(c).ops[0].superop is left
 
 
@@ -291,8 +291,8 @@ def test_fused_copies_register_fuses_every_single_qubit_op():
     c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
     groups = _check_blocks(c.body)
     assert all(len(qubits) == 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
-    got = density_matrix(evolve(blocks(c.body, noise, c.ideal_tags)))
-    want = reference_evolve(c.body, noise, c.ideal_tags)
+    got = density_matrix(evolve(blocks(c.body, noise)))
+    want = reference_evolve(c.body, noise)
     assert np.abs(got.matrix - want).max() < 1e-12
 
 
@@ -343,17 +343,14 @@ def test_noiseless_evolve_matches_statevector():
             assert np.abs(evolve(c).matrix - np.outer(psi, psi.conj())).max() < 1e-12
 
 
-def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_gate_superoperator_equals_kron_bit_for_bit():
-    rng = np.random.default_rng(12)
-    u4 = _random_unitary(4, rng)
+    """DIAG, unlike SWAP and RZZ, is not symmetric under swapping its
+    qubits, so its two orientations check the flip to ascending order."""
     gates = [ry(0.3, 0), rz(-1.1, 0), h(0), x(0), cnot(0, 1), cnot(1, 0),
              rzz(0.7, 0, 1), rzz(0.7, 1, 0), swap(0, 1), swap(1, 0),
-             two_qubit(u4, 0, 1), two_qubit(u4, 1, 0)]
+             diag_gate_on(0, 1), diag_gate_on(1, 0)]
+    assert not np.array_equal(_gate_superop(gates[-1], None, False),
+                              _gate_superop(gates[-2], None, False))
     for g in gates:
         u = gate_matrix(g)
         if len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]:

@@ -11,13 +11,11 @@ from vdcut.circuit import (
     rzz,
     swap,
     tensor_two_copies,
-    two_qubit,
 )
 from vdcut.simulate import evolve, exact_probs, marginal, tv_distance
 from vdcut.sweep import overhead_point
 from vdcut.transpile import (
     CouplingMap,
-    DecompositionError,
     RoutingError,
     cnot_count,
     compact,
@@ -28,7 +26,7 @@ from vdcut.transpile import (
     linear,
     route,
 )
-from vdcut.vd import DIAG_TAG, DIAG_UNITARY, PARITY_TAG, build_vd_circuit, parity_groups
+from vdcut.vd import DIAG_TAG, PARITY_TAG, build_vd_circuit, diag_gate_on, parity_groups
 from vdcut.zne import fold_diagonalizing
 
 from helpers import full_unitary, is_edge, phase_distance, random_circuit
@@ -163,11 +161,10 @@ def test_decompose_basis_only_and_idempotent():
 
 
 def test_decompose_diag_gate_within_three_cnots():
-    diag = two_qubit(DIAG_UNITARY, 0, 1, tag="diag")
-    # ZNE folding inserts the adjoint: the same values, with -0j imaginary parts
+    diag = diag_gate_on(0, 1)
+    # ZNE folding repeats the gate, its own adjoint
     adjoint = fold_diagonalizing(Circuit(2, (diag,)), 3).ops[1]
-    assert np.array_equal(adjoint.unitary, DIAG_UNITARY.conj().T)
-    for gate in (diag, two_qubit(DIAG_UNITARY, 1, 0, tag="diag"), adjoint):
+    for gate in (diag, diag_gate_on(1, 0), adjoint):
         c = Circuit(2, (gate,))
         out = decompose_to_basis(c)
         assert cnot_count(out) == 3
@@ -177,24 +174,9 @@ def test_decompose_diag_gate_within_three_cnots():
 
 
 def test_decompose_keep_tags():
-    c = Circuit(2, (two_qubit(DIAG_UNITARY, 0, 1, tag="diag"),))
+    c = Circuit(2, (diag_gate_on(0, 1),))
     out = decompose_to_basis(c, keep_tags=("diag",))
     assert out.ops == c.ops
-
-
-def _random_su4(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(g)
-    u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return u / np.linalg.det(u) ** 0.25
-
-
-def test_decompose_refuses_other_unitaries():
-    """Only the diagonalizing gate has a basis form; any other explicit
-    unitary is refused rather than synthesized."""
-    for u in (_random_su4(np.random.default_rng(100)), np.eye(4)):
-        with pytest.raises(DecompositionError):
-            decompose_to_basis(Circuit(2, (two_qubit(u, 0, 1),)))
 
 
 def test_vd_circuit_monotone_overhead():

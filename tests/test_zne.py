@@ -7,10 +7,10 @@ from vdcut.circuit import Circuit, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import blocks, evolve, exact_probs, tv_distance
 from vdcut.transpile import cnot_count, decompose_to_basis
-from vdcut.vd import build_vd_circuit
+from vdcut.vd import DIAG_UNITARY, build_vd_circuit, diag_gate_on
 from vdcut.zne import FoldingError, extrapolate_linear, fold_diagonalizing
 
-from helpers import density_matrix, purity
+from helpers import density_matrix, embed, full_unitary, purity
 
 
 def _vd(n=2, seed=0):
@@ -40,6 +40,34 @@ def test_fold_preserves_noiseless_semantics():
     for scale in (3, 5):
         got = exact_probs(evolve(fold_diagonalizing(vd, scale)))
         assert tv_distance(got, ref) < 1e-10
+
+
+def test_fold_unitary_is_g_times_adjoint_pairs():
+    """A fold at scale 2k+1 puts G (G^dag G)^k in place of each
+    diagonalizing gate G, in either orientation, and leaves the other gates
+    alone, so the folded distillation circuit has the original's unitary."""
+    g = DIAG_UNITARY
+    for gate in (diag_gate_on(0, 1), diag_gate_on(1, 0)):
+        c = Circuit(2, (ry(0.3, 0), gate, ry(0.5, 1)))
+        for scale in (3, 5):
+            folded = fold_diagonalizing(c, scale)
+            assert folded.ops == (c.ops[0],) + (gate,) * scale + (c.ops[-1],)
+            want = g @ np.linalg.matrix_power(g.conj().T @ g, (scale - 1) // 2)
+            got = full_unitary(Circuit(2, folded.ops[1:-1]))
+            assert np.abs(got - embed(want, gate.qubits, 2)).max() < 1e-14
+    vd = _vd(n=2, seed=2)
+    for scale in (3, 5):
+        assert np.abs(full_unitary(fold_diagonalizing(vd, scale))
+                      - full_unitary(vd)).max() < 1e-12
+
+
+def test_fold_refuses_a_decomposed_distillation_circuit():
+    """Once decomposed, the diagonalizing gates are diag-tagged basis gates
+    that are no longer their own inverse, so folding them is refused."""
+    decomposed = decompose_to_basis(_vd())
+    assert fold_diagonalizing(decomposed, 1) is decomposed
+    with pytest.raises(FoldingError, match="diag-tagged"):
+        fold_diagonalizing(decomposed, 3)
 
 
 def test_fold_validation():
