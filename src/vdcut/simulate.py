@@ -1,7 +1,7 @@
 """Dense density-matrix simulation with configurable noise channels,
 measurement distributions, readout error and sampling.
 
-An evolution is a sequence of blocks, each one linear map over at most two
+An evolution is a sequence of blocks, each one linear map over at most three
 qubits, applied to the state tensor by one transpose and one matrix product
 over the block's axes.  :func:`blocks` is the only code that turns gates
 into blocks.  Without noise each gate is one complex superoperator block,
@@ -11,9 +11,11 @@ built directly as its real Pauli-transfer matrix (Greenbaum,
 arXiv:1509.02921), and the noisy state is its 4^n real Pauli coefficients
 (:class:`PauliState`): half the bytes per pass of the complex density
 tensor.  Complex numbers enter a noisy channel only in its unitary part.
-:func:`fuse` groups the gates into blocks of one qubit or one pair, each the
-product of its gates' Pauli-transfer matrices, so a noisy circuit makes one
-full-tensor pass per block instead of one per gate.
+:func:`fuse` groups the gates into blocks of up to three qubits, each the
+product of its gates' Pauli-transfer matrices (16x16 for a pair, 64x64 for
+three qubits), so a noisy circuit makes one full-tensor pass per block
+instead of one per gate, as dense simulators cluster gates to save state
+sweeps (Häner and Steiger, arXiv:1704.01127).
 
 An evolution holds two full-size buffers and reuses them for every block:
 the block's axes are transposed to the front into buffer A, and the matrix
@@ -163,17 +165,57 @@ def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
 @dataclass(eq=False, slots=True)
 class Block:
     """One step of an evolution: ``superop`` over ``qubits`` (ascending),
-    the product of ``gates`` gate channels.  A noiseless block is one gate's
-    complex superoperator with index order (rows, then columns, most
-    significant qubit first); a noisy block, in a Pauli evolution, is a
-    product of real Pauli-transfer matrices with index order (one Pauli per
-    qubit, most significant first).  Blocks compare by
-    identity: equal blocks that :func:`blocks` builds through one memo are
-    one shared object, never modified."""
+    one gate's channel.  A noiseless block is the gate's complex
+    superoperator with index order (rows, then columns, most significant
+    qubit first); a noisy block, in a Pauli evolution, is its real
+    Pauli-transfer matrix with index order (one Pauli per qubit, most
+    significant first).  Blocks compare by identity: equal blocks that
+    :func:`blocks` builds through one memo are one shared object, never
+    modified."""
 
     qubits: tuple[int, ...]
     superop: np.ndarray
-    gates: int = 1
+
+    gates = 1
+
+
+@dataclass(eq=False, slots=True)
+class FusedBlock:
+    """A noisy step of an evolution over ``qubits`` (ascending): the
+    product of its ``parts``' Pauli-transfer matrices, the first rightmost,
+    each acting on its own qubits' places among the block's and as the
+    identity on the others.  Compares by identity, like :class:`Block`.
+
+    :attr:`superop` builds that 4^m x 4^m matrix on each read and keeps
+    nothing: a batch memo holds every distinct block of its variants at
+    once, and keeping their 64x64 matrices (32 KiB each) would hold MiBs
+    while the states are evolved."""
+
+    qubits: tuple[int, ...]
+    parts: tuple[Block, ...]
+
+    @property
+    def gates(self) -> int:
+        return len(self.parts)
+
+    @property
+    def superop(self) -> np.ndarray:
+        """The parts applied in turn to the 4^m x 4^m identity, seen as an
+        m-qubit tensor of rows by a column index, through the kernel that
+        evolves states (:func:`_apply_super`): a part's matrix works on its
+        own qubits' row axes, non-adjacent or not, with no embedding built
+        for it."""
+        if len(self.parts) == 1:
+            return self.parts[0].superop
+        m = len(self.qubits)
+        a = np.empty((4,) * m + (4 ** m,))
+        b = np.eye(4 ** m).reshape(a.shape)
+        tensor = b
+        for part in self.parts:
+            axes = tuple(self.qubits.index(q) for q in part.qubits)
+            tensor = _apply_super(tensor, part.superop, axes, a, b)
+        np.copyto(a, tensor)
+        return a.reshape(4 ** m, 4 ** m)
 
 
 @dataclass(frozen=True)
@@ -183,39 +225,40 @@ class FusedCircuit:
     :class:`PauliState`."""
 
     width: int
-    ops: tuple[Block, ...]
+    ops: tuple[Block | FusedBlock, ...]
     pauli: bool = False
 
 
-def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Group ``ops`` into blocks in one greedy pass, as ``(qubits, indices)``
-    with the block's qubits ascending and its ops' indices in circuit order.
+#: most qubits one fused block spans: a 64x64 pass costs little more than a
+#: 16x16 one on a memory-bound tensor, while a 256x256 pass costs more than
+#: the passes it saves
+FUSED_QUBITS = 3
 
-    A single-qubit op joins the latest block on its qubit.  A two-qubit op
-    joins the latest block on its pair when that block is on exactly that
-    pair; otherwise it opens a new pair block, which absorbs the latest
-    block on either qubit if that block holds single-qubit ops only.  Every
-    op moves only past blocks that share none of its qubits, so applying the
-    blocks in the returned order is the circuit.
+
+def fuse(ops: Sequence[Gate]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Group ``ops`` into blocks of at most :data:`FUSED_QUBITS` qubits in one
+    greedy pass, as ``(qubits, indices)`` with the block's qubits ascending
+    and its ops' indices in circuit order.
+
+    An op joins the latest block on any of its qubits, or the latest block
+    of all when none holds one of its qubits, as long as the union of that
+    block's qubits and its own stays within :data:`FUSED_QUBITS`; otherwise
+    it opens a new block.  No later block shares a qubit with the op, so
+    every op moves only past blocks that share none of its qubits, and
+    applying the blocks in the returned order is the circuit.
     """
-    blocks: list[tuple[tuple[int, ...], list[int]] | None] = []
+    groups: list[tuple[set[int], list[int]]] = []
     latest: dict[int, int] = {}
     for i, g in enumerate(ops):
-        qubits = tuple(sorted(g.qubits))
-        held = [latest.get(q) for q in qubits]
-        if held[0] is not None and (len(held) == 1 or held[0] == held[1]):
-            blocks[held[0]][1].append(i)
-            continue
-        members = []
-        if len(qubits) == 2:
-            for j in held:
-                if j is not None and len(blocks[j][0]) == 1:
-                    members += blocks[j][1]
-                    blocks[j] = None
-        for q in qubits:
-            latest[q] = len(blocks)
-        blocks.append((qubits, sorted(members) + [i]))
-    return [b for b in blocks if b is not None]
+        j = max((latest[q] for q in g.qubits if q in latest), default=len(groups) - 1)
+        if j < 0 or len(groups[j][0].union(g.qubits)) > FUSED_QUBITS:
+            j = len(groups)
+            groups.append((set(), []))
+        groups[j][0].update(g.qubits)
+        groups[j][1].append(i)
+        for q in g.qubits:
+            latest[q] = j
+    return [(tuple(sorted(qubits)), members) for qubits, members in groups]
 
 
 def _gate_block(g: Gate, noise: NoiseModel | None, ideal: bool, memo: dict) -> Block:
@@ -241,16 +284,16 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
     gates, which a compiled body keeps only in the noiseless-diagonalizing
     reference.  Without noise each gate is one block, its complex
     superoperator, so a noiseless evolution keeps the rounding of applying
-    its gates one by one.  Under noise each channel is a real Pauli-transfer matrix, :func:`fuse` groups
-    the gates, and a block is the product of its gates' matrices, the first
-    rightmost, a single-qubit matrix embedded on its side of a pair by a
-    Kronecker product with the 4x4 identity: 4x4 for one qubit, 16x16 for a
-    pair.  Building a channel raises :class:`SimulationError` when its
-    unitary part is not Hermiticity-preserving.
+    its gates one by one.  Under noise each channel is a real
+    Pauli-transfer matrix, :func:`fuse` groups the gates over up to three
+    qubits, and each group is a :class:`FusedBlock`, the product of its
+    gates' matrices: 4x4 for one qubit, 16x16 for two, 64x64 for three.
+    Building a channel raises :class:`SimulationError` when its unitary part
+    is not Hermiticity-preserving.
 
     ``memo`` shares work between calls under one noise model: each distinct
     channel, and each distinct block (its gates' qubits and channels), is
-    built once per memo, and equal blocks are one object.  Its keys have
+    made once per memo, and equal blocks are one object.  Its keys have
     three shapes: a channel's (kind, angle, orientation, ideal), a gate's
     (kind, angle, qubits, ideal) and a fused block's (qubits, its gates'
     keys).
@@ -272,14 +315,7 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
         key = (qubits, tuple(keys[i] for i in members))
         block = memo.get(key)
         if block is None:
-            R = None
-            for part in (gate_blocks[i] for i in members):
-                r = part.superop
-                if len(part.qubits) < len(qubits):
-                    r = (np.kron(r, np.eye(4)) if part.qubits[0] == qubits[0]
-                         else np.kron(np.eye(4), r))
-                R = r if R is None else r @ R
-            block = memo[key] = Block(qubits, R, len(members))
+            block = memo[key] = FusedBlock(qubits, tuple(gate_blocks[i] for i in members))
         fused.append(block)
     return FusedCircuit(circuit.width, tuple(fused), pauli=True)
 

@@ -4,8 +4,7 @@
 Routing is one greedy pass that places gates in list order from a snake
 layout, optionally in two stages (see :func:`route`).  The diagonalizing
 gate of virtual distillation, the ``DIAG`` kind, decomposes to a pinned
-three-CNOT form checked once against its matrix (see
-:func:`decompose_to_basis`).
+three-CNOT form (see :func:`decompose_to_basis`).
 """
 from __future__ import annotations
 
@@ -24,20 +23,14 @@ from .circuit import (
     Circuit,
     Gate,
     cnot,
-    gate_matrix,
     rz,
     swap as swap_gate,
 )
-from .vd import DIAG_TAG, DIAG_UNITARY, diag_basis_gates
+from .vd import diag_basis_gates
 
 
 class RoutingError(ValueError):
     """Raised when a circuit cannot be placed on a coupling map."""
-
-
-class DecompositionError(RuntimeError):
-    """Raised when the diagonalizing gate's basis form fails its accuracy
-    check."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +141,12 @@ def heavy_hex(d: int) -> CouplingMap:
     return CouplingMap(counter, frozenset(edges), name=f"heavy-hex({d})")
 
 
+@functools.cache
 def coupling_map_for(spec: str, width: int) -> CouplingMap:
-    """Build a map from a CLI spec: ``full``, ``linear`` or ``heavyhex:d``.
-    ``full``/``linear`` are sized to ``width``."""
+    """The map of a CLI spec: ``full``, ``linear`` or ``heavyhex:d``.
+    ``full``/``linear`` are sized to ``width``.  Maps are frozen and their
+    tables read-only, so each (spec, width) is built once per process and
+    shared."""
     if spec in ("full", "fully-connected"):
         return fully_connected(width)
     if spec == "linear":
@@ -304,25 +300,6 @@ def compact(rc: RoutedCircuit, cmap: CouplingMap) -> tuple[RoutedCircuit, tuple[
 # basis decomposition
 
 
-_SWAP4 = gate_matrix(swap_gate(0, 1))
-
-
-@functools.cache
-def _check_diag_basis_form() -> None:
-    """Check the pinned basis form against DIAG_UNITARY up to global phase,
-    once per process."""
-    m = np.eye(4, dtype=complex)
-    for g in diag_basis_gates(0, 1, DIAG_TAG):
-        u = gate_matrix(g)
-        if len(g.qubits) == 1:
-            u = np.kron(u, np.eye(2)) if g.qubits[0] == 0 else np.kron(np.eye(2), u)
-        elif g.qubits == (1, 0):
-            u = _SWAP4 @ u @ _SWAP4
-        m = u @ m
-    if abs(abs(np.trace(m.conj().T @ DIAG_UNITARY)) - 4) > 1e-9:
-        raise DecompositionError("the diagonalizing gate's basis form misses 1e-9 tolerance")
-
-
 def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circuit:
     """Rewrite to {RY, RZ, X, H, CNOT}.
 
@@ -344,7 +321,6 @@ def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circu
             a, b = g.qubits
             out.extend([cnot(a, b, tag=g.tag), rz(g.angle, b, tag=g.tag), cnot(a, b, tag=g.tag)])
         elif g.kind == DIAG:
-            _check_diag_basis_form()
             out.extend(diag_basis_gates(*g.qubits, g.tag))
         else:
             out.append(g)

@@ -205,9 +205,11 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def reference_kernel(fused: FusedCircuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """The state after ``fused``'s blocks, per block one transpose, reshape
-    and product into a fresh array: the kernel that evolve's two reused
-    buffers must reproduce byte for byte.  The state is a density matrix,
+    """The state after ``fused``'s blocks, per block one transpose into a
+    fresh contiguous array (as evolve copies it into its buffer: numpy may
+    sum a product with a strided operand in another order), reshape and
+    product into a fresh array: the kernel that evolve's two reused buffers
+    must reproduce byte for byte.  The state is a density matrix,
     or for Pauli blocks a ``(4,) * n`` Pauli coefficient tensor; it starts
     in ``initial`` or in the ground state."""
     n = fused.width
@@ -220,7 +222,7 @@ def reference_kernel(fused: FusedCircuit, initial: np.ndarray | None = None) -> 
         qs = list(block.qubits)
         axes = qs if fused.pauli else qs + [n + q for q in qs]
         perm = axes + [a for a in range(len(shape)) if a not in axes]
-        tt = np.transpose(tensor, perm).reshape(len(block.superop), -1)
+        tt = np.ascontiguousarray(np.transpose(tensor, perm)).reshape(len(block.superop), -1)
         tensor = np.transpose((block.superop @ tt).reshape(shape), np.argsort(perm))
     return tensor.reshape(initial.shape)
 

@@ -82,7 +82,7 @@ def _op_keys(c) -> list[tuple]:
 
 
 @pytest.mark.parametrize("register, width, variants, snapshots", [
-    (copies_register, 8, 8, 2), (single_register, 4, 25, 3)], ids=["copies", "single"])
+    (copies_register, 8, 8, 2), (single_register, 4, 25, 2)], ids=["copies", "single"])
 def test_trie_evolves_each_distinct_prefix_once(monkeypatch, register, width, variants,
                                                 snapshots):
     """The ring-4 copies register branches at the groups, at the noiseless

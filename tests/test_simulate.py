@@ -255,9 +255,9 @@ def _check_blocks(c: Circuit) -> list:
     groups = fuse(c.ops)
     assert sorted(i for _, members in groups for i in members) == list(range(len(c.ops)))
     for qubits, members in groups:
-        assert 1 <= len(qubits) <= 2 and list(qubits) == sorted(qubits)
+        assert 1 <= len(qubits) <= 3 and list(qubits) == sorted(qubits)
         assert members == sorted(members)
-        assert all(set(c.ops[i].qubits) <= set(qubits) for i in members)
+        assert set(qubits) == {q for i in members for q in c.ops[i].qubits}
     for q in range(c.width):
         on_q = [i for i, g in enumerate(c.ops) if q in g.qubits]
         assert [i for qubits, members in groups if q in qubits
@@ -268,21 +268,45 @@ def _check_blocks(c: Circuit) -> list:
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 def test_fuse_keeps_each_qubits_op_order(seed, n):
-    """Every op lands in exactly one block of at most two qubits, and per
-    qubit the blocks, in order, read back the circuit's ops on it."""
+    """Every op lands in exactly one block of at most three qubits, the
+    union of its ops' qubits, and per qubit the blocks, in order, read back
+    the circuit's ops on it."""
     _check_blocks(_tagged_random_circuit(n, np.random.default_rng(seed)))
 
 
 def test_fuse_groups_pairs_and_absorbs_single_qubit_ops():
+    """Ops on qubits no block holds yet join the latest block, ops join the
+    latest block on their qubits up to three qubits, and an op that would
+    make a fourth opens a block that later ops on its qubits join, moving
+    past no block that shares one of their qubits."""
     c = Circuit(4, (h(0), ry(0.2, 1), cnot(0, 1), rz(0.3, 1), cnot(1, 0),
-                    x(2), rzz(0.1, 1, 2), ry(0.4, 0), cnot(0, 1), rz(0.5, 3)))
-    assert _check_blocks(c) == [((0, 1), [0, 1, 2, 3, 4, 7]), ((1, 2), [5, 6]),
-                                ((0, 1), [8]), ((3,), [9])]
+                    x(2), rzz(0.1, 1, 2), ry(0.4, 0), cnot(0, 1), rz(0.5, 3),
+                    cnot(3, 2), ry(0.6, 0), cnot(1, 3), h(2)))
+    assert _check_blocks(c) == [((0, 1, 2), [0, 1, 2, 3, 4, 5, 6, 7, 8, 11]),
+                                ((1, 2, 3), [9, 10, 12, 13])]
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (4, 0)], ids=["ascending", "descending"])
+def test_three_qubit_block_embeds_members_on_non_adjacent_qubits(pair):
+    """A block on qubits 0, 2 and 4 of five holds a CNOT on its outer
+    qubits, in either orientation, and single-qubit ops on each of its
+    qubits before and after it; its 64x64 matrix evolves a random state as
+    the circuit does gate by gate, to rounding."""
+    rng = np.random.default_rng(11)
+    noise = NoiseModel(one_qubit_depol=1e-2)
+    c = Circuit(5, (ry(0.3, 0), rz(0.4, 2), h(4), cnot(*pair),
+                    ry(0.5, 4), x(2), rz(0.6, 0)))
+    assert _check_blocks(c) == [((0, 2, 4), list(range(7)))]
+    (block,) = blocks(c, noise).ops
+    assert block.superop.shape == (64, 64) and block.gates == 7
+    rho = random_density_matrix(5, rng)
+    got = evolve(blocks(c, noise), initial=pauli_state(DensityMatrix(5, rho)))
+    assert np.abs(density_matrix(got).matrix - reference_evolve(c, noise, initial=rho)).max() < 1e-12
 
 
 def test_fused_copies_register_fuses_every_single_qubit_op():
-    """On a compiled ring-4 copies register no single-qubit block is left,
-    and the fused body is the gate-by-gate one to rounding."""
+    """On a compiled copies register no single-qubit block is left, and the
+    fused body is the gate-by-gate one to rounding."""
     from vdcut.runner import compile_circuit
     from vdcut.transpile import coupling_map_for
 
@@ -290,7 +314,7 @@ def test_fused_copies_register_fuses_every_single_qubit_op():
     ex = copies_register(2)[1]
     c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
     groups = _check_blocks(c.body)
-    assert all(len(qubits) == 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
+    assert all(len(qubits) >= 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
     got = density_matrix(evolve(blocks(c.body, noise)))
     want = reference_evolve(c.body, noise)
     assert np.abs(got.matrix - want).max() < 1e-12
@@ -301,13 +325,14 @@ def test_one_memo_shares_blocks_over_a_common_prefix():
     the same block objects over that prefix and part where they differ;
     a plain circuit evolves as its noiseless blocks, byte for byte."""
     noise = preset("basic")
-    prefix = (h(0), ry(0.3, 1), cnot(0, 1), rz(0.2, 2), cnot(1, 2))
-    first = Circuit(3, prefix + (cnot(0, 2), ry(0.5, 0)))
-    second = Circuit(3, prefix + (cnot(0, 2), ry(0.7, 0)))
+    prefix = (h(0), ry(0.3, 1), cnot(0, 1), rz(0.2, 2), cnot(1, 2),
+              cnot(2, 3), ry(0.1, 4), cnot(3, 4))
+    first = Circuit(5, prefix + (cnot(0, 3), ry(0.5, 0)))
+    second = Circuit(5, prefix + (cnot(0, 3), ry(0.7, 0)))
     memo = {}
     a, b = (blocks(c, noise, memo=memo).ops for c in (first, second))
-    shared = len(blocks(Circuit(3, prefix), noise).ops)
-    assert 0 < shared < min(len(a), len(b))
+    shared = len(blocks(Circuit(5, prefix), noise).ops)
+    assert (shared, len(a), len(b)) == (2, 3, 3)
     assert all(u is v for u, v in zip(a[:shared], b[:shared]))
     assert all(u is not v for u, v in zip(a[shared:], b[shared:]))
     assert blocks(first, noise, memo=memo).ops == a

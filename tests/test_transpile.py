@@ -61,6 +61,16 @@ def test_coupling_map_spec_parser():
         coupling_map_for("mesh", 4)
 
 
+def test_coupling_map_is_built_once_per_spec_and_width():
+    """A (spec, width) gives one shared map, whose tables cannot be written."""
+    cm = coupling_map_for("heavyhex:3", 8)
+    assert coupling_map_for("heavyhex:3", 8) is cm
+    assert coupling_map_for("heavyhex:3", 6) is not cm
+    assert coupling_map_for("linear", 6) is not coupling_map_for("linear", 7)
+    with pytest.raises(ValueError):
+        cm.distances()[0, 1] = 5
+
+
 def test_route_fully_connected_inserts_nothing():
     rng = np.random.default_rng(0)
     c = random_circuit(5, 20, rng)
