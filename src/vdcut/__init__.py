@@ -59,7 +59,6 @@ from .transpile import (
     CouplingMap,
     RoutedCircuit,
     cnot_count,
-    compact,
     coupling_map_for,
     decompose_to_basis,
     fully_connected,

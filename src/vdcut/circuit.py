@@ -150,7 +150,7 @@ def tensor_two_copies(circuit: Circuit) -> Circuit:
     ops: list[Gate] = []
     for g in circuit.ops:
         ops.append(g.retagged("copy-0"))
-        ops.append(g.shifted(n).retagged("copy-1"))
+        ops.append(replace(g, qubits=tuple(q + n for q in g.qubits), tag="copy-1"))
     return Circuit(2 * n, tuple(ops))
 
 

@@ -29,8 +29,8 @@ from .simulate import (
     sample,
     state_bytes,
 )
-from .transpile import CouplingMap, compact, decompose_to_basis, fully_connected, route
-from .vd import DIAG_TAG, PARITY_TAG
+from .transpile import CouplingMap, coupling_map_for, decompose_to_basis, route
+from .vd import DIAG_TAG
 from .zne import fold_diagonalizing
 
 
@@ -96,12 +96,16 @@ def compile_circuit(circuit: Circuit, *,
     ``measured`` logical qubits (every qubit when None) are reported in
     ascending logical qubit order.
 
-    A distillation circuit's measurement stage (parity rotation and
-    diagonalizing gates) is routed after its state preparation, so every
-    parity group measures the same compiled preparation."""
+    :func:`~vdcut.transpile.route` routes a distillation circuit's
+    measurement stage (parity rotation and diagonalizing gates) after its
+    state preparation, so every parity group measures the same compiled
+    preparation."""
     read = range(circuit.width) if measured is None else sorted(measured)
-    cmap = fully_connected(circuit.width) if cmap is None else cmap
-    rc, edges = compact(route(circuit, cmap, stage_tags=(PARITY_TAG, DIAG_TAG)), cmap)
+    cmap = coupling_map_for("full", circuit.width) if cmap is None else cmap
+    rc = route(circuit, cmap)
+    label = {p: i for i, p in enumerate(rc.physical)}
+    edges = tuple((i, label[b]) for i, a in enumerate(rc.physical)
+                  for b in cmap.neighbors(a) if b > a and b in label)
     body = rc.circuit
     positions = tuple(rc.final_layout[q] for q in read)
     if scale != 1:

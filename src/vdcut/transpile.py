@@ -1,8 +1,9 @@
 """Coupling maps, SWAP-insertion routing, and decomposition to the
 {RY, RZ, X, H, CNOT} basis.
 
-Routing is one greedy pass that places gates in list order from a snake
-layout, optionally in two stages (see :func:`route`).  The diagonalizing
+Routing is a greedy pass that places gates in list order from a snake
+layout, in two stages: the state preparation, then a distillation
+circuit's measurement stage (see :func:`route`).  The diagonalizing
 gate of virtual distillation, the ``DIAG`` kind, decomposes to a pinned
 three-CNOT form (see :func:`decompose_to_basis`).
 """
@@ -26,7 +27,7 @@ from .circuit import (
     rz,
     swap as swap_gate,
 )
-from .vd import diag_basis_gates
+from .vd import DIAG_TAG, PARITY_TAG, diag_basis_gates
 
 
 class RoutingError(ValueError):
@@ -166,15 +167,20 @@ def coupling_map_for(spec: str, width: int) -> CouplingMap:
 
 @dataclass(frozen=True)
 class RoutedCircuit:
-    """Physical circuit plus the logical-to-physical layouts before and after
-    the inserted SWAPs."""
+    """A routed circuit on the device qubits it touches, labelled ``0..k-1``
+    in ascending device order: ``physical[i]`` is the device qubit behind
+    label ``i``.  The layouts give each logical qubit's label before and
+    after the inserted SWAPs."""
 
     circuit: Circuit
     initial_layout: tuple[int, ...]
     final_layout: tuple[int, ...]
+    physical: tuple[int, ...]
 
 
 _LOOKAHEAD = 20
+_MEASUREMENT_TAGS = frozenset((PARITY_TAG, DIAG_TAG))
+_SWAP = swap_gate(0, 1)  # stands for each inserted SWAP until it is relabelled
 
 
 def path_placement(cmap: CouplingMap) -> list[int]:
@@ -198,17 +204,18 @@ def path_placement(cmap: CouplingMap) -> list[int]:
 
 
 def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarray,
-                        start_layout: list[int]) -> tuple[list[Gate], list[int]]:
+                        start_layout: list[int]) -> tuple[list[tuple], list[int]]:
     """Greedy in-order routing: gates are placed in list order; a blocked
     two-qubit gate triggers swaps (restricted to strict distance
     improvements) chosen by the summed distance of the next 20 unresolved
-    two-qubit gates, ties toward the lowest physical pair."""
+    two-qubit gates, ties toward the lowest physical pair.  Returns each
+    placed gate with the device qubits it acts on, and the final layout."""
     l2p = list(start_layout)
     p2l = [0] * cmap.n_qubits
     for logical, phys in enumerate(l2p):
         p2l[phys] = logical
     twoq_positions = [i for i, g in enumerate(body) if len(g.qubits) == 2]
-    out: list[Gate] = []
+    out: list[tuple[Gate, tuple[int, ...]]] = []
 
     def lookahead_cost(from_idx: int, l2p_view: list[int]) -> int:
         start = bisect.bisect_left(twoq_positions, from_idx)
@@ -217,7 +224,7 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
 
     for i, g in enumerate(body):
         if len(g.qubits) == 1:
-            out.append(Gate(g.kind, (l2p[g.qubits[0]],), angle=g.angle, tag=g.tag))
+            out.append((g, (l2p[g.qubits[0]],)))
             continue
         la, lb = g.qubits
         while dist[l2p[la], l2p[lb]] > 1:
@@ -233,67 +240,51 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
                     if dist[trial[la], trial[lb]] < cur:
                         candidates.append((lookahead_cost(i, trial), (u, v)))
             _, (u, v) = min(candidates)
-            out.append(swap_gate(u, v))
+            out.append((_SWAP, (u, v)))
             lu, lv = p2l[u], p2l[v]
             l2p[lu], l2p[lv] = v, u
             p2l[u], p2l[v] = lv, lu
-        out.append(Gate(g.kind, (l2p[la], l2p[lb]), angle=g.angle, tag=g.tag))
+        out.append((g, (l2p[la], l2p[lb])))
     return out, l2p
 
 
-def route(circuit: Circuit, cmap: CouplingMap, *,
-          stage_tags: Iterable[str] = ()) -> RoutedCircuit:
+def route(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     """Insert SWAPs so every two-qubit gate acts on a coupling edge.
 
     The initial layout snakes the logical qubits along a DFS path of the
     coupling graph (the identity on linear and fully-connected maps).  Gates
     are placed strictly in list order; a blocked two-qubit gate gets the
-    SWAPs that the next 20 two-qubit gates favour.  Deterministic: the
-    heuristic draws no randomness.
+    SWAPs that the next 20 two-qubit gates of its stage favour.
+    Deterministic: the heuristic draws no randomness.
 
-    With ``stage_tags``, the gates from the first one carrying such a tag on
-    form a second stage, routed from the layout the first stage ends in: the
-    first stage's routing then does not depend on what follows it.
+    A distillation circuit's measurement stage, from its first ``parity``-
+    or ``diag``-tagged gate on, is routed from the layout in which the state
+    preparation ends, so the preparation's routing does not depend on the
+    parity rotation that follows it.
+
+    Each routed gate is built once, on the labels of the device qubits the
+    circuit touches (see :class:`RoutedCircuit`).
     """
     n = circuit.width
     if n > cmap.n_qubits:
         raise RoutingError(f"circuit width {n} exceeds device size {cmap.n_qubits}")
     ops = circuit.ops
     dist = cmap.distances()
-    stage_tags = frozenset(stage_tags)
-    split = next((i for i, g in enumerate(ops) if g.tag in stage_tags), len(ops))
+    split = next((i for i, g in enumerate(ops) if g.tag in _MEASUREMENT_TAGS), len(ops))
     start = path_placement(cmap)
-    out, mid_layout = _route_pass_inorder(ops[:split], cmap, dist, start)
+    placed, mid_layout = _route_pass_inorder(ops[:split], cmap, dist, start)
     rest, final_layout = _route_pass_inorder(ops[split:], cmap, dist, mid_layout)
-    out += rest
+    placed += rest
+    physical = sorted({q for _, qs in placed for q in qs}.union(start[:n]))
+    label = {p: i for i, p in enumerate(physical)}
+    routed = tuple(Gate(g.kind, tuple(label[q] for q in qs), angle=g.angle, tag=g.tag)
+                   for g, qs in placed)
     return RoutedCircuit(
-        Circuit(cmap.n_qubits, tuple(out)),
-        initial_layout=tuple(start[:n]),
-        final_layout=tuple(final_layout[:n]),
+        Circuit(len(physical), routed),
+        initial_layout=tuple(label[p] for p in start[:n]),
+        final_layout=tuple(label[p] for p in final_layout[:n]),
+        physical=tuple(physical),
     )
-
-
-def compact(rc: RoutedCircuit, cmap: CouplingMap) -> tuple[RoutedCircuit, tuple[tuple[int, int], ...]]:
-    """Restrict a routed circuit to the physical qubits it actually touches.
-
-    Returns the relabeled RoutedCircuit and the induced adjacency edges
-    (which may form a disconnected graph)."""
-    used = {q for g in rc.circuit.ops for q in g.qubits}
-    used.update(rc.initial_layout)
-    used.update(rc.final_layout)
-    order = sorted(used)
-    relabel = {p: i for i, p in enumerate(order)}
-    ops = tuple(
-        Gate(g.kind, tuple(relabel[q] for q in g.qubits), angle=g.angle, tag=g.tag)
-        for g in rc.circuit.ops)
-    edges = tuple(sorted(
-        (relabel[a], relabel[b]) for a, b in cmap.edges if a in used and b in used))
-    out = RoutedCircuit(
-        Circuit(len(order), ops),
-        initial_layout=tuple(relabel[p] for p in rc.initial_layout),
-        final_layout=tuple(relabel[p] for p in rc.final_layout),
-    )
-    return out, edges
 
 
 # ---------------------------------------------------------------------------

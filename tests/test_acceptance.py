@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from vdcut.benchmarks import AnsatzSpec, maxcut_hamiltonian, ring_problem
+from vdcut.benchmarks import AnsatzSpec, ring_problem
 from vdcut.circuit import Circuit, PauliObservable
 from vdcut.cutting import (
     CutError,
@@ -34,7 +34,6 @@ from vdcut.simulate import (
     tv_distance,
 )
 from vdcut.sweep import growth_exponent, overhead_sweep
-from vdcut.transpile import cnot_count, decompose_to_basis
 from vdcut.vd import (
     build_vd_circuit,
     estimate_from_distribution,

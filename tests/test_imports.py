@@ -1,0 +1,48 @@
+"""Every module of the package (but its ``__init__``, which re-exports) and
+of the tests uses each name it imports."""
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "vdcut").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, quoted annotations included."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    read = [tree] + [ast.parse(c.value, mode="eval")
+                     for ann in _annotations(tree) if ann is not None
+                     for c in ast.walk(ann)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    used = {n.id for t in read for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\nfrom typing import Sequence\n"
+              "from a import b, c\n"
+              "def f(x: 'Sequence[int]') -> None:\n    return np.sum(c(x))\n")
+    assert unused_imports(source) == ["b", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []

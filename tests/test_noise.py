@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vdcut.circuit import Circuit, cnot, ry, swap
+from vdcut.circuit import Circuit, cnot, swap
 from vdcut.noise import (
     NoiseConfigError,
     NoiseModel,

@@ -11,7 +11,7 @@ from vdcut.cutting import build_pairwise_pipelines
 from vdcut.noise import preset
 from vdcut.runner import Execution, compile_circuit, run_circuits
 from vdcut.simulate import blocks, marginal
-from vdcut.transpile import coupling_map_for
+from vdcut.transpile import CouplingMap, coupling_map_for, route
 from vdcut.vd import build_vd_circuit
 
 from helpers import copies_register, single_register
@@ -46,6 +46,35 @@ def test_batch_matches_separate_runs():
     # the two scale-1 executions share one evolution but keep their own seeds
     assert np.array_equal(batch[1].distribution.probs, batch[3].distribution.probs)
     assert not np.array_equal(batch[1].output.probs, batch[3].output.probs)
+
+
+def test_runs_without_a_map_share_one_coupling_map(monkeypatch):
+    """Without a map, compilation uses the cached all-to-all map of the
+    circuit's width instead of building one per compilation."""
+    built = []
+    post_init = CouplingMap.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.n_qubits)
+        post_init(self)
+
+    monkeypatch.setattr(CouplingMap, "__post_init__", counting_post_init)
+    circuit = real_amplitudes(5, 1, "circular", np.linspace(0.1, 0.9, 10))
+    for _ in range(2):
+        run_circuits([Execution(circuit)])
+    assert len(built) <= 1
+
+
+def test_compiled_edges_are_the_device_edges_between_its_qubits():
+    """Crosstalk and readout read the coupling edges among the device qubits
+    the routed circuit holds, in its labels and sorted."""
+    vd = build_vd_circuit(real_amplitudes(4, 1, "circular", np.linspace(0.2, 1.4, 8)))
+    cmap = coupling_map_for("heavyhex:3", 8)
+    physical = route(vd, cmap).physical
+    assert physical[-1] >= len(physical)  # the labels are not the device qubits
+    expected = sorted((physical.index(a), physical.index(b))
+                      for a, b in cmap.edges if a in physical and b in physical)
+    assert expected and list(compile_circuit(vd, cmap=cmap).edges) == expected
 
 
 def test_execution_reads_its_measured_qubits():

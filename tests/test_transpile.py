@@ -10,15 +10,14 @@ from vdcut.circuit import (
     ry,
     rzz,
     swap,
-    tensor_two_copies,
 )
+from vdcut.runner import compile_circuit
 from vdcut.simulate import evolve, exact_probs, marginal, tv_distance
 from vdcut.sweep import overhead_point
 from vdcut.transpile import (
     CouplingMap,
     RoutingError,
     cnot_count,
-    compact,
     coupling_map_for,
     decompose_to_basis,
     fully_connected,
@@ -26,7 +25,7 @@ from vdcut.transpile import (
     linear,
     route,
 )
-from vdcut.vd import DIAG_TAG, PARITY_TAG, build_vd_circuit, diag_gate_on, parity_groups
+from vdcut.vd import PARITY_TAG, build_vd_circuit, diag_gate_on, parity_groups
 from vdcut.zne import fold_diagonalizing
 
 from helpers import full_unitary, is_edge, phase_distance, random_circuit
@@ -102,7 +101,7 @@ def test_route_all_two_qubit_gates_on_edges():
         rc = route(c, cmap)
         for g in rc.circuit.ops:
             if len(g.qubits) == 2:
-                assert is_edge(cmap, *g.qubits)
+                assert is_edge(cmap, *(rc.physical[q] for q in g.qubits))
 
 
 def test_route_layout_permutation_consistency():
@@ -111,7 +110,7 @@ def test_route_layout_permutation_consistency():
     c = random_circuit(5, 18, rng)
     rc = route(c, cmap)
     layout = list(rc.initial_layout) + [
-        p for p in range(cmap.n_qubits) if p not in rc.initial_layout]
+        p for p in range(rc.circuit.width) if p not in rc.initial_layout]
     pos = {p: i for i, p in enumerate(layout)}
     l2p = list(layout)
     for g in rc.circuit.ops:
@@ -142,15 +141,17 @@ def test_route_rejects_oversized_circuit():
         route(Circuit(5), linear(3))
 
 
-def test_compact_restricts_to_used_qubits():
-    c = Circuit(3, (cnot(0, 2),))
-    rc = route(c, heavy_hex(3))
-    cc, edges = compact(rc, heavy_hex(3))
-    assert cc.circuit.width <= 5
-    used = {q for g in cc.circuit.ops for q in g.qubits}
-    assert used <= set(range(cc.circuit.width))
-    for a, b in edges:
-        assert 0 <= a < b < cc.circuit.width
+def test_route_restricts_to_used_qubits():
+    """The routed circuit holds only the device qubits it touches or places a
+    logical qubit on, labelled in ascending device order."""
+    cmap = heavy_hex(3)
+    rc = route(Circuit(3, (cnot(0, 2),)), cmap)
+    assert rc.circuit.width == len(rc.physical) <= 5
+    assert list(rc.physical) == sorted(rc.physical)
+    used = {rc.physical[q] for g in rc.circuit.ops for q in g.qubits}
+    used.update(rc.physical[q] for q in rc.initial_layout + rc.final_layout)
+    assert used == set(rc.physical)
+    assert rc.circuit.count("SWAP") == 1
 
 
 def test_decompose_swap_and_rzz():
@@ -207,8 +208,7 @@ def test_staged_routing_gives_every_parity_group_the_same_preparation():
     assert len(groups) == 2
     prefixes = []
     for group in groups:
-        rc = route(build_vd_circuit(orig, group.gates()), cmap,
-                   stage_tags=(PARITY_TAG, DIAG_TAG))
+        rc = route(build_vd_circuit(orig, group.gates()), cmap)
         ops = rc.circuit.ops
         split = next(i for i, g in enumerate(ops) if g.tag == PARITY_TAG)
         prefixes.append([(g.kind, g.qubits, g.angle, g.tag) for g in ops[:split]])
@@ -218,10 +218,28 @@ def test_staged_routing_gives_every_parity_group_the_same_preparation():
 
 @pytest.mark.parametrize("point, counts", [
     ((4, 2, "full"), (8, 28)),
-    ((6, 4, "heavyhex:5"), (120, 291)),
-    ((8, 2, "heavyhex:5"), (88, 272)),
+    ((6, 4, "heavyhex:5"), (120, 285)),
+    ((8, 2, "heavyhex:5"), (88, 308)),
     ((5, 2, "linear"), (46, 137)),
 ])
 def test_overhead_point_cnot_counts(point, counts):
     row = overhead_point(*point)
     assert (row.cnot_original, row.cnot_vd) == counts
+
+
+def test_overhead_point_counts_what_compile_circuit_builds():
+    """On criterion 7's grid, the sweep counts the CNOTs of the bodies that
+    the experiments run: the distillation circuit's measurement stage is
+    routed after its preparation in both."""
+    mismatched = []
+    for spec in ("full", "heavyhex:5"):
+        for n in range(4, 13):
+            cmap = coupling_map_for(spec, 2 * n)
+            for layers in (2, 4, 8):
+                ansatz = real_amplitudes(n, reps=layers)
+                row = overhead_point(n, layers, spec)
+                counts = tuple(compile_circuit(c, cmap=cmap).body.count("CNOT")
+                               for c in (ansatz, build_vd_circuit(ansatz)))
+                if (row.cnot_original, row.cnot_vd) != counts:
+                    mismatched.append((n, layers, spec))
+    assert mismatched == []

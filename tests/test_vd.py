@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vdcut.circuit import Circuit, PauliObservable, cnot, h, ry
+from vdcut.circuit import Circuit, PauliObservable, cnot, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import (
     DensityMatrix,
