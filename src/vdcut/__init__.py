@@ -58,7 +58,6 @@ from .sweep import growth_exponent, overhead_sweep, write_sweep_csv
 from .transpile import (
     CouplingMap,
     RoutedCircuit,
-    cnot_count,
     coupling_map_for,
     decompose_to_basis,
     fully_connected,

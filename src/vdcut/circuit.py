@@ -9,7 +9,7 @@ Conventions used throughout the package:
   significant index, e.g. ``CNOT(a, b)`` has control ``a``.
 * Circuits are immutable values holding only a width and a gate tuple;
   every transformation returns a new circuit.  What a gate belongs to
-  (a copy, a diagonalizing gate, crosstalk) travels in its tag.
+  (a copy, the parity rotation, crosstalk) travels in its tag.
 * Every gate kind has a fixed matrix, up to its angle; the diagonalizing
   gate of virtual distillation is the fixed two-qubit kind ``DIAG``.
 * Circuits hold gates only.  Which qubits a run reads out travels with the
@@ -32,6 +32,10 @@ CNOT = "CNOT"
 SWAP = "SWAP"
 DIAG = "DIAG"
 
+#: tag of the parity-rotation CNOTs; the first of them or of the ``DIAG``
+#: gates starts a distillation circuit's measurement stage
+PARITY_TAG = "parity"
+
 _ONE_QUBIT_KINDS = {RY, RZ, X, H}
 _TWO_QUBIT_KINDS = {RZZ, CNOT, SWAP, DIAG}
 _ROTATION_KINDS = {RY, RZ, RZZ}
@@ -45,7 +49,8 @@ class CircuitError(ValueError):
 @dataclass(frozen=True)
 class Gate:
     """A single operation: gate kind, target qubits, optional angle, and a
-    free-form label tag (e.g. ``"diag"``, ``"copy-0"``, ``"xtalk"``)."""
+    free-form label tag (e.g. ``"copy-0"``, ``"parity"``, ``"xtalk"``);
+    the diagonalizing gate is known by its kind, ``DIAG``, not a tag."""
 
     kind: str
     qubits: tuple[int, ...]

@@ -9,6 +9,7 @@ noiseless one complex superoperators on density matrices (see
 :mod:`vdcut.simulate`)."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -30,7 +31,6 @@ from .simulate import (
     state_bytes,
 )
 from .transpile import CouplingMap, coupling_map_for, decompose_to_basis, route
-from .vd import DIAG_TAG
 from .zne import fold_diagonalizing
 
 
@@ -53,7 +53,8 @@ class Execution:
     """One requested execution of a logical circuit: diagonalizing gate fold
     ``scale``, ``ideal_diag`` reference mode, sampling budget
     (``shots=None`` keeps the exact distribution) and the logical qubits it
-    reads (``measured=None`` reads every qubit)."""
+    reads (``measured=None`` reads every qubit), checked when built:
+    ``measured`` is kept as a sorted tuple, the order its bits are read in."""
 
     circuit: Circuit
     scale: int = 1
@@ -63,11 +64,22 @@ class Execution:
     measured: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        read = self.measured
-        if read is not None and (len(set(read)) != len(read)
-                                 or not set(read) <= set(range(self.circuit.width))):
-            raise ValueError(f"measured qubits {read} must be distinct qubits of the "
-                             f"width-{self.circuit.width} circuit")
+        if self.shots is not None:
+            object.__setattr__(self, "shots", _integer("shots", self.shots, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if self.measured is not None:
+            read = tuple(sorted(_integer("measured qubit", q, 0) for q in self.measured))
+            if len(set(read)) != len(read) or read and read[-1] >= self.circuit.width:
+                raise ValueError(f"measured qubits {self.measured} must be distinct qubits "
+                                 f"of the width-{self.circuit.width} circuit")
+            object.__setattr__(self, "measured", read)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,7 @@ def compile_circuit(circuit: Circuit, *,
     positions = tuple(rc.final_layout[q] for q in read)
     if scale != 1:
         body = fold_diagonalizing(body, scale)
-    body = decompose_to_basis(body, keep_tags=(DIAG_TAG,) if ideal_diag else ())
+    body = decompose_to_basis(body, keep_diag=ideal_diag)
     if noise is not None and noise.gate_crosstalk:
         # crosstalk between parallel two-qubit gates of the basis-decomposed
         # circuit, mirroring per-CNOT scheduling on hardware

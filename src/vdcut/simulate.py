@@ -530,9 +530,11 @@ def apply_readout(dist: Distribution, noise: NoiseModel | None,
     """Apply per-qubit readout confusion, then (if enabled) the pairwise
     readout-crosstalk confusion matrix on measured pairs coupled by ``edges``.
 
-    ``physical[j]`` is the physical qubit of bit position ``j``, and
-    ``edges`` pair physical qubits.  Each qubit joins at most one crosstalk
-    pair, greedily matched in ascending physical index.
+    ``physical[j]`` is the qubit of bit position ``j`` and ``edges`` pair
+    such qubits: :mod:`vdcut.runner` passes compiled-register labels (see
+    :class:`~vdcut.transpile.RoutedCircuit`), not device indices.  Each
+    qubit joins at most one crosstalk pair, greedily matched in ascending
+    label.
     """
     if noise is None:
         return dist

@@ -1,6 +1,6 @@
 """Gate-count overhead study: CNOT counts of routed original circuits versus
 their routed distillation circuits across qubit counts, layer counts and
-coupling topologies.  The counts are those of the bodies that
+coupling topologies.  Each count is that of the body that
 :func:`~vdcut.runner.compile_circuit` builds without noise or folding."""
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .benchmarks import real_amplitudes
-from .transpile import cnot_count, coupling_map_for, decompose_to_basis, route
+from .circuit import CNOT
+from .runner import compile_circuit
+from .transpile import coupling_map_for
 from .vd import build_vd_circuit
 
 
@@ -31,9 +33,9 @@ class SweepRow:
 def overhead_point(n: int, layers: int, map_spec: str) -> SweepRow:
     ansatz = real_amplitudes(n, reps=layers)
     cmap = coupling_map_for(map_spec, 2 * n)
-    original = decompose_to_basis(route(ansatz, cmap).circuit)
-    vd = decompose_to_basis(route(build_vd_circuit(ansatz), cmap).circuit)
-    return SweepRow(n, layers, map_spec, cnot_count(original), cnot_count(vd))
+    original, vd = (compile_circuit(c, cmap=cmap).body.count(CNOT)
+                    for c in (ansatz, build_vd_circuit(ansatz)))
+    return SweepRow(n, layers, map_spec, original, vd)
 
 
 def overhead_sweep(qubits: Iterable[int], layers: Iterable[int],

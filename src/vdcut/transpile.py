@@ -4,21 +4,23 @@
 Routing is a greedy pass that places gates in list order from a snake
 layout, in two stages: the state preparation, then a distillation
 circuit's measurement stage (see :func:`route`).  The diagonalizing
-gate of virtual distillation, the ``DIAG`` kind, decomposes to a pinned
-three-CNOT form (see :func:`decompose_to_basis`).
+gate of virtual distillation, the ``DIAG`` kind, decomposes to the pinned
+three-CNOT form :data:`DIAG_BASIS_FORM` (see :func:`decompose_to_basis`).
 """
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .circuit import (
     CNOT,
     DIAG,
+    PARITY_TAG,
+    RY,
+    RZ,
     RZZ,
     SWAP,
     Circuit,
@@ -27,7 +29,6 @@ from .circuit import (
     rz,
     swap as swap_gate,
 )
-from .vd import DIAG_TAG, PARITY_TAG, diag_basis_gates
 
 
 class RoutingError(ValueError):
@@ -41,13 +42,13 @@ class RoutingError(ValueError):
 @dataclass(frozen=True)
 class CouplingMap:
     """Undirected device connectivity graph, with its neighbour table and
-    all-pairs distance matrix built once, with the map."""
+    all-pairs distance table built once, with the map."""
 
     n_qubits: int
     edges: frozenset[tuple[int, int]]
     name: str = "custom"
     _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _distances: np.ndarray = field(init=False, repr=False, compare=False)
+    _distances: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_qubits
@@ -74,19 +75,17 @@ class CouplingMap:
                             row[r] = row[q] + 1
                             nxt.append(r)
                 frontier = nxt
-            rows.append(row)
+            rows.append(tuple(row))
         if any(n + 1 in row for row in rows):
             raise RoutingError("coupling graph must be connected")
-        dist = np.array(rows, dtype=np.int64).reshape(n, n)
-        dist.setflags(write=False)
         object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "_distances", dist)
+        object.__setattr__(self, "_distances", tuple(rows))
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adjacency[q]
 
-    def distances(self) -> np.ndarray:
-        """All-pairs shortest-path distances, read-only."""
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs shortest-path distances: ``distances()[a][b]``."""
         return self._distances
 
 
@@ -179,7 +178,6 @@ class RoutedCircuit:
 
 
 _LOOKAHEAD = 20
-_MEASUREMENT_TAGS = frozenset((PARITY_TAG, DIAG_TAG))
 _SWAP = swap_gate(0, 1)  # stands for each inserted SWAP until it is relabelled
 
 
@@ -203,13 +201,14 @@ def path_placement(cmap: CouplingMap) -> list[int]:
     return order
 
 
-def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarray,
+def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap,
                         start_layout: list[int]) -> tuple[list[tuple], list[int]]:
     """Greedy in-order routing: gates are placed in list order; a blocked
     two-qubit gate triggers swaps (restricted to strict distance
     improvements) chosen by the summed distance of the next 20 unresolved
     two-qubit gates, ties toward the lowest physical pair.  Returns each
     placed gate with the device qubits it acts on, and the final layout."""
+    dist = cmap.distances()
     l2p = list(start_layout)
     p2l = [0] * cmap.n_qubits
     for logical, phys in enumerate(l2p):
@@ -219,7 +218,7 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
 
     def lookahead_cost(from_idx: int, l2p_view: list[int]) -> int:
         start = bisect.bisect_left(twoq_positions, from_idx)
-        return sum(int(dist[l2p_view[a], l2p_view[b]]) for a, b in
+        return sum(dist[l2p_view[a]][l2p_view[b]] for a, b in
                    (body[j].qubits for j in twoq_positions[start:start + _LOOKAHEAD]))
 
     for i, g in enumerate(body):
@@ -227,9 +226,9 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
             out.append((g, (l2p[g.qubits[0]],)))
             continue
         la, lb = g.qubits
-        while dist[l2p[la], l2p[lb]] > 1:
+        while dist[l2p[la]][l2p[lb]] > 1:
             pa, pb = l2p[la], l2p[lb]
-            cur = dist[pa, pb]
+            cur = dist[pa][pb]
             candidates = []
             for endpoint in (pa, pb):
                 for nb in cmap.neighbors(endpoint):
@@ -237,7 +236,7 @@ def _route_pass_inorder(body: Sequence[Gate], cmap: CouplingMap, dist: np.ndarra
                     trial = list(l2p)
                     lu, lv = p2l[u], p2l[v]
                     trial[lu], trial[lv] = trial[lv], trial[lu]
-                    if dist[trial[la], trial[lb]] < cur:
+                    if dist[trial[la]][trial[lb]] < cur:
                         candidates.append((lookahead_cost(i, trial), (u, v)))
             _, (u, v) = min(candidates)
             out.append((_SWAP, (u, v)))
@@ -257,10 +256,10 @@ def route(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     SWAPs that the next 20 two-qubit gates of its stage favour.
     Deterministic: the heuristic draws no randomness.
 
-    A distillation circuit's measurement stage, from its first ``parity``-
-    or ``diag``-tagged gate on, is routed from the layout in which the state
-    preparation ends, so the preparation's routing does not depend on the
-    parity rotation that follows it.
+    A distillation circuit's measurement stage, from its first ``DIAG``
+    gate or ``parity``-tagged gate on, is routed from the layout in which
+    the state preparation ends, so the preparation's routing does not
+    depend on the parity rotation that follows it.
 
     Each routed gate is built once, on the labels of the device qubits the
     circuit touches (see :class:`RoutedCircuit`).
@@ -269,11 +268,11 @@ def route(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     if n > cmap.n_qubits:
         raise RoutingError(f"circuit width {n} exceeds device size {cmap.n_qubits}")
     ops = circuit.ops
-    dist = cmap.distances()
-    split = next((i for i, g in enumerate(ops) if g.tag in _MEASUREMENT_TAGS), len(ops))
+    split = next((i for i, g in enumerate(ops) if g.kind == DIAG or g.tag == PARITY_TAG),
+                 len(ops))
     start = path_placement(cmap)
-    placed, mid_layout = _route_pass_inorder(ops[:split], cmap, dist, start)
-    rest, final_layout = _route_pass_inorder(ops[split:], cmap, dist, mid_layout)
+    placed, mid_layout = _route_pass_inorder(ops[:split], cmap, start)
+    rest, final_layout = _route_pass_inorder(ops[split:], cmap, mid_layout)
     placed += rest
     physical = sorted({q for _, qs in placed for q in qs}.union(start[:n]))
     label = {p: i for i, p in enumerate(physical)}
@@ -291,33 +290,43 @@ def route(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
 # basis decomposition
 
 
-def decompose_to_basis(circuit: Circuit, keep_tags: Iterable[str] = ()) -> Circuit:
+#: ``DIAG`` in the {RY, RZ, CNOT} basis, up to global phase, as (kind, local
+#: qubits, angle) over its qubits (a, b) = (0, 1): three CNOTs and the angles
+#: a canonical (magic-basis) synthesis emitted.  The numerically zero RZ
+#: stays: under noise it carries a one-qubit relaxation step.
+DIAG_BASIS_FORM = (
+    (RY, (0,), -math.pi),
+    (RZ, (1,), -math.pi),
+    (CNOT, (1, 0), None),
+    (RZ, (0,), -2.2371143170757385e-17),
+    (RY, (1,), -0.7853981633974484),
+    (CNOT, (0, 1), None),
+    (RY, (1,), -0.7853981633974484),
+    (CNOT, (1, 0), None),
+    (RZ, (0,), -math.pi),
+    (RY, (1,), -math.pi),
+)
+
+
+def decompose_to_basis(circuit: Circuit, keep_diag: bool = False) -> Circuit:
     """Rewrite to {RY, RZ, X, H, CNOT}.
 
-    SWAP becomes three CNOTs and RZZ becomes CNOT-RZ-CNOT.  The
-    diagonalizing gate ``DIAG`` becomes the pinned three-CNOT list
-    ``vd.DIAG_BASIS_FORM`` on its qubits, with its tag.  Gates whose tag is
-    in ``keep_tags`` are left untouched.  Idempotent on already-decomposed
-    circuits.
+    SWAP becomes three CNOTs, RZZ becomes CNOT-RZ-CNOT and ``DIAG`` becomes
+    :data:`DIAG_BASIS_FORM` on its qubits, unless ``keep_diag`` keeps it
+    whole (the noiseless-diagonalizing reference).  Each expansion carries
+    the replaced gate's tag.  Idempotent on already-decomposed circuits.
     """
-    keep = frozenset(keep_tags)
     out: list[Gate] = []
     for g in circuit.ops:
-        if g.tag in keep:
-            out.append(g)
-        elif g.kind == SWAP:
+        if g.kind == SWAP:
             a, b = g.qubits
             out.extend([cnot(a, b, tag=g.tag), cnot(b, a, tag=g.tag), cnot(a, b, tag=g.tag)])
         elif g.kind == RZZ:
             a, b = g.qubits
             out.extend([cnot(a, b, tag=g.tag), rz(g.angle, b, tag=g.tag), cnot(a, b, tag=g.tag)])
-        elif g.kind == DIAG:
-            out.extend(diag_basis_gates(*g.qubits, g.tag))
+        elif g.kind == DIAG and not keep_diag:
+            out.extend(Gate(kind, tuple(g.qubits[q] for q in local), angle=angle, tag=g.tag)
+                       for kind, local, angle in DIAG_BASIS_FORM)
         else:
             out.append(g)
     return Circuit(circuit.width, tuple(out))
-
-
-def cnot_count(circuit: Circuit) -> int:
-    """CNOT count of a basis-decomposed circuit."""
-    return circuit.count(CNOT)

@@ -4,9 +4,10 @@ post-processing estimators.
 
 The copies are joined by one fixed two-qubit gate per qubit pair, the
 ``DIAG`` gate kind with matrix :data:`DIAG_UNITARY`, which diagonalizes the
-pair swap.  Its {RY, RZ, CNOT} form is a constant here,
-:data:`DIAG_BASIS_FORM`, which the basis decomposition emits in its place
-(see :func:`vdcut.transpile.decompose_to_basis`).
+pair swap.  Every pass knows the gate by that kind alone: routing starts
+the measurement stage at it, ZNE folds it, and the basis decomposition
+emits its {RY, RZ, CNOT} form :data:`vdcut.transpile.DIAG_BASIS_FORM` in
+its place (see :func:`vdcut.transpile.decompose_to_basis`).
 
 The estimator computes, for a Pauli-Z string T over outcome bits
 (z_i, z_i') of each qubit pair:
@@ -38,10 +39,8 @@ import numpy as np
 
 from .circuit import (
     _DIAG_MATRIX,
-    CNOT,
     DIAG,
-    RY,
-    RZ,
+    PARITY_TAG,
     Circuit,
     Gate,
     PauliObservable,
@@ -50,11 +49,6 @@ from .circuit import (
     tensor_two_copies,
 )
 from .simulate import DensityMatrix, Distribution, outcome_bits
-
-DIAG_TAG = "diag"
-#: tag of the parity-rotation CNOTs; with DIAG_TAG it marks the measurement
-#: stage of a distillation circuit
-PARITY_TAG = "parity"
 
 #: The matrix of the diagonalizing gate kind ``DIAG`` (read-only):
 #: identity on |00> and |11>, and the Bell-basis rotation sending
@@ -65,24 +59,6 @@ DIAG_UNITARY = _DIAG_MATRIX
 
 SINGLET_OUTCOME = "10"
 
-#: DIAG_UNITARY in the {RY, RZ, CNOT} basis, up to global phase, as
-#: (kind, local qubits, angle) over the gate's qubits (a, b) = (0, 1): three
-#: CNOTs and the angles of a canonical (magic-basis) synthesis, kept as that
-#: synthesis emitted them.  The numerically zero RZ stays: under noise it
-#: carries a one-qubit relaxation step.
-DIAG_BASIS_FORM = (
-    (RY, (0,), -np.pi),
-    (RZ, (1,), -np.pi),
-    (CNOT, (1, 0), None),
-    (RZ, (0,), -2.2371143170757385e-17),
-    (RY, (1,), -0.7853981633974484),
-    (CNOT, (0, 1), None),
-    (RY, (1,), -0.7853981633974484),
-    (CNOT, (1, 0), None),
-    (RZ, (0,), -np.pi),
-    (RY, (1,), -np.pi),
-)
-
 
 class EstimatorError(RuntimeError):
     """Raised when the distillation denominator is statistically
@@ -90,14 +66,7 @@ class EstimatorError(RuntimeError):
 
 
 def diag_gate_on(a: int, b: int) -> Gate:
-    return Gate(DIAG, (a, b), tag=DIAG_TAG)
-
-
-def diag_basis_gates(a: int, b: int, tag: str) -> list[Gate]:
-    """:data:`DIAG_BASIS_FORM` on qubits (a, b), every gate tagged ``tag``."""
-    qubits = (a, b)
-    return [Gate(kind, tuple(qubits[q] for q in local), angle=angle, tag=tag)
-            for kind, local, angle in DIAG_BASIS_FORM]
+    return Gate(DIAG, (a, b))
 
 
 def build_vd_circuit(original: Circuit, rotation: Sequence[Gate] = ()) -> Circuit:

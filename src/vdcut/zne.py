@@ -1,7 +1,7 @@
-"""Zero-noise extrapolation over folded diagonalizing gates: each
-``diag``-tagged gate G becomes G (G^dag G)^((scale-1)/2), so the noiseless
-unitary is unchanged while the gate noise is amplified; a linear fit over
-the measured scales extrapolates to zero noise."""
+"""Zero-noise extrapolation over folded diagonalizing gates: each ``DIAG``
+gate G becomes G (G^dag G)^((scale-1)/2), so the noiseless unitary is
+unchanged while the gate noise is amplified; a linear fit over the
+measured scales extrapolates to zero noise."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -9,7 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import DIAG, Circuit, Gate
-from .vd import DIAG_TAG
 
 
 class FoldingError(ValueError):
@@ -17,23 +16,19 @@ class FoldingError(ValueError):
 
 
 def fold_diagonalizing(circuit: Circuit, scale: int) -> Circuit:
-    """Replace every ``diag``-tagged gate G by G followed by (scale-1)/2
-    adjoint pairs (G^dag G).  Only ``DIAG`` gates are folded: the gate is
-    its own inverse, so the fold repeats it ``scale`` times."""
+    """Replace every ``DIAG`` gate G by G followed by (scale-1)/2 adjoint
+    pairs (G^dag G): the gate is its own inverse, so the fold repeats it
+    ``scale`` times.  A circuit without ``DIAG`` gates, a basis-decomposed
+    one included, is refused at every scale."""
     if scale < 1 or scale % 2 == 0:
         raise FoldingError(f"scale must be an odd positive integer, got {scale}")
-    if not any(g.tag == DIAG_TAG for g in circuit.ops):
-        raise FoldingError("circuit contains no diag-tagged gates to fold")
+    if not any(g.kind == DIAG for g in circuit.ops):
+        raise FoldingError(f"circuit contains no {DIAG} gates to fold")
     if scale == 1:
         return circuit
     ops: list[Gate] = []
     for g in circuit.ops:
-        if g.tag != DIAG_TAG:
-            ops.append(g)
-        elif g.kind == DIAG:
-            ops += [g] * scale
-        else:
-            raise FoldingError(f"can only fold {DIAG} gates, not a diag-tagged {g.kind}")
+        ops += [g] * scale if g.kind == DIAG else [g]
     return Circuit(circuit.width, tuple(ops))
 
 

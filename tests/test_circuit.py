@@ -203,9 +203,9 @@ def test_text_roundtrip_random(seed):
 def test_text_roundtrips_diag_gate():
     """The diagonalizing gate is a gate kind, so a circuit file can hold it,
     in either orientation."""
-    c = Circuit(3, (h(0), diag_gate_on(0, 2), diag_gate_on(1, 0).retagged("")))
+    c = Circuit(3, (h(0), diag_gate_on(0, 2), diag_gate_on(1, 0).retagged("copy-1")))
     txt = to_text(c)
-    assert txt.splitlines()[2:] == ["DIAG 0,2,#diag", "DIAG 1,0"]
+    assert txt.splitlines()[2:] == ["DIAG 0,2", "DIAG 1,0,#copy-1"]
     assert from_text(txt).ops == c.ops
     with pytest.raises(CircuitError):
         from_text("qubits 2\nDIAG 0,1,0.5\n")  # the gate takes no angle

@@ -1,5 +1,6 @@
 """Every module of the package (but its ``__init__``, which re-exports) and
-of the tests uses each name it imports."""
+of the tests uses each name it imports, and the compile layer of the
+package imports nothing from the method layer it serves."""
 import ast
 from pathlib import Path
 
@@ -46,3 +47,43 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: the circuit IR, noise, simulator and compile/run pipeline ...
+COMPILE_LAYER = ("circuit", "noise", "simulate", "transpile", "zne", "runner")
+#: ... and the methods, experiments and front ends built on them
+METHOD_LAYER = ("vd", "cutting", "benchmarks", "experiments", "sweep", "cli")
+
+
+def package_imports(source: str) -> list[str]:
+    """The ``vdcut`` modules a module of the package imports from, relative
+    or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(a.name for a in node.names)
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.startswith("vdcut."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "vdcut":
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("vdcut."))
+    return sorted(found)
+
+
+def test_package_imports_are_found():
+    source = ("from . import vd\nfrom .circuit import DIAG\nfrom .sweep.x import y\n"
+              "import numpy\nimport vdcut.cutting\nfrom vdcut.cli import main\n"
+              "from vdcut import benchmarks\n")
+    assert package_imports(source) == ["benchmarks", "circuit", "cli", "cutting",
+                                       "sweep", "vd"]
+
+
+@pytest.mark.parametrize("module", COMPILE_LAYER)
+def test_compile_layer_imports_no_method_module(module):
+    source = (ROOT / "src" / "vdcut" / f"{module}.py").read_text()
+    assert set(package_imports(source)) & set(METHOD_LAYER) == set()

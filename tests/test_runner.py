@@ -93,6 +93,26 @@ def test_execution_reads_its_measured_qubits():
             Execution(circuit, measured=measured)
 
 
+def test_execution_checks_its_inputs_when_built(monkeypatch):
+    """Bad shots, seeds and read qubits are refused when the execution is
+    built, before anything is compiled; read qubits are kept sorted, so one
+    circuit read as (2, 0) and as [0, 2] compiles once."""
+    circuit = real_amplitudes(3, 1, "circular", np.linspace(0.2, 1.4, 6))
+    for bad in ({"shots": 0}, {"shots": 2.5}, {"shots": True}, {"seed": -1},
+                {"seed": 1.0}, {"measured": (0.5,)}, {"measured": [0, 3]}):
+        with pytest.raises(ValueError):
+            Execution(circuit, **bad)
+    assert Execution(circuit, shots=np.int64(5), measured=[2, 0]).measured == (0, 2)
+    calls = []
+    monkeypatch.setattr(runner, "compile_circuit",
+                        lambda *a, **k: calls.append(k["measured"]) or compile_circuit(*a, **k))
+    listed, ordered = run_circuits([Execution(circuit, measured=[2, 0]),
+                                    Execution(circuit, measured=(0, 2))]).records
+    assert calls == [(0, 2)]
+    assert listed.distribution.width == 2
+    assert np.array_equal(listed.distribution.probs, ordered.distribution.probs)
+
+
 def _compiled_register(register=copies_register):
     noise = preset("basic+gct")
     cmap = coupling_map_for("heavyhex:3", 8)

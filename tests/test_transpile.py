@@ -4,12 +4,16 @@ import pytest
 
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import (
+    CNOT,
+    DIAG,
+    PARITY_TAG,
     Circuit,
     cnot,
     gate_matrix,
     ry,
     rzz,
     swap,
+    tensor_two_copies,
 )
 from vdcut.runner import compile_circuit
 from vdcut.simulate import evolve, exact_probs, marginal, tv_distance
@@ -17,7 +21,6 @@ from vdcut.sweep import overhead_point
 from vdcut.transpile import (
     CouplingMap,
     RoutingError,
-    cnot_count,
     coupling_map_for,
     decompose_to_basis,
     fully_connected,
@@ -25,7 +28,7 @@ from vdcut.transpile import (
     linear,
     route,
 )
-from vdcut.vd import PARITY_TAG, build_vd_circuit, diag_gate_on, parity_groups
+from vdcut.vd import build_vd_circuit, diag_gate_on, parity_groups
 from vdcut.zne import fold_diagonalizing
 
 from helpers import full_unitary, is_edge, phase_distance, random_circuit
@@ -66,8 +69,8 @@ def test_coupling_map_is_built_once_per_spec_and_width():
     assert coupling_map_for("heavyhex:3", 8) is cm
     assert coupling_map_for("heavyhex:3", 6) is not cm
     assert coupling_map_for("linear", 6) is not coupling_map_for("linear", 7)
-    with pytest.raises(ValueError):
-        cm.distances()[0, 1] = 5
+    with pytest.raises(TypeError):
+        cm.distances()[0][1] = 5
 
 
 def test_route_fully_connected_inserts_nothing():
@@ -172,30 +175,32 @@ def test_decompose_basis_only_and_idempotent():
 
 
 def test_decompose_diag_gate_within_three_cnots():
-    diag = diag_gate_on(0, 1)
+    diag = diag_gate_on(0, 1).retagged("copy-0")
     # ZNE folding repeats the gate, its own adjoint
     adjoint = fold_diagonalizing(Circuit(2, (diag,)), 3).ops[1]
     for gate in (diag, diag_gate_on(1, 0), adjoint):
         c = Circuit(2, (gate,))
         out = decompose_to_basis(c)
-        assert cnot_count(out) == 3
+        assert out.count(CNOT) == 3
         assert phase_distance(full_unitary(out), full_unitary(c)) < 1e-12
-        # the basis gates inherit the tag
-        assert all(g.tag == "diag" for g in out.ops)
+        # the basis gates inherit the tag of the gate they replace
+        assert all(g.tag == gate.tag for g in out.ops)
 
 
-def test_decompose_keep_tags():
-    c = Circuit(2, (diag_gate_on(0, 1),))
-    out = decompose_to_basis(c, keep_tags=("diag",))
-    assert out.ops == c.ops
+def test_decompose_keep_diag():
+    """``keep_diag`` leaves every DIAG gate whole and decomposes the rest."""
+    c = Circuit(3, (diag_gate_on(0, 1), swap(1, 2), diag_gate_on(2, 0)))
+    out = decompose_to_basis(c, keep_diag=True)
+    assert out.ops == (c.ops[0],) + decompose_to_basis(Circuit(3, c.ops[1:2])).ops + c.ops[2:]
+    assert DIAG not in {g.kind for g in decompose_to_basis(c).ops}
 
 
 def test_vd_circuit_monotone_overhead():
     rng = np.random.default_rng(8)
     orig = random_circuit(3, 10, rng)
     cmap = linear(6)
-    base = cnot_count(decompose_to_basis(route(orig, cmap).circuit))
-    vd = cnot_count(decompose_to_basis(route(build_vd_circuit(orig), cmap).circuit))
+    base = decompose_to_basis(route(orig, cmap).circuit).count(CNOT)
+    vd = decompose_to_basis(route(build_vd_circuit(orig), cmap).circuit).count(CNOT)
     assert vd > base
 
 
@@ -214,6 +219,24 @@ def test_staged_routing_gives_every_parity_group_the_same_preparation():
         prefixes.append([(g.kind, g.qubits, g.angle, g.tag) for g in ops[:split]])
     assert prefixes[0] == prefixes[1]
     assert any(kind == "SWAP" for kind, *_ in prefixes[0])
+
+
+def test_an_untagged_diag_gate_starts_the_measurement_stage():
+    """The first DIAG gate starts the measurement stage with no tag to mark
+    it, so the two copies before it are routed as if they were alone."""
+    orig = real_amplitudes(4, 2, "full", np.linspace(0.1, 1.2, 12))
+    cmap = heavy_hex(3)
+    vd = build_vd_circuit(orig)
+    assert {g.tag for g in vd.ops if g.kind == DIAG} == {""}
+
+    def on_device(rc, ops):
+        return [(g.kind, tuple(rc.physical[q] for q in g.qubits), g.angle) for g in ops]
+
+    alone = route(tensor_two_copies(orig), cmap)
+    want = on_device(alone, alone.circuit.ops)
+    assert any(kind == "SWAP" for kind, *_ in want)
+    rc = route(vd, cmap)
+    assert on_device(rc, rc.circuit.ops[:len(want)]) == want
 
 
 @pytest.mark.parametrize("point, counts", [

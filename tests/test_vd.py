@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vdcut.circuit import Circuit, PauliObservable, cnot, ry
+from vdcut.circuit import DIAG, Circuit, PauliObservable, cnot, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import (
     DensityMatrix,
@@ -53,14 +53,14 @@ def test_build_vd_circuit_structure():
     orig = Circuit(1, (ry(0.4, 0),))
     vd = build_vd_circuit(orig)
     assert vd.width == 2
-    assert sum(1 for g in vd.ops if g.tag == "diag") == 1
+    assert vd.count(DIAG) == 1
     assert len(vd.ops) == 2 * len(orig.ops) + 1
 
     orig3 = Circuit(3, tuple(ry(0.1 * (i + 1), i) for i in range(3))
                     + (cnot(2, 0), cnot(0, 1), cnot(1, 2)))
     vd3 = build_vd_circuit(orig3)
     assert vd3.width == 6
-    diags = [g for g in vd3.ops if g.tag == "diag"]
+    diags = [g for g in vd3.ops if g.kind == DIAG]
     assert [g.qubits for g in diags] == [(0, 3), (1, 4), (2, 5)]
     assert len(vd3.ops) == 2 * len(orig3.ops) + 3
 

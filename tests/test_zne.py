@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from vdcut.benchmarks import real_amplitudes
-from vdcut.circuit import Circuit, ry
+from vdcut.circuit import CNOT, DIAG, Circuit, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import blocks, evolve, exact_probs, tv_distance
-from vdcut.transpile import cnot_count, decompose_to_basis
+from vdcut.transpile import decompose_to_basis
 from vdcut.vd import DIAG_UNITARY, build_vd_circuit, diag_gate_on
 from vdcut.zne import FoldingError, extrapolate_linear, fold_diagonalizing
 
@@ -26,11 +26,10 @@ def test_scale_one_is_identity():
 
 def test_fold_counts_and_tags():
     vd = _vd(n=3)
-    n_diag = sum(1 for g in vd.ops if g.tag == "diag")
+    n_diag = vd.count(DIAG)
     for scale in (3, 5):
         folded = fold_diagonalizing(vd, scale)
-        folded_diag = sum(1 for g in folded.ops if g.tag == "diag")
-        assert folded_diag == scale * n_diag
+        assert folded.count(DIAG) == scale * n_diag
         assert len(folded) == len(vd) + (scale - 1) * n_diag
 
 
@@ -45,9 +44,10 @@ def test_fold_preserves_noiseless_semantics():
 def test_fold_unitary_is_g_times_adjoint_pairs():
     """A fold at scale 2k+1 puts G (G^dag G)^k in place of each
     diagonalizing gate G, in either orientation, and leaves the other gates
-    alone, so the folded distillation circuit has the original's unitary."""
+    alone, so the folded distillation circuit has the original's unitary.
+    The gate is found by its kind, whatever its tag."""
     g = DIAG_UNITARY
-    for gate in (diag_gate_on(0, 1), diag_gate_on(1, 0)):
+    for gate in (diag_gate_on(0, 1), diag_gate_on(1, 0), diag_gate_on(1, 0).retagged("copy-1")):
         c = Circuit(2, (ry(0.3, 0), gate, ry(0.5, 1)))
         for scale in (3, 5):
             folded = fold_diagonalizing(c, scale)
@@ -62,12 +62,13 @@ def test_fold_unitary_is_g_times_adjoint_pairs():
 
 
 def test_fold_refuses_a_decomposed_distillation_circuit():
-    """Once decomposed, the diagonalizing gates are diag-tagged basis gates
-    that are no longer their own inverse, so folding them is refused."""
+    """Once decomposed, the diagonalizing gates are basis gates that are no
+    longer their own inverse and hold no DIAG gate, so folding is refused
+    at every scale."""
     decomposed = decompose_to_basis(_vd())
-    assert fold_diagonalizing(decomposed, 1) is decomposed
-    with pytest.raises(FoldingError, match="diag-tagged"):
-        fold_diagonalizing(decomposed, 3)
+    for scale in (1, 3):
+        with pytest.raises(FoldingError, match="no DIAG gates"):
+            fold_diagonalizing(decomposed, scale)
 
 
 def test_fold_validation():
@@ -82,7 +83,7 @@ def test_fold_validation():
 
 def test_fold_increases_decomposed_cnots():
     vd = _vd(n=4, seed=5)
-    counts = [cnot_count(decompose_to_basis(fold_diagonalizing(vd, s)))
+    counts = [decompose_to_basis(fold_diagonalizing(vd, s)).count(CNOT)
               for s in (1, 3, 5)]
     assert counts[0] < counts[1] < counts[2]
 
