@@ -249,7 +249,10 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliObservable:
-    """Real linear combination of Pauli strings, one letter per qubit."""
+    """Real linear combination of Z strings, one letter (``I`` or ``Z``) per
+    qubit.  Every observable the methods read is diagonal in the
+    computational basis once the diagonalizing gates have run, so any
+    other letter is refused when the observable is built."""
 
     terms: tuple[tuple[float, str], ...]
 
@@ -261,22 +264,17 @@ class PauliObservable:
         for _, p in terms:
             if len(p) != width:
                 raise CircuitError("all Pauli strings must have equal length")
-            if any(ch not in "IXYZ" for ch in p):
-                raise CircuitError(f"invalid Pauli letter in {p!r}")
+            if any(ch not in "IZ" for ch in p):
+                raise CircuitError(f"Pauli letter other than I or Z in {p!r}")
         object.__setattr__(self, "terms", terms)
 
     @property
     def width(self) -> int:
         return len(self.terms[0][1])
 
-    def is_diagonal(self) -> bool:
-        return all(set(p) <= {"I", "Z"} for _, p in self.terms)
-
     def matrix(self) -> np.ndarray:
         singles = {
             "I": np.eye(2, dtype=complex),
-            "X": _X_MATRIX,
-            "Y": np.array([[0, -1j], [1j, 0]]),
             "Z": np.diag([1.0, -1.0]).astype(complex),
         }
         dim = 2 ** self.width

@@ -10,11 +10,12 @@ noiseless one complex superoperators on density matrices (see
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .circuit import CNOT, RZZ, SWAP, Circuit
+from .circuit import CNOT, DIAG, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
     DensityMatrix,
@@ -54,7 +55,9 @@ class Execution:
     ``scale``, ``ideal_diag`` reference mode, sampling budget
     (``shots=None`` keeps the exact distribution) and the logical qubits it
     reads (``measured=None`` reads every qubit), checked when built:
-    ``measured`` is kept as a sorted tuple, the order its bits are read in."""
+    ``scale`` is odd, and above 1 only on a circuit with ``DIAG`` gates to
+    fold; ``measured`` is kept as a sorted tuple, the order its bits are
+    read in."""
 
     circuit: Circuit
     scale: int = 1
@@ -64,10 +67,18 @@ class Execution:
     measured: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        scale = _integer("scale", self.scale, 1)
+        if scale % 2 == 0:
+            raise ValueError(f"scale must be odd, got {scale}")
+        if scale > 1 and not any(g.kind == DIAG for g in self.circuit.ops):
+            raise ValueError(f"scale {scale} needs {DIAG} gates to fold, and the circuit has none")
+        object.__setattr__(self, "scale", scale)
         if self.shots is not None:
             object.__setattr__(self, "shots", _integer("shots", self.shots, 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.measured is not None:
+            if not isinstance(self.measured, Iterable):
+                raise ValueError(f"measured must be a sequence of qubits, got {self.measured!r}")
             read = tuple(sorted(_integer("measured qubit", q, 0) for q in self.measured))
             if len(set(read)) != len(read) or read and read[-1] >= self.circuit.width:
                 raise ValueError(f"measured qubits {self.measured} must be distinct qubits "
@@ -85,14 +96,15 @@ def _integer(name: str, value, least: int) -> int:
 @dataclass(frozen=True)
 class CompiledCircuit:
     """A logical circuit as the simulator evolves it: routed, folded,
-    basis-decomposed and crosstalk-augmented, with the device ``edges``
-    between its qubits that readout crosstalk reads and the ``positions``
-    of the bits it reads.  Its ``DIAG`` gates, kept only by the
+    basis-decomposed and crosstalk-augmented, with the ``positions`` of the
+    bits it reads and the ``readout_pairs`` of those bit positions that
+    share readout crosstalk (none when the noise has no readout
+    crosstalk).  Its ``DIAG`` gates, kept only by the
     noiseless-diagonalizing reference, evolve ideal, as its crosstalk does
     (see :func:`~vdcut.simulate.blocks`)."""
 
     body: Circuit
-    edges: tuple[tuple[int, int], ...]
+    readout_pairs: tuple[tuple[int, int], ...]
     positions: tuple[int, ...]
     swaps: int
 
@@ -107,6 +119,11 @@ def compile_circuit(circuit: Circuit, *,
     (``scale``), decompose and insert crosstalk.  The bits of the
     ``measured`` logical qubits (every qubit when None) are reported in
     ascending logical qubit order.
+
+    Gate crosstalk and readout crosstalk both read the device edges
+    between the compiled qubits.  Under readout crosstalk, measured qubits
+    joined by an edge are paired greedily: in ascending label order, each
+    qubit at most once.
 
     :func:`~vdcut.transpile.route` routes a distillation circuit's
     measurement stage (parity rotation and diagonalizing gates) after its
@@ -127,7 +144,15 @@ def compile_circuit(circuit: Circuit, *,
         # crosstalk between parallel two-qubit gates of the basis-decomposed
         # circuit, mirroring per-CNOT scheduling on hardware
         body = insert_zz_crosstalk(body, edges, angle=noise.crosstalk_angle)
-    return CompiledCircuit(body, edges, positions, rc.circuit.count(SWAP))
+    pairs = []
+    if noise is not None and noise.readout_crosstalk:
+        bit = {p: j for j, p in enumerate(positions)}
+        matched: set[int] = set()
+        for a, b in edges:  # sorted, so each qubit takes its lowest free partner
+            if a in bit and b in bit and not matched & {a, b}:
+                matched.update((a, b))
+                pairs.append((bit[a], bit[b]))
+    return CompiledCircuit(body, tuple(pairs), positions, rc.circuit.count(SWAP))
 
 
 def run_circuit(circuit: Circuit, *,
@@ -274,7 +299,7 @@ def run_circuits(executions: Sequence[Execution], *,
         for variant in step.measured:
             c = variants[variant]
             dists[variant] = apply_readout(marginal(exact_probs(state), c.positions), noise,
-                                           physical=c.positions, edges=c.edges)
+                                           c.readout_pairs)
         if step.hold:
             states[step] = state
         del state

@@ -525,48 +525,23 @@ def sample(dist: Distribution, shots: int, seed: int) -> Distribution:
 
 
 def apply_readout(dist: Distribution, noise: NoiseModel | None,
-                  physical: Sequence[int] | None = None,
-                  edges: Iterable[tuple[int, int]] = ()) -> Distribution:
-    """Apply per-qubit readout confusion, then (if enabled) the pairwise
-    readout-crosstalk confusion matrix on measured pairs coupled by ``edges``.
-
-    ``physical[j]`` is the qubit of bit position ``j`` and ``edges`` pair
-    such qubits: :mod:`vdcut.runner` passes compiled-register labels (see
-    :class:`~vdcut.transpile.RoutedCircuit`), not device indices.  Each
-    qubit joins at most one crosstalk pair, greedily matched in ascending
-    label.
-    """
+                  pairs: Iterable[tuple[int, int]] = ()) -> Distribution:
+    """Apply per-qubit readout confusion, then the pairwise readout-crosstalk
+    confusion matrix on each pair of bit positions in ``pairs`` (the
+    ``readout_pairs`` that :func:`~vdcut.runner.compile_circuit` matches)."""
     if noise is None:
         return dist
     n = dist.width
-    phys = list(physical) if physical is not None else list(range(n))
-    if len(phys) != n:
-        raise ValueError("physical id list length mismatch")
     t = dist.probs.reshape((2,) * n)
     m = noise.readout.T  # out = M^T @ in along each qubit axis
     for axis in range(n):
         t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
-    if noise.readout_crosstalk:
-        edges = {tuple(sorted(e)) for e in edges}
-        pos_of = {p: i for i, p in enumerate(phys)}
-        matched: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        for p in sorted(pos_of):
-            if p in matched:
-                continue
-            for q in sorted(pos_of):
-                if q in matched or q <= p:
-                    continue
-                if tuple(sorted((p, q))) in edges:
-                    matched.update((p, q))
-                    pairs.append((pos_of[p], pos_of[q]))
-                    break
-        mp = noise.readout_pair.T
-        for i, j in pairs:
-            perm = [i, j] + [a for a in range(n) if a not in (i, j)]
-            tt = np.transpose(t, perm).reshape(4, -1)
-            tt = mp @ tt
-            t = np.transpose(tt.reshape((2,) * n), np.argsort(perm))
+    mp = noise.readout_pair.T
+    for i, j in pairs:
+        perm = [i, j] + [a for a in range(n) if a not in (i, j)]
+        tt = np.transpose(t, perm).reshape(4, -1)
+        tt = mp @ tt
+        t = np.transpose(tt.reshape((2,) * n), np.argsort(perm))
     return Distribution(n, t.reshape(-1))
 
 
@@ -598,8 +573,8 @@ def _parity_signs(width: int, mask_qubits: Iterable[int]) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _diagonal(obs: PauliObservable) -> np.ndarray:
-    """Diagonal of ``obs.matrix()`` for an I/Z observable, bit for bit: the
-    coefficient-weighted parity signs, summed in the same term order."""
+    """Diagonal of ``obs.matrix()``, bit for bit: the coefficient-weighted
+    parity signs, summed in the same term order."""
     diag = np.zeros(2 ** obs.width)
     for coeff, p in obs.terms:
         diag += coeff * _parity_signs(obs.width, [i for i, ch in enumerate(p) if ch == "Z"])
@@ -608,30 +583,22 @@ def _diagonal(obs: PauliObservable) -> np.ndarray:
 
 
 def expectation(state: "Distribution | DensityMatrix", obs: PauliObservable) -> float:
-    """<O> against a Distribution (diagonal observables only) or a
-    DensityMatrix (any Pauli observable, as Tr(O rho)).
+    """<O> of a Z-string observable against a Distribution or a
+    DensityMatrix.
 
-    For an I/Z observable the density-matrix path reads only the diagonal
-    of rho. It returns the same float as ``np.trace(obs.matrix() @ rho).real``:
-    each product O_ii rho_ii is the one the matrix product forms, and the
-    complex diagonal is summed in the order ``np.trace`` sums it. Observables
-    with X or Y terms take the matrix product.
+    The density-matrix path reads only the diagonal of rho. It returns the
+    same float as ``np.trace(obs.matrix() @ rho).real``: each product
+    O_ii rho_ii is the one the matrix product forms, and the complex
+    diagonal is summed in the order ``np.trace`` sums it.
     """
+    if not isinstance(state, (Distribution, DensityMatrix)):
+        raise TypeError(f"cannot take expectation against {type(state).__name__}")
+    if obs.width != state.width:
+        raise ValueError("observable width mismatch")
     if isinstance(state, Distribution):
-        if not obs.is_diagonal():
-            raise ValueError("distribution expectations require I/Z observables")
-        if obs.width != state.width:
-            raise ValueError("observable width mismatch")
         total = 0.0
         for coeff, p in obs.terms:
             zs = [i for i, ch in enumerate(p) if ch == "Z"]
             total += coeff * float(state.probs @ _parity_signs(state.width, zs))
         return total
-    if isinstance(state, DensityMatrix):
-        if obs.width != state.width:
-            raise ValueError("observable width mismatch")
-        if obs.is_diagonal():
-            return float(np.sum(_diagonal(obs) * np.diagonal(state.matrix)).real)
-        val = complex(np.trace(obs.matrix() @ state.matrix))
-        return float(val.real)
-    raise TypeError(f"cannot take expectation against {type(state).__name__}")
+    return float(np.sum(_diagonal(obs) * np.diagonal(state.matrix)).real)

@@ -185,14 +185,12 @@ def _star_groups(pairs: set[tuple[int, int]]) -> list[list[tuple[int, int]]]:
 
 def parity_groups(obs: PauliObservable) -> tuple[ParityGroup, ...]:
     """Rotation groups that make the estimator exact for every term of an
-    I/Z observable with Z strings of weight at most two.
+    observable whose Z strings have weight at most two.
 
     The grouping depends on the observable alone.  Identity terms go to the
     first group; a single-qubit string goes to the first group that does
     not use its qubit as a target.  Summing the groups' mitigated values
     gives Tr(O rho^2) / Tr(rho^2) term by term."""
-    if not obs.is_diagonal():
-        raise ValueError("parity rotation supports I/Z observables only")
     supports = [tuple(i for i, ch in enumerate(p) if ch == "Z") for _, p in obs.terms]
     heavy = [p for (_, p), s in zip(obs.terms, supports) if len(s) > 2]
     if heavy:
@@ -296,8 +294,6 @@ def estimate_from_distribution(dist: Distribution, obs: PauliObservable,
     n = dist.width // 2
     if obs.width != n:
         raise ValueError(f"observable width {obs.width} != {n} system qubits")
-    if not obs.is_diagonal():
-        raise ValueError("sampled estimation supports I/Z observables only")
     # per pair i, over the 4^n outcomes: the copy bits z, zp and the swap
     # sign s (-1 on SINGLET_OUTCOME)
     bits = outcome_bits(2 * n)

@@ -173,14 +173,19 @@ def test_rzz_matrix_diagonal():
 
 
 def test_observable_validation():
+    """Observables are Z strings: an X or Y letter is refused when the
+    observable is built (a ``CircuitError`` is a ``ValueError``), so no
+    expectation, parity grouping or estimator ever sees one."""
     with pytest.raises(CircuitError):
         PauliObservable(((1.0, "IZQ"),))
     with pytest.raises(CircuitError):
         PauliObservable(((1.0, "IZ"), (1.0, "IZZ")))
+    for terms in (((1.0, "X"),), ((1.0, "Y"),), ((1.0, "XZ"),),
+                  ((1.0, "ZZ"), (0.5, "IY"))):
+        with pytest.raises(ValueError, match="other than I or Z"):
+            PauliObservable(terms)
     obs = PauliObservable(((0.5, "III"), (-0.5, "ZZI")))
     assert obs.width == 3
-    assert obs.is_diagonal()
-    assert not PauliObservable(((1.0, "XI"),)).is_diagonal()
 
 
 def test_text_roundtrip_examples():

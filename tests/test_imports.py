@@ -1,6 +1,7 @@
 """Every module of the package (but its ``__init__``, which re-exports) and
-of the tests uses each name it imports, and the compile layer of the
-package imports nothing from the method layer it serves."""
+of the tests uses each name it imports, and each module of the compile
+layer imports only the compile-layer modules below it, never the method
+layer it serves."""
 import ast
 from pathlib import Path
 
@@ -87,3 +88,12 @@ def test_package_imports_are_found():
 def test_compile_layer_imports_no_method_module(module):
     source = (ROOT / "src" / "vdcut" / f"{module}.py").read_text()
     assert set(package_imports(source)) & set(METHOD_LAYER) == set()
+
+
+@pytest.mark.parametrize("module", COMPILE_LAYER)
+def test_compile_layer_imports_only_the_modules_before_it(module):
+    """Each compile-layer module stands on the ones listed before it, so
+    the simulator, for one, knows nothing of routing or devices."""
+    source = (ROOT / "src" / "vdcut" / f"{module}.py").read_text()
+    below = COMPILE_LAYER[:COMPILE_LAYER.index(module)]
+    assert set(package_imports(source)) <= set(below)

@@ -7,8 +7,9 @@ import pytest
 
 from vdcut import runner, simulate
 from vdcut.benchmarks import real_amplitudes
+from vdcut.circuit import Circuit
 from vdcut.cutting import build_pairwise_pipelines
-from vdcut.noise import preset
+from vdcut.noise import NoiseModel, preset
 from vdcut.runner import Execution, compile_circuit, run_circuits
 from vdcut.simulate import blocks, marginal
 from vdcut.transpile import CouplingMap, coupling_map_for, route
@@ -65,16 +66,46 @@ def test_runs_without_a_map_share_one_coupling_map(monkeypatch):
     assert len(built) <= 1
 
 
-def test_compiled_edges_are_the_device_edges_between_its_qubits():
-    """Crosstalk and readout read the coupling edges among the device qubits
-    the routed circuit holds, in its labels and sorted."""
+def test_readout_pairs_match_the_device_edges_between_read_qubits():
+    """Readout crosstalk pairs the read qubits that a device edge joins,
+    greedily in ascending compiled label, each qubit at most once, and
+    names each pair by its bit positions."""
     vd = build_vd_circuit(real_amplitudes(4, 1, "circular", np.linspace(0.2, 1.4, 8)))
     cmap = coupling_map_for("heavyhex:3", 8)
-    physical = route(vd, cmap).physical
+    rc = route(vd, cmap)
+    physical = rc.physical
     assert physical[-1] >= len(physical)  # the labels are not the device qubits
-    expected = sorted((physical.index(a), physical.index(b))
-                      for a, b in cmap.edges if a in physical and b in physical)
-    assert expected and list(compile_circuit(vd, cmap=cmap).edges) == expected
+    edges = {(physical.index(a), physical.index(b))
+             for a, b in cmap.edges if a in physical and b in physical}
+    bit = {rc.final_layout[q]: q for q in range(vd.width)}
+    matched, expected = set(), []
+    for p in sorted(bit):
+        q = next((q for q in sorted(bit) if q > p and (p, q) in edges
+                  and not matched & {p, q}), None)
+        if q is not None:
+            matched.update((p, q))
+            expected.append((bit[p], bit[q]))
+    assert len(expected) > 1 and any(bit[p] != p for p in bit)  # bits are not labels
+    compiled = compile_circuit(vd, noise=preset("basic+gct+rct"), cmap=cmap)
+    assert compiled.readout_pairs == tuple(expected)
+    assert compile_circuit(vd, noise=preset("basic+gct"), cmap=cmap).readout_pairs == ()
+
+
+def test_readout_crosstalk_greedy_matching():
+    """On the line 0-1-2 only the pair (0, 1) forms and qubit 2 stays
+    single; reading qubits 1 and 2 pairs their bit positions (0, 1)."""
+    noise = NoiseModel(readout=np.eye(2), readout_crosstalk=True)
+    cmap = coupling_map_for("linear", 3)
+    circuit = Circuit(3)
+    assert compile_circuit(circuit, noise=noise, cmap=cmap).readout_pairs == ((0, 1),)
+    assert compile_circuit(circuit, noise=noise, cmap=cmap,
+                           measured=(1, 2)).readout_pairs == ((0, 1),)
+    assert compile_circuit(circuit, noise=noise, cmap=cmap,
+                           measured=(0, 2)).readout_pairs == ()
+    (record,) = run_circuits([Execution(circuit)], noise=noise, cmap=cmap).records
+    # qubit 2 sees no crosstalk: its marginal stays exactly deterministic
+    assert marginal(record.distribution, [2]).probs.tolist() == [1.0, 0.0]
+    assert marginal(record.distribution, [0, 1]).probs[0] == pytest.approx(0.991)
 
 
 def test_execution_reads_its_measured_qubits():
@@ -94,14 +125,20 @@ def test_execution_reads_its_measured_qubits():
 
 
 def test_execution_checks_its_inputs_when_built(monkeypatch):
-    """Bad shots, seeds and read qubits are refused when the execution is
-    built, before anything is compiled; read qubits are kept sorted, so one
-    circuit read as (2, 0) and as [0, 2] compiles once."""
+    """Bad shots, seeds, folds and read qubits are refused when the
+    execution is built, before anything is compiled; read qubits are kept
+    sorted, so one circuit read as (2, 0) and as [0, 2] compiles once."""
     circuit = real_amplitudes(3, 1, "circular", np.linspace(0.2, 1.4, 6))
     for bad in ({"shots": 0}, {"shots": 2.5}, {"shots": True}, {"seed": -1},
-                {"seed": 1.0}, {"measured": (0.5,)}, {"measured": [0, 3]}):
+                {"seed": 1.0}, {"measured": (0.5,)}, {"measured": [0, 3]},
+                {"measured": 1}, {"scale": 0}, {"scale": 2}, {"scale": 3.0},
+                {"scale": True}, {"scale": 3}):  # the last: no DIAG gate to fold
         with pytest.raises(ValueError):
             Execution(circuit, **bad)
+    vd = build_vd_circuit(real_amplitudes(2, 1, "circular", [0.3, 1.1, 0.7, 0.2]))
+    assert Execution(vd, scale=np.int64(3)).scale == 3
+    with pytest.raises(ValueError, match="odd"):
+        Execution(vd, scale=2)
     assert Execution(circuit, shots=np.int64(5), measured=[2, 0]).measured == (0, 2)
     calls = []
     monkeypatch.setattr(runner, "compile_circuit",
