@@ -469,6 +469,13 @@ def test_diagonal_expectation_equals_trace_bit_for_bit(seed, n):
     assert expectation(dm, obs) == float(np.trace(obs.matrix() @ dm.matrix).real)
 
 
+def test_expectation_rejects_offdiagonal_on_distribution():
+    """An X observable never reaches a distribution: building it raises."""
+    d = distribution({"0": 1.0}, 1)
+    with pytest.raises(ValueError, match="other than I or Z"):
+        expectation(d, PauliObservable(((1.0, "X"),)))
+
+
 def test_expectation_refuses_other_states():
     """A state that is neither a distribution nor a density matrix is
     refused by its type, before its width is compared."""

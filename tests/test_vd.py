@@ -273,6 +273,14 @@ def test_zero_sampled_variance_is_floored_at_one_shot():
     assert est.numerator_se == pytest.approx(np.sqrt((1 - 0.6 ** 2) / 50), rel=1e-12)
 
 
+def test_estimator_rejects_nondiagonal():
+    """An X observable never reaches the estimator: building it raises."""
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    dist = _as_dist(_vd_distribution(rho, 1), 2)
+    with pytest.raises(ValueError, match="other than I or Z"):
+        estimate_from_distribution(dist, PauliObservable(((1.0, "X"),)))
+
+
 @pytest.mark.parametrize("terms", [
     ((0.5, "III"), (-0.5, "ZZI"), (0.25, "IZZ"), (1.5, "ZIZ"), (0.7, "IZI"),
      (-0.3, "IIZ")),
