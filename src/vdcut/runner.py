@@ -259,8 +259,8 @@ def run_circuits(executions: Sequence[Execution], *,
     matrices and each state a :class:`~vdcut.simulate.PauliState`.  The stats
     are read off the steps, and the batch is admitted as a whole before
     anything is allocated: the held states at their most, plus the two
-    buffers of one evolution, the first of which becomes its result (see
-    :func:`~vdcut.simulate.evolve`).
+    buffers of one evolution, one of which holds its result and the other
+    is freed (see :func:`~vdcut.simulate.evolve`).
     Sampling uses each execution's own shots and seed.
     """
     compiled: dict[tuple, CompiledCircuit] = {}

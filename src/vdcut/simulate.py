@@ -2,8 +2,8 @@
 measurement distributions, readout error and sampling.
 
 An evolution is a sequence of blocks, each one linear map over at most three
-qubits, applied to the state tensor by one transpose and one matrix product
-over the block's axes.  :func:`blocks` is the only code that turns gates
+qubits, applied to the state tensor by one matrix product over the block's
+axes.  :func:`blocks` is the only code that turns gates
 into blocks.  Without noise each gate is one complex superoperator block,
 applied to the 2^n x 2^n density tensor.  Under noise every channel maps
 Hermitian operators to Hermitian operators, so each gate's noisy channel is
@@ -17,11 +17,15 @@ three qubits), so a noisy circuit makes one full-tensor pass per block
 instead of one per gate, as dense simulators cluster gates to save state
 sweeps (Häner and Steiger, arXiv:1704.01127).
 
-An evolution holds two full-size buffers and reuses them for every block:
-the block's axes are transposed to the front into buffer A, and the matrix
-product writes buffer B, which the next block reads through a transposed
-view.  The result is copied out of B into A, so no third tensor is
-allocated.
+An evolution holds two full-size buffers and reuses them for every block.
+A Pauli state stays in qubit order: a block on consecutive qubits is one
+product over a reshape of the state, read from one buffer and written to
+the other, so the buffers alternate and the pass makes no copy.  Any other
+block, and every block of a density tensor, takes the transposing path: the
+state is copied with the block's axes transposed to the front into one
+buffer, and the product writes the other, which the next block reads
+through a transposed view.  The result is left in one of the two buffers,
+so no third tensor is allocated.
 """
 from __future__ import annotations
 
@@ -69,15 +73,83 @@ def _super_layout(ndim: int, axes: tuple[int, ...]):
 def _apply_super(tensor: np.ndarray, S: np.ndarray, axes: tuple[int, ...],
                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Apply superoperator ``S`` over the given tensor axes (most significant
-    first).  The transposed input is copied into buffer ``a`` and the product
-    written to buffer ``b``, both contiguous and of ``tensor``'s shape;
-    returns a view of ``b``.  ``tensor`` may be the previous call's view of
-    ``b``, but not of ``a``."""
+    first) by the transposing path: the input, transposed so that ``axes``
+    come first, is copied into buffer ``a`` and the product written to
+    buffer ``b``, both contiguous and of ``tensor``'s shape; returns a view
+    of ``b`` in ``tensor``'s axis order.  ``tensor`` may be ``b`` or a view
+    of it, but not of ``a``."""
     perm, inverse = _super_layout(tensor.ndim, axes)
     np.copyto(a, np.transpose(tensor, perm))
     rows = S.shape[0]
     np.matmul(S, a.reshape(rows, -1), out=b.reshape(rows, -1))
     return np.transpose(b, inverse)
+
+
+#: rows per product when a block acts on the last qubits: products over
+#: fewer rows round differently from the transposing path, and products over
+#: more touch more BLAS work-buffer memory (8 MiB for one product over all
+#: rows of a ten-qubit state)
+_TRAILING_ROWS = 64
+
+
+def _in_order(n: int, qubits: tuple[int, ...]) -> bool:
+    """Whether a Pauli block over ``qubits`` (ascending) of an ``n``-qubit
+    state is one product over the state in qubit order (see
+    :func:`_apply_transfer`).  That holds for consecutive qubits
+    q0..q0+m-1 with R = 4^(n-q0-m) coefficients after them when R >= 16, or
+    R = 1 with P = 4^q0 >= :data:`_TRAILING_ROWS` before them: those
+    products round exactly as the transposing path does.  For R = 4 on two
+    or three qubits, small trailing blocks and spread qubits none was found
+    that does; on one qubit with R = 4 one does, but its 4^(n-2) products
+    of 4 x 4 matrices are slower than the transposing path on up to ten
+    qubits."""
+    m, q0 = len(qubits), qubits[0]
+    after = 4 ** (n - q0 - m)
+    return qubits[-1] - q0 == m - 1 and (
+        after >= 16 or after == 1 and 4 ** q0 >= _TRAILING_ROWS)
+
+
+def _apply_transfer(tensor: np.ndarray, S: np.ndarray, qubits: tuple[int, ...],
+                    in_order: bool, held: np.ndarray, spare: np.ndarray):
+    """Apply Pauli-transfer matrix ``S`` over ``qubits`` (ascending) to the
+    ``(4,) * n`` tensor, which is ``held``, a view of it, or neither, but
+    shares no memory with ``spare``; returns ``(tensor, held, spare)`` for
+    the next block, in the same relation.
+
+    In qubit order (see :func:`_in_order`), a block on q0..q0+m-1 is one
+    product written to ``spare``: ``S`` times each of the P = 4^q0 slices
+    of shape 4^m x R, or, when R = 1, the rows of shape P x 4^m times
+    ``S``'s transpose, :data:`_TRAILING_ROWS` rows per product.  A view of
+    ``held``, left permuted by an earlier block, is first copied into
+    ``spare`` in qubit order.  Any other block takes the transposing path
+    (:func:`_apply_super`) and leaves the result as a permuted view of
+    ``held``."""
+    if not in_order:
+        return _apply_super(tensor, S, qubits, spare, held), held, spare
+    if tensor.base is held:
+        np.copyto(spare, tensor)
+        tensor, held, spare = spare, spare, held
+    n, m, q0 = tensor.ndim, len(qubits), qubits[0]
+    if q0 + m == n:
+        shape = (-1, _TRAILING_ROWS, 4 ** m)
+        np.matmul(tensor.reshape(shape), S.T, out=spare.reshape(shape))
+    else:
+        shape = (4 ** q0, 4 ** m, -1)
+        np.matmul(S, tensor.reshape(shape), out=spare.reshape(shape))
+    return spare, spare, held
+
+
+def _moves(in_order: Sequence[bool], from_initial: bool) -> int:
+    """How often :func:`_apply_transfer` and :func:`evolve` move a Pauli
+    state into the other buffer over blocks applied ``in_order`` or not:
+    once per block in qubit order, once more when a permuted state is
+    first copied back, and once at the end when the state is left
+    permuted, or is still ``initial`` because there is no block."""
+    moves, permuted = 0, False
+    for fast in in_order:
+        moves += fast * (1 + permuted)
+        permuted = not fast
+    return moves + (permuted or from_initial and not in_order)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +273,8 @@ class FusedBlock:
     @property
     def superop(self) -> np.ndarray:
         """The parts applied in turn to the 4^m x 4^m identity, seen as an
-        m-qubit tensor of rows by a column index, through the kernel that
-        evolves states (:func:`_apply_super`): a part's matrix works on its
+        m-qubit tensor of rows by a column index, through the transposing
+        kernel (:func:`_apply_super`): a part's matrix works on its
         own qubits' row axes, non-adjacent or not, with no embedding built
         for it."""
         if len(self.parts) == 1:
@@ -412,11 +484,17 @@ def evolve(circuit: Circuit | FusedCircuit, *,
     qubit's Pauli is I or Z; other blocks evolve a complex
     :class:`DensityMatrix`, and ``initial`` must be of the matching kind.
 
-    The evolution holds two buffers, A for each block's transposed input and
-    B for its output (the ground state starts in B), and the result is
-    copied from B into A.  With ``initial`` that is three state tensors at
-    the peak; the call raises :class:`SimulationSizeError` before allocating
-    when they would not fit in memory (see :func:`admit`).
+    The evolution holds two buffers and returns the state in the one it
+    allocates first; only the one the ground state starts in is zeroed.  A
+    Pauli state stays in qubit order, and each block writes the buffer that
+    the state is not in (see :func:`_apply_transfer`), so which buffer the
+    state starts in follows from the blocks (see :func:`_moves`).  A density
+    tensor's block axes q and n+q are never adjacent, so each of its blocks
+    copies the state, transposed, into one buffer and writes the product to
+    the other (see :func:`_apply_super`).  With ``initial`` that is three
+    state tensors at the peak; the call raises :class:`SimulationSizeError`
+    before allocating when they would not fit in memory (see
+    :func:`admit`).
     """
     pauli = isinstance(circuit, FusedCircuit) and circuit.pauli
     admit(circuit.width, 2 + (initial is not None), pauli)
@@ -430,19 +508,34 @@ def evolve(circuit: Circuit | FusedCircuit, *,
     if initial is not None and initial.width != n:
         raise ValueError(f"initial state has {initial.width} qubits, circuit {n}")
     shape = (4,) * n if pauli else (2,) * (2 * n)
-    a = np.empty(shape, dtype=float if pauli else complex)
-    b = np.zeros_like(a)
-    if initial is None:
-        b[(_IZ,) * n if pauli else (0,) * (2 * n)] = 1.0
-        tensor = b
+    # the state ends in a, the buffer allocated first, so that the call frees
+    # the later one: freeing the earlier one left the heap a whole state
+    # larger at its peak
+    ground = initial is None
+    in_order = [_in_order(n, block.qubits) for block in circuit.ops] if pauli else []
+    start_in_a = pauli and _moves(in_order, not ground) % 2 == 0
+    dtype = float if pauli else complex
+    a = (np.zeros if ground and start_in_a else np.empty)(shape, dtype)
+    b = (np.zeros if ground and not start_in_a else np.empty)(shape, dtype)
+    held, spare = (a, b) if start_in_a else (b, a)
+    if ground:
+        held[(_IZ,) * n if pauli else (0,) * (2 * n)] = 1.0
+        tensor = held
     else:
         tensor = initial.coeffs if pauli else initial.matrix.reshape(shape)
-    for block in circuit.ops:
-        qs = block.qubits
-        axes = qs if pauli else qs + tuple(n + q for q in qs)
-        tensor = _apply_super(tensor, block.superop, axes, a, b)
-    np.copyto(a, tensor)
-    return PauliState(n, a) if pauli else DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
+    if not pauli:
+        for block in circuit.ops:
+            qs = block.qubits
+            tensor = _apply_super(tensor, block.superop, qs + tuple(n + q for q in qs), a, b)
+        np.copyto(a, tensor)
+        return DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
+    for block, fast in zip(circuit.ops, in_order):
+        tensor, held, spare = _apply_transfer(tensor, block.superop, block.qubits, fast,
+                                              held, spare)
+    if tensor is not held:
+        np.copyto(spare, tensor)
+        held = spare
+    return PauliState(n, held)
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,15 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 def reference_kernel(fused: FusedCircuit, initial: np.ndarray | None = None) -> np.ndarray:
     """The state after ``fused``'s blocks, per block one transpose into a
-    fresh contiguous array (as evolve copies it into its buffer: numpy may
-    sum a product with a strided operand in another order), reshape and
-    product into a fresh array: the kernel that evolve's two reused buffers
-    must reproduce byte for byte.  The state is a density matrix,
-    or for Pauli blocks a ``(4,) * n`` Pauli coefficient tensor; it starts
-    in ``initial`` or in the ground state."""
+    fresh contiguous array (numpy may sum a product with a strided operand
+    in another order), reshape and product into a fresh array: the rounding
+    that evolve must reproduce byte for byte.  Evolve computes this way, in
+    its two reused buffers, every density block and every Pauli block on
+    spread qubits, on consecutive qubits with 4 trailing coefficients, or
+    on the last qubits with fewer than 64 leading coefficients.  It
+    computes every other Pauli block in qubit order, with no transpose.
+    The state is a density matrix, or for Pauli blocks a ``(4,) * n`` Pauli
+    coefficient tensor; it starts in ``initial`` or in the ground state."""
     n = fused.width
     shape = (4,) * n if fused.pauli else (2,) * (2 * n)
     if initial is None:

@@ -1,4 +1,6 @@
 """Density-matrix engine: channels, distributions, sampling, readout."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +189,101 @@ def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume, noisy):
     assert tensor(got).tobytes() == reference_kernel(fused, initial=before).tobytes()
     if resume:
         assert tensor(initial).tobytes() == before.tobytes()
+
+
+def _orthogonal_blocks(placements, rng: np.random.Generator) -> list[simulate.Block]:
+    """A block on each of the ``placements``, each a random orthogonal
+    matrix, so that a long sequence keeps its scale."""
+    return [simulate.Block(qs, np.linalg.qr(rng.standard_normal((4 ** len(qs),) * 2))[0])
+            for qs in placements]
+
+
+def _blocks_at_every_position(n: int, rng: np.random.Generator) -> list[simulate.Block]:
+    """A 1-, 2- and 3-qubit block at every start position of ``n`` qubits,
+    on consecutive qubits and on two spread placements."""
+    placements = []
+    for q in range(n):
+        placements += [(q,), (q, q + 1), (q, q + 1, q + 2), (q, q + 2), (q, q + 2, q + 3)]
+    return _orthogonal_blocks([qs for qs in placements if qs[-1] < n], rng)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_pauli_evolve_at_every_position_matches_reference_kernel(n, resume, shuffled):
+    """Every place a block can sit, consecutive or spread, at widths where
+    both the in-order products and the transposing path run (the
+    hypothesis test above stops at six qubits): evolve matches the
+    transposing reference byte for byte, from the ground state and from
+    ``initial``, which it leaves unchanged.  In the listed order the blocks
+    sweep each size left to right and end on a spread block; shuffled,
+    the two paths follow each other in every combination."""
+    rng = np.random.default_rng(n)
+    ops = _blocks_at_every_position(n, rng)
+    if shuffled:
+        ops = [ops[i] for i in rng.permutation(len(ops))]
+    fused = FusedCircuit(n, tuple(ops), pauli=True)
+    initial = PauliState(n, rng.standard_normal((4,) * n)) if resume else None
+    before = None if initial is None else initial.coeffs.copy()
+    got = evolve(fused, initial=initial)
+    assert got.coeffs.flags.c_contiguous
+    assert got.coeffs.tobytes() == reference_kernel(fused, initial=before).tobytes()
+    if resume:
+        assert initial.coeffs.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize("placements", [
+    (), ((0, 1, 2),), ((0, 2),), ((0, 2), (0, 1, 2)), ((3, 4),), ((2, 3, 4), (0, 2)),
+    ((0, 2), (1, 3), (1, 2, 3), (0,), (3, 4), (0, 1, 3), (2, 3, 4)),
+])
+def test_pauli_evolve_returns_its_first_buffer(monkeypatch, resume, placements):
+    """The state ends in the buffer that evolve allocates first, so each
+    call frees the later of its two, in whatever order in-order and
+    transposing blocks come: freeing the earlier one raised a 10-qubit
+    batch's peak RSS by a whole state, through the heap's layout."""
+    n = 5
+    rng = np.random.default_rng(5)
+    fused = FusedCircuit(n, tuple(_orthogonal_blocks(placements, rng)), pauli=True)
+    initial = PauliState(n, rng.standard_normal((4,) * n)) if resume else None
+    allocated = []
+
+    def recorded(make):
+        def allocate(*args, **kwargs):
+            allocated.append(make(*args, **kwargs))
+            return allocated[-1]
+        return allocate
+
+    monkeypatch.setattr(np, "empty", recorded(np.empty))
+    monkeypatch.setattr(np, "zeros", recorded(np.zeros))
+    got = evolve(fused, initial=initial)
+    monkeypatch.undo()
+    assert got.coeffs is allocated[0]
+    before = None if initial is None else initial.coeffs
+    assert got.coeffs.tobytes() == reference_kernel(fused, initial=before).tobytes()
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_pauli_evolve_allocates_two_state_tensors(resume):
+    """A 9-qubit noisy evolution with blocks at every position allocates its
+    two buffers and nothing of state size besides, plus the copy that
+    ``initial`` holds: at most as many tensors as :func:`simulate.admit`
+    counts.  tracemalloc sees numpy's allocations but not BLAS work
+    buffers; perfbench's ``peak_rss_mib`` covers those."""
+    n = 9
+    rng = np.random.default_rng(9)
+    fused = FusedCircuit(n, tuple(_blocks_at_every_position(n, rng)), pauli=True)
+    coeffs = rng.standard_normal((4,) * n)
+    evolve(fused)                     # first-use allocations outside the count
+    tracemalloc.start()
+    try:
+        initial = PauliState(n, coeffs.copy()) if resume else None
+        evolve(fused, initial=initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tensor = simulate.state_bytes(n, pauli=True)
+    assert peak <= (2 + resume) * tensor + 256 * 2 ** 10
 
 
 def _tagged_random_circuit(n: int, rng: np.random.Generator) -> Circuit:
