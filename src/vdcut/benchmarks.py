@@ -3,12 +3,14 @@ Hamiltonian, the hardware-efficient RY/CNOT ansatz, and noiseless parameter
 optimization."""
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuit import Circuit, CircuitError, Gate, PauliObservable, cnot, ry
+from .circuit import CNOT, RY, Circuit, CircuitError, Gate, PauliObservable
 from .simulate import evolve, expectation
 
 
@@ -85,7 +87,11 @@ def real_amplitudes(n: int, reps: int = 2, entanglement: str = "circular",
                     parameters=None) -> Circuit:
     """Alternating RY layers and CNOT entangling layers: ``reps + 1`` rotation
     layers of ``n`` angles each, interleaved with ``reps`` entangling layers.
-    ``parameters`` defaults to zeros (useful for structural studies)."""
+    ``parameters`` defaults to zeros (useful for structural studies).
+
+    The parameter vector is checked once, for its shape and for finite
+    angles; the gates built from it are then not checked one by one."""
+    n = operator.index(n)
     if n < 1:
         raise CircuitError("ansatz needs at least one qubit")
     if reps < 0:
@@ -97,15 +103,20 @@ def real_amplitudes(n: int, reps: int = 2, entanglement: str = "circular",
     if parameters.shape != (count,):
         raise CircuitError(f"expected {count} parameters, got {parameters.shape}")
     pairs = _entangling_pairs(n, entanglement)
+    angles = parameters.tolist()
+    if not all(map(math.isfinite, angles)):
+        bad = [a for a in angles if not math.isfinite(a)]
+        raise CircuitError(f"ansatz parameters must be finite, got {bad}")
+    derived = Gate._derived
+    entangling = [derived(CNOT, pair, None, "") for pair in pairs] if n >= 2 else []
     ops: list[Gate] = []
     k = 0
     for layer in range(reps + 1):
         for q in range(n):
-            ops.append(ry(float(parameters[k]), q))
+            ops.append(derived(RY, (q,), angles[k], ""))
             k += 1
-        if layer < reps and n >= 2:
-            for a, b in pairs:
-                ops.append(cnot(a, b))
+        if layer < reps:
+            ops += entangling
     return Circuit(n, tuple(ops))
 
 

@@ -14,10 +14,19 @@ Conventions used throughout the package:
   gate of virtual distillation is the fixed two-qubit kind ``DIAG``.
 * Circuits hold gates only.  Which qubits a run reads out travels with the
   run, as :attr:`vdcut.runner.Execution.measured`.
+* A gate is checked where it enters the program: ``Gate(...)``, the kind
+  helpers (:func:`ry`, :func:`cnot`, ...), :func:`from_text` and the
+  method builders.  Transforms whose output is valid because their input
+  was -- :func:`tensor_two_copies`, :meth:`Gate.retagged`,
+  :func:`vdcut.transpile.route`'s relabel onto device labels and
+  :func:`vdcut.transpile.decompose_to_basis`'s fixed expansions -- build
+  their gates and circuits with ``_derived``, without a second check;
+  :meth:`Gate.shifted` takes any offset, so it keeps the check.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -50,7 +59,12 @@ class CircuitError(ValueError):
 class Gate:
     """A single operation: gate kind, target qubits, optional angle, and a
     free-form label tag (e.g. ``"copy-0"``, ``"parity"``, ``"xtalk"``);
-    the diagonalizing gate is known by its kind, ``DIAG``, not a tag."""
+    the diagonalizing gate is known by its kind, ``DIAG``, not a tag.
+
+    Building one checks it: a known kind, its arity of distinct
+    non-negative qubits (kept as plain ints) and a finite float angle on
+    exactly the rotation kinds.  :meth:`_derived` skips that check for
+    transforms that derive a gate from checked ones."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -82,8 +96,22 @@ class Gate:
                 raise CircuitError(f"{self.kind} angle must be finite, got {angle}")
             object.__setattr__(self, "angle", angle)
 
+    @classmethod
+    def _derived(cls, kind: str, qubits: tuple[int, ...], angle: float | None,
+                 tag: str) -> "Gate":
+        """A gate built without :meth:`__post_init__`.  Only for fields
+        that already passed it: the kind and angle of a checked gate, and
+        plain-int qubits that a map keeping them distinct and non-negative
+        took from a checked gate's qubits."""
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "qubits", qubits)
+        object.__setattr__(gate, "angle", angle)
+        object.__setattr__(gate, "tag", tag)
+        return gate
+
     def retagged(self, tag: str) -> "Gate":
-        return replace(self, tag=tag)
+        return Gate._derived(self.kind, self.qubits, self.angle, tag)
 
     def shifted(self, offset: int) -> "Gate":
         return replace(self, qubits=tuple(q + offset for q in self.qubits))
@@ -120,19 +148,35 @@ def swap(a: int, b: int, tag: str = "") -> Gate:
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over ``width`` qubits; these two fields are the
-    whole circuit."""
+    whole circuit.  Building one checks that ``width`` is a non-negative
+    integer (kept as a plain int) and every gate lies within it;
+    :meth:`_derived` skips that check for transforms that keep it."""
 
     width: int
     ops: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        if self.width < 0:
+        try:
+            width = operator.index(self.width)
+        except TypeError:
+            raise CircuitError(f"width must be an integer, got {self.width!r}") from None
+        if width < 0:
             raise CircuitError("width must be non-negative")
+        object.__setattr__(self, "width", width)
         for g in self.ops:
-            if max(g.qubits) >= self.width:
+            if max(g.qubits) >= width:
                 raise CircuitError(
-                    f"gate {g.kind}{g.qubits} out of range for width {self.width}")
+                    f"gate {g.kind}{g.qubits} out of range for width {width}")
+
+    @classmethod
+    def _derived(cls, width: int, ops: tuple[Gate, ...]) -> "Circuit":
+        """A circuit built without :meth:`__post_init__`, for a transform
+        whose gates lie within ``width`` because its input's did."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "width", width)
+        object.__setattr__(circuit, "ops", ops)
+        return circuit
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -150,13 +194,15 @@ def tensor_two_copies(circuit: Circuit) -> Circuit:
     """Two parallel copies of ``circuit``: copy 0 on qubits ``0..n-1`` (tagged
     ``copy-0``) and copy 1 on ``n..2n-1`` (tagged ``copy-1``).  Qubit ``i`` of
     copy 0 pairs with qubit ``n+i`` of copy 1.  Gates are interleaved so the
-    copies execute in the same layers."""
+    copies execute in the same layers.  Both copies are derived from
+    checked gates and shifted by the width, so neither is checked again."""
     n = circuit.width
+    derived = Gate._derived
     ops: list[Gate] = []
     for g in circuit.ops:
         ops.append(g.retagged("copy-0"))
-        ops.append(replace(g, qubits=tuple(q + n for q in g.qubits), tag="copy-1"))
-    return Circuit(2 * n, tuple(ops))
+        ops.append(derived(g.kind, tuple(q + n for q in g.qubits), g.angle, "copy-1"))
+    return Circuit._derived(2 * n, tuple(ops))
 
 
 def lightcone(circuit: Circuit, sink_qubits: Iterable[int]) -> Circuit:

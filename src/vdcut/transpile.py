@@ -25,8 +25,6 @@ from .circuit import (
     SWAP,
     Circuit,
     Gate,
-    cnot,
-    rz,
     swap as swap_gate,
 )
 
@@ -262,7 +260,10 @@ def route(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     depend on the parity rotation that follows it.
 
     Each routed gate is built once, on the labels of the device qubits the
-    circuit touches (see :class:`RoutedCircuit`).
+    circuit touches (see :class:`RoutedCircuit`), and is not checked
+    again: the labels number a sorted set of device qubits, so they are
+    distinct non-negative ints below the routed width, and the kind and
+    angle are those of a checked gate.
     """
     n = circuit.width
     if n > cmap.n_qubits:
@@ -276,10 +277,11 @@ def route(circuit: Circuit, cmap: CouplingMap) -> RoutedCircuit:
     placed += rest
     physical = sorted({q for _, qs in placed for q in qs}.union(start[:n]))
     label = {p: i for i, p in enumerate(physical)}
-    routed = tuple(Gate(g.kind, tuple(label[q] for q in qs), angle=g.angle, tag=g.tag)
+    derived = Gate._derived
+    routed = tuple(derived(g.kind, tuple([label[q] for q in qs]), g.angle, g.tag)
                    for g, qs in placed)
     return RoutedCircuit(
-        Circuit(len(physical), routed),
+        Circuit._derived(len(physical), routed),
         initial_layout=tuple(label[p] for p in start[:n]),
         final_layout=tuple(label[p] for p in final_layout[:n]),
         physical=tuple(physical),
@@ -315,18 +317,24 @@ def decompose_to_basis(circuit: Circuit, keep_diag: bool = False) -> Circuit:
     :data:`DIAG_BASIS_FORM` on its qubits, unless ``keep_diag`` keeps it
     whole (the noiseless-diagonalizing reference).  Each expansion carries
     the replaced gate's tag.  Idempotent on already-decomposed circuits.
+
+    The expansions are not checked again: they act on the replaced gate's
+    distinct qubits, with its angle or a fixed float of the pinned form.
     """
+    derived = Gate._derived
     out: list[Gate] = []
     for g in circuit.ops:
         if g.kind == SWAP:
             a, b = g.qubits
-            out.extend([cnot(a, b, tag=g.tag), cnot(b, a, tag=g.tag), cnot(a, b, tag=g.tag)])
+            ab = derived(CNOT, g.qubits, None, g.tag)
+            out += (ab, derived(CNOT, (b, a), None, g.tag), ab)
         elif g.kind == RZZ:
             a, b = g.qubits
-            out.extend([cnot(a, b, tag=g.tag), rz(g.angle, b, tag=g.tag), cnot(a, b, tag=g.tag)])
+            ab = derived(CNOT, g.qubits, None, g.tag)
+            out += (ab, derived(RZ, (b,), g.angle, g.tag), ab)
         elif g.kind == DIAG and not keep_diag:
-            out.extend(Gate(kind, tuple(g.qubits[q] for q in local), angle=angle, tag=g.tag)
-                       for kind, local, angle in DIAG_BASIS_FORM)
+            out += (derived(kind, tuple([g.qubits[q] for q in local]), angle, g.tag)
+                    for kind, local, angle in DIAG_BASIS_FORM)
         else:
             out.append(g)
-    return Circuit(circuit.width, tuple(out))
+    return Circuit._derived(circuit.width, tuple(out))

@@ -51,6 +51,17 @@ def is_edge(cmap: CouplingMap, a: int, b: int) -> bool:
     return tuple(sorted((a, b))) in cmap.edges
 
 
+def assert_gates_as_checked(circuit: Circuit) -> None:
+    """Every gate of ``circuit`` is what a checked build of its fields
+    gives: plain-int qubits, a float or no angle, and within the width."""
+    assert type(circuit.width) is int
+    for g in circuit.ops:
+        assert Gate(g.kind, g.qubits, g.angle, g.tag) == g
+        assert all(type(q) is int for q in g.qubits), g
+        assert g.angle is None or type(g.angle) is float, g
+        assert max(g.qubits) < circuit.width, g
+
+
 def eigen_spectrum(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvectors."""
     vals, vecs = np.linalg.eigh(rho.matrix)

@@ -65,6 +65,24 @@ def test_gate_validation():
         diag_gate_on(0, 0)
 
 
+def test_shifted_gate_is_checked():
+    """A shift takes any offset, so the shifted gate is checked again."""
+    with pytest.raises(CircuitError):
+        cnot(0, 1).shifted(-1)
+    assert cnot(0, 1).shifted(2) == cnot(2, 3)
+
+
+def test_circuit_width_is_a_plain_int():
+    """Derived circuits shift qubits by the width, so a width is kept as a
+    plain int and anything that is not an integer is refused."""
+    c = Circuit(np.int64(2), (cnot(0, 1),))
+    assert type(c.width) is int
+    assert all(type(q) is int for g in tensor_two_copies(c).ops for q in g.qubits)
+    for bad in (2.0, "2", None):
+        with pytest.raises(CircuitError, match="integer"):
+            Circuit(bad)
+
+
 def test_non_finite_angle_rejected():
     """A NaN or infinite angle is refused by the gate itself, so also when
     it comes from a circuit file or from the ansatz parameters."""

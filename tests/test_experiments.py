@@ -15,7 +15,10 @@ from vdcut.experiments import (
     emit,
     run_experiment,
 )
+from vdcut import runner
 from vdcut.noise import NoiseModel
+
+from helpers import assert_gates_as_checked
 
 
 def _fast_config(**overrides):
@@ -372,3 +375,29 @@ def test_ring_parity_groups_cover_every_edge_once(n):
         targets = [t for _, t in g.cnots]
         assert len(set(targets)) == len(targets)
         assert not set(targets) & {c for c, _ in g.cnots}
+
+
+def test_compiled_bodies_hold_gates_as_checked(monkeypatch):
+    """Every body that a ring-4 matrix on heavyhex:3 compiles -- the bare
+    circuit, the distillation circuits with their ZNE folds and reference,
+    and the cut fragments -- holds only gates equal to a checked build."""
+    compile_circuit = runner.compile_circuit
+    compiled = []
+
+    def recording(circuit, **kwargs):
+        out = compile_circuit(circuit, **kwargs)
+        compiled.append((kwargs, out.body))
+        return out
+
+    monkeypatch.setattr(runner, "compile_circuit", recording)
+    cfg = ExperimentConfig(problem=ring_problem(4), reps=1,
+                           parameters=tuple(np.linspace(0.2, 1.6, 8)),
+                           noise="basic+gct+rct", shots=10_000, seed=7,
+                           coupling_map="heavyhex:3")
+    assert all(cell.error is None for cell in run_experiment(cfg).cells)
+    assert {kwargs["scale"] for kwargs, _ in compiled} == {1, 3, 5}
+    assert any(kwargs["ideal_diag"] for kwargs, _ in compiled)
+    assert any(kwargs["measured"] is not None and len(kwargs["measured"]) == 1
+               for kwargs, _ in compiled)  # a cut fragment
+    for _, body in compiled:
+        assert_gates_as_checked(body)

@@ -8,6 +8,7 @@ from vdcut.circuit import (
     DIAG,
     PARITY_TAG,
     Circuit,
+    Gate,
     cnot,
     gate_matrix,
     ry,
@@ -31,7 +32,13 @@ from vdcut.transpile import (
 from vdcut.vd import build_vd_circuit, diag_gate_on, parity_groups
 from vdcut.zne import fold_diagonalizing
 
-from helpers import full_unitary, is_edge, phase_distance, random_circuit
+from helpers import (
+    assert_gates_as_checked,
+    full_unitary,
+    is_edge,
+    phase_distance,
+    random_circuit,
+)
 
 
 def test_coupling_map_validation():
@@ -266,3 +273,35 @@ def test_overhead_point_counts_what_compile_circuit_builds():
                 if (row.cnot_original, row.cnot_vd) != counts:
                     mismatched.append((n, layers, spec))
     assert mismatched == []
+
+
+def test_derived_gates_equal_their_checked_rebuild():
+    """The two copies, the routed relabel and the basis expansions build
+    their gates without checking them; on criterion 7's grid, on both
+    maps, each such gate equals a checked build of its fields."""
+    for spec in ("full", "heavyhex:5"):
+        for n in range(4, 13):
+            cmap = coupling_map_for(spec, 2 * n)
+            for layers in (2, 4, 8):
+                ansatz = real_amplitudes(n, reps=layers)
+                vd = build_vd_circuit(ansatz)
+                for circuit in (ansatz, vd):
+                    assert_gates_as_checked(route(circuit, cmap).circuit)
+                    assert_gates_as_checked(compile_circuit(circuit, cmap=cmap).body)
+                assert_gates_as_checked(tensor_two_copies(ansatz))
+
+
+def test_sweep_point_checks_only_the_gates_it_builds(monkeypatch):
+    """A sweep point checks the gates that enter it, the distillation
+    circuit's diagonalizing gates; its copies, routing and decomposition
+    derive every other gate from checked ones without checking it again."""
+    checked = []
+    post_init = Gate.__post_init__
+
+    def counting_post_init(self):
+        checked.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting_post_init)
+    overhead_point(8, 4, "heavyhex:5")
+    assert checked == [DIAG] * 8
