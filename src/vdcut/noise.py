@@ -68,8 +68,15 @@ class NoiseModel:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise NoiseConfigError(f"{name}={rate} outside [0, 1]")
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise NoiseConfigError("relaxation times must be positive")
+        if not (self.t1 > 0 and self.t2 > 0):  # NaN fails too
+            raise NoiseConfigError(f"relaxation times must be positive, got "
+                                   f"T1={self.t1}, T2={self.t2}")
+        for name in ("two_qubit_time", "one_qubit_time"):
+            duration = getattr(self, name)
+            if not (math.isfinite(duration) and duration >= 0):
+                raise NoiseConfigError(f"{name}={duration} must be finite and >= 0")
+        if not math.isfinite(self.crosstalk_angle):
+            raise NoiseConfigError(f"crosstalk_angle={self.crosstalk_angle} must be finite")
         if self.t2 > 2 * self.t1 + 1e-15:
             raise NoiseConfigError(f"T2={self.t2} exceeds 2*T1={2 * self.t1}")
         ro = np.array(self.readout, dtype=float)

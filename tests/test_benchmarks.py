@@ -1,7 +1,10 @@
 """MaxCut problems, the RY/CNOT ansatz, and parameter optimization."""
+import subprocess
+
 import numpy as np
 import pytest
 
+from vdcut import benchmarks
 from vdcut.benchmarks import (
     AnsatzSpec,
     MaxCutProblem,
@@ -12,7 +15,7 @@ from vdcut.benchmarks import (
     ring_problem,
 )
 from vdcut.circuit import CircuitError
-from vdcut.simulate import evolve, expectation
+from vdcut.simulate import SimulationSizeError, evolve, expectation
 
 from helpers import distribution
 
@@ -92,3 +95,91 @@ def test_optimize_deterministic():
     a = optimize_parameters(problem, spec, seed=9)
     b = optimize_parameters(problem, spec, seed=9)
     assert np.array_equal(a, b)
+
+
+def serial_optimize(problem, ansatz, seed, restarts, maxiter):
+    """The optimizer as one in-process loop over the restarts: the reference
+    that the worker interpreters must reproduce to the byte."""
+    from scipy.optimize import minimize
+
+    hamiltonian = maxcut_hamiltonian(problem)
+
+    def negative_cut(theta):
+        return -expectation(evolve(ansatz.circuit(theta)), hamiltonian)
+
+    rng = np.random.default_rng(seed)
+    best_val = np.inf
+    best_theta = np.zeros(ansatz.parameter_count)
+    for _ in range(restarts):
+        theta0 = rng.uniform(0.0, 2.0 * np.pi, size=ansatz.parameter_count)
+        res = minimize(negative_cut, theta0, method="COBYLA",
+                       options={"maxiter": maxiter, "rhobeg": 0.6, "tol": 1e-8})
+        if res.fun < best_val:
+            best_val = res.fun
+            best_theta = np.asarray(res.x, dtype=float)
+    return best_theta
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_optimize_equals_serial_loop_bytes(n):
+    problem, spec = ring_problem(n), AnsatzSpec(n)
+    for seed in (0, 4, 7):
+        theta = optimize_parameters(problem, spec, seed=seed, restarts=4, maxiter=40)
+        assert theta.dtype == np.float64
+        assert theta.tobytes() == serial_optimize(problem, spec, seed, 4, 40).tobytes()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every worker process the optimizer starts, in order."""
+    procs = []
+    popen = subprocess.Popen
+
+    def recording(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    return procs
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_optimize_same_bytes_for_any_worker_count(cpus, monkeypatch, started):
+    monkeypatch.setattr(benchmarks, "_usable_cpus", lambda: cpus)
+    problem, spec = ring_problem(3), AnsatzSpec(3, reps=1)
+    theta = optimize_parameters(problem, spec, seed=2, restarts=5, maxiter=30)
+    assert len(started) == cpus
+    assert theta.tobytes() == serial_optimize(problem, spec, 2, 5, 30).tobytes()
+    # every worker has exited and been waited for
+    assert [p.returncode for p in started] == [0] * cpus
+
+
+def test_optimize_failing_worker_raises_and_leaves_no_worker(monkeypatch, started):
+    """The first worker fails at once; the second, still running, is killed."""
+    monkeypatch.setattr(benchmarks, "_usable_cpus", lambda: 2)
+    codes = iter(["import sys; sys.exit(3)", "import time; time.sleep(60)"])
+    recording = subprocess.Popen
+
+    def one_fails(argv, **kwargs):
+        return recording(argv[:-1] + [next(codes)], **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", one_fails)
+    with pytest.raises(RuntimeError, match="status 3"):
+        optimize_parameters(ring_problem(2), AnsatzSpec(2, reps=1), restarts=2, maxiter=5)
+    assert [p.returncode for p in started] == [3, -9]
+
+
+def test_optimize_inputs_refused_before_any_worker(started):
+    problem = ring_problem(3)
+    with pytest.raises(CircuitError, match="vertices"):
+        optimize_parameters(problem, AnsatzSpec(4))
+    with pytest.raises(CircuitError):
+        optimize_parameters(problem, AnsatzSpec(3, entanglement="bogus"))
+    with pytest.raises(CircuitError):
+        optimize_parameters(problem, AnsatzSpec(3, reps=-1))
+    for restarts, maxiter in ((0, 10), (-1, 10), (2, 0)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            optimize_parameters(problem, AnsatzSpec(3), restarts=restarts, maxiter=maxiter)
+    with pytest.raises(SimulationSizeError):
+        optimize_parameters(ring_problem(20), AnsatzSpec(20))
+    assert started == []

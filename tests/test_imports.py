@@ -1,8 +1,13 @@
 """Every module of the package (but its ``__init__``, which re-exports) and
-of the tests uses each name it imports, and each module of the compile
+of the tests uses each name it imports, each module of the compile
 layer imports only the compile-layer modules below it, never the method
-layer it serves."""
+layer it serves, and nothing but the optimizer's workers imports
+``scipy.optimize``."""
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -97,3 +102,53 @@ def test_compile_layer_imports_only_the_modules_before_it(module):
     source = (ROOT / "src" / "vdcut" / f"{module}.py").read_text()
     below = COMPILE_LAYER[:COMPILE_LAYER.index(module)]
     assert set(package_imports(source)) <= set(below)
+
+
+def module_level_imports(source: str) -> list[str]:
+    """The modules a module imports when it is imported: every import but
+    those inside a function body (class bodies run at import)."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_module_level_imports_are_found():
+    source = ("import scipy\nfrom scipy import optimize\nfrom .circuit import DIAG\n"
+              "try:\n    import scipy.linalg as la\nexcept ImportError:\n    pass\n"
+              "class A:\n    import os\n"
+              "def f():\n    from scipy.optimize import minimize\n")
+    assert module_level_imports(source) == ["os", "scipy", "scipy", "scipy.linalg",
+                                            "scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "vdcut").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_optimize(path):
+    """``scipy.optimize`` costs about 0.4 s and 48 MiB to import; only the
+    optimizer's worker interpreters need it."""
+    found = module_level_imports(path.read_text())
+    assert [m for m in found if m.split(".")[:2] == ["scipy", "optimize"]] == []
+
+
+def test_fixed_parameter_experiment_never_imports_scipy_optimize():
+    script = textwrap.dedent("""
+        import sys
+        import vdcut
+        from vdcut.experiments import ExperimentConfig, run_experiment
+        run_experiment(ExperimentConfig(
+            problem=vdcut.ring_problem(2), reps=1, noise="basic", shots=200, seed=3,
+            coupling_map="linear", out="exp", parameters=(0.1, 0.2, 0.3, 0.4)))
+        print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

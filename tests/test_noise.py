@@ -46,6 +46,17 @@ def test_validation():
         NoiseModel(readout=np.array([[0.9, 0.2], [0.1, 0.9]]))
 
 
+@pytest.mark.parametrize("bad", [
+    {"crosstalk_angle": math.nan}, {"crosstalk_angle": math.inf},
+    {"t1": math.nan}, {"t2": math.nan},
+    {"two_qubit_time": -1.0}, {"one_qubit_time": -1e-9},
+    {"one_qubit_time": math.nan}, {"two_qubit_time": math.inf},
+])
+def test_non_finite_or_negative_values_refused_at_construction(bad):
+    with pytest.raises(NoiseConfigError):
+        NoiseModel(gate_crosstalk=True, **bad)
+
+
 LINE4 = [(0, 1), (1, 2), (2, 3)]
 
 
