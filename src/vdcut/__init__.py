@@ -1,5 +1,5 @@
 """Virtual distillation error mitigation enhanced by wire cutting, on a dense
-density-matrix simulator with configurable device noise."""
+Pauli-state simulator with configurable device noise."""
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ from .experiments import (
 from .noise import NOISELESS, NoiseModel, insert_zz_crosstalk, preset
 from .runner import Batch, BatchStats, Execution, ExecutionRecord, run_circuit, run_circuits
 from .simulate import (
-    DensityMatrix,
     Distribution,
     PauliState,
     apply_readout,

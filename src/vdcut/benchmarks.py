@@ -167,8 +167,7 @@ def _cobyla_restarts(problem: MaxCutProblem, ansatz: AnsatzSpec, maxiter: int,
     hamiltonian = maxcut_hamiltonian(problem)
 
     def negative_cut(theta: np.ndarray) -> float:
-        dm = evolve(ansatz.circuit(theta))
-        return -expectation(dm, hamiltonian)
+        return -expectation(evolve(ansatz.circuit(theta)), hamiltonian)
 
     found = []
     for theta0 in starts:

@@ -3,10 +3,8 @@ decompose to the CNOT basis, insert crosstalk, evolve under noise, apply
 readout error, and return the distribution of the bits an execution reads
 (exact or sampled) together with gate statistics.  A batch is planned once
 as evolution steps over shared block prefixes, which its stats, admission
-and walk read.
-A noisy batch evolves real Pauli-transfer blocks on Pauli states, a
-noiseless one complex superoperators on density matrices (see
-:mod:`vdcut.simulate`)."""
+and walk read.  Every batch evolves real Pauli-transfer blocks on Pauli
+states (see :mod:`vdcut.simulate`)."""
 from __future__ import annotations
 
 import numbers
@@ -18,7 +16,6 @@ from typing import Sequence
 from .circuit import CNOT, DIAG, RZZ, SWAP, Circuit
 from .noise import NoiseModel, insert_zz_crosstalk
 from .simulate import (
-    DensityMatrix,
     Distribution,
     FusedCircuit,
     PauliState,
@@ -180,9 +177,8 @@ class BatchStats:
     (``ops_requested``), the fused blocks their steps evolved
     (``blocks_evolved``, one full-tensor pass each) and the ops in those
     blocks (``ops_evolved``), the most step states held during one
-    evolution (``max_snapshots``) and the bytes of one state
-    (``state_bytes``: 8 * 4**width for a noisy batch's Pauli states, 16 *
-    4**width for a noiseless one's density matrices)."""
+    evolution (``max_snapshots``) and the bytes of one Pauli state
+    (``state_bytes``, 8 * 4**width)."""
 
     width: int
     variants: int
@@ -255,8 +251,8 @@ def run_circuits(executions: Sequence[Execution], *,
     The variants' prefix trie is planned once as its depth-first steps (see
     :func:`_steps`).  Each step is evolved once from its source step's state
     as a :class:`~vdcut.simulate.FusedCircuit`, and a variant is measured at
-    the step where its blocks end.  Under noise the blocks are Pauli-transfer
-    matrices and each state a :class:`~vdcut.simulate.PauliState`.  The stats
+    the step where its blocks end; each state is a
+    :class:`~vdcut.simulate.PauliState`.  The stats
     are read off the steps, and the batch is admitted as a whole before
     anything is allocated: the held states at their most, plus the two
     buffers of one evolution, one of which holds its result and the other
@@ -280,19 +276,18 @@ def run_circuits(executions: Sequence[Execution], *,
     (width,) = widths
 
     steps = _steps(list(variants))
-    pauli = noise is not None
     stats = BatchStats(width=width, variants=len(variants),
                        ops_requested=sum(len(c.body.ops) for c in variants.values()),
                        ops_evolved=sum(b.gates for step in steps for b in step.blocks),
                        blocks_evolved=sum(len(step.blocks) for step in steps),
                        max_snapshots=max(accumulate((s.hold - s.release for s in steps),
                                                     initial=0)),
-                       state_bytes=state_bytes(width, pauli))
-    admit(width, stats.max_snapshots + 2, pauli)
-    states: dict[_Step, DensityMatrix | PauliState] = {}
+                       state_bytes=state_bytes(width))
+    admit(width, stats.max_snapshots + 2)
+    states: dict[_Step, PauliState] = {}
     dists: dict[tuple, Distribution] = {}
     for step in steps:
-        state = evolve(FusedCircuit(width, step.blocks, pauli),
+        state = evolve(FusedCircuit(width, step.blocks),
                        initial=None if step.source is None else states[step.source])
         if step.release:
             del states[step.source]

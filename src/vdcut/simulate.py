@@ -1,31 +1,30 @@
-"""Dense density-matrix simulation with configurable noise channels,
+"""Dense simulation of Pauli states with configurable noise channels,
 measurement distributions, readout error and sampling.
+
+A state of n qubits is its 4^n real Pauli coefficients (:class:`PauliState`),
+and every gate's channel, noisy or not, maps Hermitian operators to
+Hermitian operators, so it is built directly as its real Pauli-transfer
+matrix (Greenbaum, arXiv:1509.02921).  Complex numbers enter a channel only
+in its unitary part.
 
 An evolution is a sequence of blocks, each one linear map over at most three
 qubits, applied to the state tensor by one matrix product over the block's
-axes.  :func:`blocks` is the only code that turns gates
-into blocks.  Without noise each gate is one complex superoperator block,
-applied to the 2^n x 2^n density tensor.  Under noise every channel maps
-Hermitian operators to Hermitian operators, so each gate's noisy channel is
-built directly as its real Pauli-transfer matrix (Greenbaum,
-arXiv:1509.02921), and the noisy state is its 4^n real Pauli coefficients
-(:class:`PauliState`): half the bytes per pass of the complex density
-tensor.  Complex numbers enter a noisy channel only in its unitary part.
-:func:`fuse` groups the gates into blocks of up to three qubits, each the
-product of its gates' Pauli-transfer matrices (16x16 for a pair, 64x64 for
-three qubits), so a noisy circuit makes one full-tensor pass per block
-instead of one per gate, as dense simulators cluster gates to save state
-sweeps (Häner and Steiger, arXiv:1704.01127).
+axes.  :func:`blocks` is the only code that turns gates into blocks.
+Without noise each gate is one block.  Under noise :func:`fuse` groups the
+gates into blocks of up to three qubits, each the product of its gates'
+Pauli-transfer matrices (16x16 for a pair, 64x64 for three qubits), so a
+noisy circuit makes one full-tensor pass per block instead of one per gate,
+as dense simulators cluster gates to save state sweeps (Häner and Steiger,
+arXiv:1704.01127).
 
 An evolution holds two full-size buffers and reuses them for every block.
-A Pauli state stays in qubit order: a block on consecutive qubits is one
+The state stays in qubit order: a block on consecutive qubits is one
 product over a reshape of the state, read from one buffer and written to
 the other, so the buffers alternate and the pass makes no copy.  Any other
-block, and every block of a density tensor, takes the transposing path: the
-state is copied with the block's axes transposed to the front into one
-buffer, and the product writes the other, which the next block reads
-through a transposed view.  The result is left in one of the two buffers,
-so no third tensor is allocated.
+block takes the transposing path: the state is copied with the block's axes
+transposed to the front into one buffer, and the product writes the other,
+which the next block reads through a transposed view.  The result is left
+in one of the two buffers, so no third tensor is allocated.
 """
 from __future__ import annotations
 
@@ -206,21 +205,17 @@ def _relaxation_transfer(t1: float, t2: float, duration: float) -> np.ndarray:
 
 
 def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
-    """The channel of ``gate`` on its qubits in ascending order.  Without
-    noise it is the complex superoperator of the gate's unitary.  Under
-    ``noise`` it is a real Pauli-transfer matrix: the unitary's, then (unless
-    ``ideal``) the depolarizing channel on the gate's qubits, then thermal
+    """The channel of ``gate`` on its qubits in ascending order, as a real
+    Pauli-transfer matrix: the unitary's, then, under ``noise`` and unless
+    ``ideal``, the depolarizing channel on the gate's qubits, then thermal
     relaxation for the gate's duration on each of them."""
     u = gate_matrix(gate)
     k = len(gate.qubits)
     # canonicalize to ascending qubit order, the order evolve applies it in
     if k == 2 and gate.qubits[0] > gate.qubits[1]:
         u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
-    S = _conjugation_super(u)
-    if noise is None:
-        return S
-    R = _pauli_transfer(S, k)
-    if ideal:
+    R = _pauli_transfer(_conjugation_super(u), k)
+    if noise is None or ideal:
         return R
     depol, duration = ((noise.one_qubit_depol, noise.one_qubit_time) if k == 1
                        else (noise.two_qubit_depol, noise.two_qubit_time))
@@ -237,13 +232,10 @@ def _gate_superop(gate, noise: NoiseModel | None, ideal: bool) -> np.ndarray:
 @dataclass(eq=False, slots=True)
 class Block:
     """One step of an evolution: ``superop`` over ``qubits`` (ascending),
-    one gate's channel.  A noiseless block is the gate's complex
-    superoperator with index order (rows, then columns, most significant
-    qubit first); a noisy block, in a Pauli evolution, is its real
-    Pauli-transfer matrix with index order (one Pauli per qubit, most
-    significant first).  Blocks compare by identity: equal blocks that
-    :func:`blocks` builds through one memo are one shared object, never
-    modified."""
+    one gate's channel as its real Pauli-transfer matrix with index order
+    (one Pauli per qubit, most significant first).  Blocks compare by
+    identity: equal blocks that :func:`blocks` builds through one memo are
+    one shared object, never modified."""
 
     qubits: tuple[int, ...]
     superop: np.ndarray
@@ -292,13 +284,10 @@ class FusedBlock:
 
 @dataclass(frozen=True)
 class FusedCircuit:
-    """A ``width``-qubit evolution given as its blocks (see :func:`blocks`);
-    ``pauli`` marks blocks given as Pauli-transfer matrices, which evolve a
-    :class:`PauliState`."""
+    """A ``width``-qubit evolution given as its blocks (see :func:`blocks`)."""
 
     width: int
     ops: tuple[Block | FusedBlock, ...]
-    pauli: bool = False
 
 
 #: most qubits one fused block spans: a 64x64 pass costs little more than a
@@ -354,14 +343,13 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
     duration.  Two kinds of gate stay ideal: the ``xtalk``-tagged
     ZZ-crosstalk insertions, which model a coherent error, and ``DIAG``
     gates, which a compiled body keeps only in the noiseless-diagonalizing
-    reference.  Without noise each gate is one block, its complex
-    superoperator, so a noiseless evolution keeps the rounding of applying
-    its gates one by one.  Under noise each channel is a real
-    Pauli-transfer matrix, :func:`fuse` groups the gates over up to three
-    qubits, and each group is a :class:`FusedBlock`, the product of its
-    gates' matrices: 4x4 for one qubit, 16x16 for two, 64x64 for three.
-    Building a channel raises :class:`SimulationError` when its unitary part
-    is not Hermiticity-preserving.
+    reference.  Each channel is a real Pauli-transfer matrix.  Without
+    noise each gate is one block: fusing them made the optimizer's small
+    noiseless evolutions slower.  Under noise :func:`fuse` groups the gates
+    over up to three qubits, and each group is a :class:`FusedBlock`, the
+    product of its gates' matrices: 4x4 for one qubit, 16x16 for two, 64x64
+    for three.  Building a channel raises :class:`SimulationError` when its
+    unitary part is not Hermiticity-preserving.
 
     ``memo`` shares work between calls under one noise model: each distinct
     channel, and each distinct block (its gates' qubits and channels), is
@@ -389,26 +377,11 @@ def blocks(circuit: Circuit, noise: NoiseModel | None = None,
         if block is None:
             block = memo[key] = FusedBlock(qubits, tuple(gate_blocks[i] for i in members))
         fused.append(block)
-    return FusedCircuit(circuit.width, tuple(fused), pauli=True)
+    return FusedCircuit(circuit.width, tuple(fused))
 
 
 # ---------------------------------------------------------------------------
-# density matrices
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dense 2^n x 2^n density matrix over ``width`` qubits."""
-
-    width: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = 2 ** self.width
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix for width {self.width}")
-        object.__setattr__(self, "matrix", m)
+# states
 
 
 #: index of the I and Z coefficients on every axis of a PauliState
@@ -429,6 +402,17 @@ class PauliState:
         if c.shape != (4,) * self.width:
             raise ValueError(f"expected shape {(4,) * self.width} for width {self.width}")
         object.__setattr__(self, "coeffs", c)
+
+    def matrix(self) -> np.ndarray:
+        """The 2^width x 2^width density matrix sum_P coeffs[P] P / 2^width,
+        expanded one qubit's Pauli axis at a time into its (row, column)
+        pair."""
+        n = self.width
+        t = self.coeffs.astype(complex)
+        for _ in range(n):   # each step expands the leading Pauli axis at the end
+            t = np.tensordot(t, _PAULIS / 2, axes=([0], [0]))
+        t = np.transpose(t, [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)])
+        return t.reshape(2 ** n, 2 ** n)
 
 
 def _physical_memory() -> int:
@@ -451,84 +435,63 @@ def _cgroup_memory_limit() -> int | None:
     return None if limit == "max" else int(limit)
 
 
-def state_bytes(width: int, pauli: bool = False) -> int:
+def state_bytes(width: int) -> int:
     """Bytes of one evolution state of ``width`` qubits: 4**width real Pauli
-    coefficients (8 bytes each) or complex density entries (16)."""
-    return (8 if pauli else 16) * 4 ** width
+    coefficients of 8 bytes each."""
+    return 8 * 4 ** width
 
 
-def admit(width: int, tensors: int, pauli: bool = False) -> None:
+def admit(width: int, tensors: int) -> None:
     """Raise :class:`SimulationSizeError` unless ``tensors`` states of
-    ``width`` qubits, Pauli or density tensors (see :func:`state_bytes`),
-    fit in the memory this process may use: physical memory, or the cgroup
-    limit when smaller."""
-    need = tensors * state_bytes(width, pauli)
+    ``width`` qubits (see :func:`state_bytes`) fit in the memory this
+    process may use: physical memory, or the cgroup limit when smaller."""
+    need = tensors * state_bytes(width)
     have = _physical_memory()
     limit = _cgroup_memory_limit()
     if limit is not None:
         have = min(have, limit)
     if need > have:
         raise SimulationSizeError(
-            f"{tensors} {'Pauli' if pauli else 'density'} tensors of {width} qubits need "
+            f"{tensors} Pauli tensors of {width} qubits need "
             f"about {need / 2 ** 30:.1f} GiB; {have / 2 ** 30:.1f} GiB is available")
 
 
 def evolve(circuit: Circuit | FusedCircuit, *,
-           initial: DensityMatrix | PauliState | None = None) -> DensityMatrix | PauliState:
-    """Evolve |0...0><0...0| (or ``initial``, which is left unchanged)
-    through the circuit's blocks, in order.  A :class:`Circuit` evolves
-    noiselessly, one block per gate (see :func:`blocks`).
-
-    Blocks of a Pauli :class:`FusedCircuit` (the noisy ones) evolve a real
-    :class:`PauliState`, whose ground state has coefficient 1 wherever every
-    qubit's Pauli is I or Z; other blocks evolve a complex
-    :class:`DensityMatrix`, and ``initial`` must be of the matching kind.
+           initial: PauliState | None = None) -> PauliState:
+    """Evolve the Pauli state of |0...0><0...0|, whose coefficient is 1
+    wherever every qubit's Pauli is I or Z, or ``initial``, which is left
+    unchanged, through the circuit's blocks, in order.  A :class:`Circuit`
+    evolves noiselessly, one block per gate (see :func:`blocks`).
 
     The evolution holds two buffers and returns the state in the one it
-    allocates first; only the one the ground state starts in is zeroed.  A
-    Pauli state stays in qubit order, and each block writes the buffer that
-    the state is not in (see :func:`_apply_transfer`), so which buffer the
-    state starts in follows from the blocks (see :func:`_moves`).  A density
-    tensor's block axes q and n+q are never adjacent, so each of its blocks
-    copies the state, transposed, into one buffer and writes the product to
-    the other (see :func:`_apply_super`).  With ``initial`` that is three
-    state tensors at the peak; the call raises :class:`SimulationSizeError`
-    before allocating when they would not fit in memory (see
-    :func:`admit`).
+    allocates first; only the one the ground state starts in is zeroed.  The
+    state stays in qubit order, and each block writes the buffer that the
+    state is not in (see :func:`_apply_transfer`), so which buffer the state
+    starts in follows from the blocks (see :func:`_moves`).  With
+    ``initial`` that is three state tensors at the peak; the call raises
+    :class:`SimulationSizeError` before allocating when they would not fit
+    in memory (see :func:`admit`).
     """
-    pauli = isinstance(circuit, FusedCircuit) and circuit.pauli
-    admit(circuit.width, 2 + (initial is not None), pauli)
+    admit(circuit.width, 2 + (initial is not None))
     if isinstance(circuit, Circuit):
         circuit = blocks(circuit)
     n = circuit.width
-    kind = PauliState if pauli else DensityMatrix
-    if initial is not None and not isinstance(initial, kind):
-        raise TypeError(f"these blocks evolve a {kind.__name__}, not a "
-                        f"{type(initial).__name__}")
     if initial is not None and initial.width != n:
         raise ValueError(f"initial state has {initial.width} qubits, circuit {n}")
-    shape = (4,) * n if pauli else (2,) * (2 * n)
     # the state ends in a, the buffer allocated first, so that the call frees
     # the later one: freeing the earlier one left the heap a whole state
     # larger at its peak
     ground = initial is None
-    in_order = [_in_order(n, block.qubits) for block in circuit.ops] if pauli else []
-    start_in_a = pauli and _moves(in_order, not ground) % 2 == 0
-    dtype = float if pauli else complex
-    a = (np.zeros if ground and start_in_a else np.empty)(shape, dtype)
-    b = (np.zeros if ground and not start_in_a else np.empty)(shape, dtype)
+    in_order = [_in_order(n, block.qubits) for block in circuit.ops]
+    start_in_a = _moves(in_order, not ground) % 2 == 0
+    a = (np.zeros if ground and start_in_a else np.empty)((4,) * n)
+    b = (np.zeros if ground and not start_in_a else np.empty)((4,) * n)
     held, spare = (a, b) if start_in_a else (b, a)
     if ground:
-        held[(_IZ,) * n if pauli else (0,) * (2 * n)] = 1.0
+        held[(_IZ,) * n] = 1.0
         tensor = held
     else:
-        tensor = initial.coeffs if pauli else initial.matrix.reshape(shape)
-    if not pauli:
-        for block in circuit.ops:
-            qs = block.qubits
-            tensor = _apply_super(tensor, block.superop, qs + tuple(n + q for q in qs), a, b)
-        np.copyto(a, tensor)
-        return DensityMatrix(n, a.reshape(2 ** n, 2 ** n))
+        tensor = initial.coeffs
     for block, fast in zip(circuit.ops, in_order):
         tensor, held, spare = _apply_transfer(tensor, block.superop, block.qubits, fast,
                                               held, spare)
@@ -575,20 +538,17 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 _WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def exact_probs(state: DensityMatrix | PauliState) -> Distribution:
+def exact_probs(state: PauliState) -> Distribution:
     """Computational-basis distribution: the density-matrix diagonal, with
     tiny negative entries clamped to zero and the result renormalized.
 
-    A :class:`PauliState`'s diagonal is the Walsh-Hadamard transform of its
-    I/Z coefficients over 2^width: rho_xx = sum_s c_s (-1)^(s.x) / 2^n, with
-    s the qubits whose Pauli is Z."""
-    if isinstance(state, PauliState):
-        diag = state.coeffs[(_IZ,) * state.width]
-        for axis in range(state.width):
-            diag = np.moveaxis(np.tensordot(_WALSH, diag, axes=([1], [axis])), 0, axis)
-        diag = diag.reshape(-1) / 2 ** state.width
-    else:
-        diag = np.real(np.diag(state.matrix)).copy()
+    The diagonal is the Walsh-Hadamard transform of the state's I/Z
+    coefficients over 2^width: rho_xx = sum_s c_s (-1)^(s.x) / 2^n, with s
+    the qubits whose Pauli is Z."""
+    diag = state.coeffs[(_IZ,) * state.width]
+    for axis in range(state.width):
+        diag = np.moveaxis(np.tensordot(_WALSH, diag, axes=([1], [axis])), 0, axis)
+    diag = diag.reshape(-1) / 2 ** state.width
     if diag.min() < _NEGATIVE_PROB_FLOOR:
         raise SimulationError(
             f"diagonal entry {diag.min()} below {_NEGATIVE_PROB_FLOOR}: simulator bug")
@@ -664,34 +624,19 @@ def _parity_signs(width: int, mask_qubits: Iterable[int]) -> np.ndarray:
     return 1.0 - 2.0 * (acc % 2)
 
 
-@lru_cache(maxsize=64)
-def _diagonal(obs: PauliObservable) -> np.ndarray:
-    """Diagonal of ``obs.matrix()``, bit for bit: the coefficient-weighted
-    parity signs, summed in the same term order."""
-    diag = np.zeros(2 ** obs.width)
-    for coeff, p in obs.terms:
-        diag += coeff * _parity_signs(obs.width, [i for i, ch in enumerate(p) if ch == "Z"])
-    diag.setflags(write=False)
-    return diag
-
-
-def expectation(state: "Distribution | DensityMatrix", obs: PauliObservable) -> float:
+def expectation(state: Distribution | PauliState, obs: PauliObservable) -> float:
     """<O> of a Z-string observable against a Distribution or a
-    DensityMatrix.
-
-    The density-matrix path reads only the diagonal of rho. It returns the
-    same float as ``np.trace(obs.matrix() @ rho).real``: each product
-    O_ii rho_ii is the one the matrix product forms, and the complex
-    diagonal is summed in the order ``np.trace`` sums it.
-    """
-    if not isinstance(state, (Distribution, DensityMatrix)):
+    :class:`PauliState`, term by term in order: a Pauli state's <P> is its
+    coefficient c[P], with Z on the string's qubits and I elsewhere."""
+    if not isinstance(state, (Distribution, PauliState)):
         raise TypeError(f"cannot take expectation against {type(state).__name__}")
     if obs.width != state.width:
         raise ValueError("observable width mismatch")
-    if isinstance(state, Distribution):
-        total = 0.0
-        for coeff, p in obs.terms:
+    total = 0.0
+    for coeff, p in obs.terms:
+        if isinstance(state, PauliState):
+            total += coeff * float(state.coeffs[tuple(3 * (ch == "Z") for ch in p)])
+        else:
             zs = [i for i, ch in enumerate(p) if ch == "Z"]
             total += coeff * float(state.probs @ _parity_signs(state.width, zs))
-        return total
-    return float(np.sum(_diagonal(obs) * np.diagonal(state.matrix)).real)
+    return total

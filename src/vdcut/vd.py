@@ -48,7 +48,7 @@ from .circuit import (
     extend,
     tensor_two_copies,
 )
-from .simulate import DensityMatrix, Distribution, outcome_bits
+from .simulate import Distribution, PauliState, outcome_bits
 
 #: The matrix of the diagonalizing gate kind ``DIAG`` (read-only):
 #: identity on |00> and |11>, and the Bell-basis rotation sending
@@ -222,12 +222,13 @@ def parity_groups(obs: PauliObservable) -> tuple[ParityGroup, ...]:
 # exact oracles
 
 
-def oracle_mitigated_expectation(rho: DensityMatrix, obs: PauliObservable,
+def oracle_mitigated_expectation(state: PauliState, obs: PauliObservable,
                                  m: int) -> float:
-    """Tr(O rho^M) / Tr(rho^M) by exact matrix power."""
+    """Tr(O rho^M) / Tr(rho^M) by exact matrix power of the state's density
+    matrix (see :meth:`~vdcut.simulate.PauliState.matrix`)."""
     if m < 1:
         raise ValueError("copy count must be >= 1")
-    power = np.linalg.matrix_power(rho.matrix, m)
+    power = np.linalg.matrix_power(state.matrix(), m)
     denom = np.trace(power).real
     if abs(denom) < 1e-14:
         raise EstimatorError(f"Tr(rho^{m}) = {denom} is degenerate")
@@ -256,16 +257,6 @@ class VDEstimate:
                 f"denominator {self.denominator} insignificant against its "
                 f"standard error {self.denominator_se}")
         return self.numerator / self.denominator
-
-    @property
-    def mitigated_se(self) -> float:
-        """First-order error propagation of the ratio."""
-        val = self.mitigated
-        rel = 0.0
-        if self.numerator != 0.0:
-            rel += (self.numerator_se / self.numerator) ** 2
-        rel += (self.denominator_se / self.denominator) ** 2
-        return abs(val) * float(np.sqrt(rel))
 
 
 @dataclass(frozen=True)

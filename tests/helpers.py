@@ -14,7 +14,7 @@ from vdcut.cutting import (
 )
 from vdcut.noise import NoiseModel
 from vdcut.runner import Execution, run_circuits
-from vdcut.simulate import DensityMatrix, Distribution, FusedCircuit, PauliState
+from vdcut.simulate import Distribution, FusedCircuit, PauliState
 from vdcut.transpile import CouplingMap
 from vdcut.vd import build_vd_circuit, parity_groups
 
@@ -32,11 +32,11 @@ def as_dict(dist: Distribution) -> dict:
     return {format(i, f"0{dist.width}b"): p.item() for i, p in enumerate(dist.probs) if p}
 
 
-def ground_state(width: int) -> DensityMatrix:
-    """|0...0><0...0| on ``width`` qubits."""
+def ground_state(width: int) -> np.ndarray:
+    """The density matrix |0...0><0...0| on ``width`` qubits."""
     m = np.zeros((2 ** width, 2 ** width), dtype=complex)
     m[0, 0] = 1.0
-    return DensityMatrix(width, m)
+    return m
 
 
 def z_string(width: int, qubits, coeff: float = 1.0) -> PauliObservable:
@@ -62,26 +62,26 @@ def assert_gates_as_checked(circuit: Circuit) -> None:
         assert max(g.qubits) < circuit.width, g
 
 
-def eigen_spectrum(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvectors."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
+def eigen_spectrum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and matching eigenvectors of a density matrix."""
+    vals, vecs = np.linalg.eigh(rho)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
 
-def dominant_eigenstate_expectation(rho: DensityMatrix, obs: PauliObservable) -> float:
+def dominant_eigenstate_expectation(rho: np.ndarray, obs: PauliObservable) -> float:
     _, vecs = eigen_spectrum(rho)
     psi = vecs[:, 0]
     return float(np.real(psi.conj() @ obs.matrix() @ psi))
 
 
-def purity(dm: DensityMatrix) -> float:
-    return float(np.real(np.trace(dm.matrix @ dm.matrix)))
+def purity(rho: np.ndarray) -> float:
+    return float(np.real(np.trace(rho @ rho)))
 
 
-def validate(dm: DensityMatrix, atol: float = 1e-10) -> None:
-    """Assert that ``dm`` is Hermitian, of unit trace and positive semidefinite."""
-    m = dm.matrix
+def validate(m: np.ndarray, atol: float = 1e-10) -> None:
+    """Assert that the matrix ``m`` is Hermitian, of unit trace and positive
+    semidefinite."""
     assert np.abs(m - m.conj().T).max() <= atol, "not Hermitian"
     assert abs(np.trace(m) - 1.0) <= atol, "trace differs from 1"
     assert np.linalg.eigvalsh(m).min() >= -atol, "negative eigenvalue"
@@ -129,22 +129,11 @@ def pairwise(pipe: PairwisePipeline, noise: NoiseModel | None = None,
 _PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
 
 
-def density_matrix(state: PauliState) -> DensityMatrix:
-    """The density matrix sum_P c_P P / 2^n of a Pauli state, expanded one
-    qubit's Pauli axis at a time into its (row, column) pair."""
-    n = state.width
-    t = state.coeffs.astype(complex)
-    for _ in range(n):   # each step expands the leading Pauli axis at the end
-        t = np.tensordot(t, _PAULI_MATRICES / 2, axes=([0], [0]))
-    t = np.transpose(t, [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)])
-    return DensityMatrix(n, t.reshape(2 ** n, 2 ** n))
-
-
-def pauli_state(dm: DensityMatrix) -> PauliState:
-    """The Pauli coefficients Tr(P rho) of a density matrix, one qubit's
-    (row, column) pair at a time."""
-    n = dm.width
-    t = dm.matrix.reshape((2,) * (2 * n))
+def pauli_state(rho: np.ndarray) -> PauliState:
+    """The Pauli coefficients Tr(P rho) of a 2^n x 2^n density matrix, one
+    qubit's (row, column) pair at a time."""
+    n = rho.shape[0].bit_length() - 1
+    t = rho.reshape((2,) * (2 * n))
     t = np.transpose(t, [a for q in range(n) for a in (q, n + q)]).reshape((4,) * n)
     trace_with = _PAULI_MATRICES.transpose(0, 2, 1).reshape(4, 4)  # [P, (r, c)] = P[c, r]
     for _ in range(n):   # each step contracts the leading (row, column) axis
@@ -216,29 +205,26 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def reference_kernel(fused: FusedCircuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """The state after ``fused``'s blocks, per block one transpose into a
-    fresh contiguous array (numpy may sum a product with a strided operand
-    in another order), reshape and product into a fresh array: the rounding
-    that evolve must reproduce byte for byte.  Evolve computes this way, in
-    its two reused buffers, every density block and every Pauli block on
-    spread qubits, on consecutive qubits with 4 trailing coefficients, or
-    on the last qubits with fewer than 64 leading coefficients.  It
-    computes every other Pauli block in qubit order, with no transpose.
-    The state is a density matrix, or for Pauli blocks a ``(4,) * n`` Pauli
-    coefficient tensor; it starts in ``initial`` or in the ground state."""
+    """The ``(4,) * n`` Pauli coefficients after ``fused``'s blocks, per
+    block one transpose into a fresh contiguous array (numpy may sum a
+    product with a strided operand in another order), reshape and product
+    into a fresh array: the rounding that evolve must reproduce byte for
+    byte.  Evolve computes this way, in its two reused buffers, every block
+    on spread qubits, on consecutive qubits with 4 trailing coefficients,
+    or on the last qubits with fewer than 64 leading coefficients.  It
+    computes every other block in qubit order, with no transpose.  The
+    state starts in ``initial`` or in the ground state."""
     n = fused.width
-    shape = (4,) * n if fused.pauli else (2,) * (2 * n)
     if initial is None:
-        initial = np.zeros(shape, dtype=float if fused.pauli else complex)
-        initial[(slice(None, None, 3),) * n if fused.pauli else (0,) * (2 * n)] = 1.0
-    tensor = initial.reshape(shape)
+        initial = np.zeros((4,) * n)
+        initial[(slice(None, None, 3),) * n] = 1.0
+    tensor = initial
     for block in fused.ops:
         qs = list(block.qubits)
-        axes = qs if fused.pauli else qs + [n + q for q in qs]
-        perm = axes + [a for a in range(len(shape)) if a not in axes]
+        perm = qs + [a for a in range(n) if a not in qs]
         tt = np.ascontiguousarray(np.transpose(tensor, perm)).reshape(len(block.superop), -1)
-        tensor = np.transpose((block.superop @ tt).reshape(shape), np.argsort(perm))
-    return tensor.reshape(initial.shape)
+        tensor = np.transpose((block.superop @ tt).reshape((4,) * n), np.argsort(perm))
+    return tensor
 
 
 def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
@@ -250,7 +236,7 @@ def reference_evolve(circuit: Circuit, noise: NoiseModel | None = None,
     (1-p) rho + p (Tr_q rho) I/2^k on its qubits and thermal relaxation by
     :func:`thermal_relaxation_kraus` on each of them."""
     n = circuit.width
-    rho = ground_state(n).matrix if initial is None else initial
+    rho = ground_state(n) if initial is None else initial
     for g in circuit.ops:
         u = embed(gate_matrix(g), g.qubits, n)
         rho = u @ rho @ u.conj().T

@@ -26,7 +26,6 @@ from vdcut.cutting import (
 )
 from vdcut.experiments import ExperimentConfig, emit, run_experiment
 from vdcut.simulate import (
-    DensityMatrix,
     Distribution,
     evolve,
     exact_probs,
@@ -47,6 +46,7 @@ from helpers import (
     eigen_spectrum,
     full_unitary,
     pairwise,
+    pauli_state,
     random_circuit,
     random_density_matrix,
     z_string,
@@ -119,13 +119,13 @@ def test_criterion_1_exponential_suppression():
         vals = np.sort(np.concatenate([[lam1], rest]))[::-1]
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q, _ = np.linalg.qr(g)
-        rho = DensityMatrix(2, q @ np.diag(vals) @ q.conj().T)
+        rho = q @ np.diag(vals) @ q.conj().T
         target = dominant_eigenstate_expectation(rho, z0)
         lam, vecs = eigen_spectrum(rho)
         o = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), z0.matrix(), vecs))
         envelope = []
         for m in range(1, 5):
-            err = oracle_mitigated_expectation(rho, z0, m) - target
+            err = oracle_mitigated_expectation(pauli_state(rho), z0, m) - target
             weights = lam ** m / np.sum(lam ** m)
             worst_formula = max(worst_formula, abs(err - weights @ (o - o[0])))
             envelope.append(2 * z0_norm * (1 - weights[0]))

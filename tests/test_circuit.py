@@ -115,8 +115,8 @@ def test_two_copies_state_is_product():
     """Noiseless output of the doubled circuit equals rho (x) rho."""
     rng = np.random.default_rng(7)
     c = random_circuit(3, 14, rng)
-    rho = evolve(c).matrix
-    both = evolve(tensor_two_copies(c)).matrix
+    rho = evolve(c).matrix()
+    both = evolve(tensor_two_copies(c)).matrix()
     assert np.abs(both - np.kron(rho, rho)).max() < 1e-12
 
 
@@ -143,8 +143,8 @@ def test_lightcone_idempotent_and_sound():
         assert pruned.ops == again.ops
         # reduced state on the sinks is unchanged by pruning
         keep = sorted(sinks)
-        r1 = _reduced(evolve(c).matrix, keep, n)
-        r2 = _reduced(evolve(pruned).matrix, keep, n)
+        r1 = _reduced(evolve(c).matrix(), keep, n)
+        r2 = _reduced(evolve(pruned).matrix(), keep, n)
         assert np.abs(r1 - r2).max() < 1e-12
 
 
@@ -240,6 +240,6 @@ def test_full_unitary_oracle_matches_engine():
     for _ in range(10):
         c = random_circuit(3, 10, rng)
         u = full_unitary(c)
-        rho = evolve(c).matrix
+        rho = evolve(c).matrix()
         psi = u[:, 0]
         assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-12

@@ -129,7 +129,7 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"problem": {"ring": 20}, "reps": 1, "parameters": [0.1] * 40,
                                "coupling_map": "full"}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert "density tensors of 20 qubits" in capsys.readouterr().err
+    assert "Pauli tensors of 20 qubits" in capsys.readouterr().err
     params = tmp_path / "params.json"
     for text in ('{"parameters": [0.1, 0.2, 0.3]}', '{"parameters": [0.1, 0.2, "x", 0.4]}',
                  '{"angles": [0.1, 0.2, 0.3, 0.4]}', '{"parameters": [0.1,'):

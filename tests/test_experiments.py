@@ -180,15 +180,24 @@ def test_determinism_byte_identical_csv(tmp_path):
     ("basic", "f85540f0697700a69eef9665840c19624a2262e23817f99eaffa550e5aeacd61"),
     ("basic+gct", "11c8c27768eaaa73e3dfcb0ef1185ba354e5c5f04b959a1e51f0daf9fc3f4f60"),
     ("basic+gct+rct", "2738cefea33d99019e6f09718675b54ea4dd910287295f85e2fd2e35042e99dd"),
-    ("noiseless", "fd13736789468f89be796cd96dedf2f8abc009cdc2de88b546da5a6d77d3f88e"),
+    ("noiseless", "47e1b27a68485c586a9970462d95b26a4e3aceccc46b8343ed52ab47d5293edc"),
 ])
 def test_csv_bytes_pinned(noise, digest, tmp_path):
     """The CSV of a ring-3 matrix on heavyhex:3 keeps its bytes: a change
-    meant to keep every output must not move a single one."""
+    meant to keep every output must not move a single one.  The noiseless
+    cells are exact, so their bytes pin only rounding: each cell is also
+    checked to err by at most 1e-12 and to keep its CNOT and RZZ counts."""
     cfg = ExperimentConfig(problem=ring_problem(3), reps=1,
                            parameters=(0.3, 1.1, 0.7, 0.2, 2.0, -0.4), noise=noise,
                            shots=10_000, seed=5, coupling_map="heavyhex:3")
     csv_path = emit(run_experiment(cfg), str(tmp_path / "run"))[0]
+    if noise == "noiseless":
+        rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+        assert [tuple(row[:3]) for row in rows] == [
+            ("none", "9", "0"), ("vd", "42;38", "0;0"),
+            ("vd+zne", "42;60;78;38;56;74", "0;0;0;0;0;0"),
+            ("vd+cut", "11;12;12;5;10;10", "0;0;0;0;0;0")]
+        assert all(float(row[4]) <= 1e-12 for row in rows)
     assert hashlib.sha256(open(csv_path, "rb").read()).hexdigest() == digest
 
 

@@ -235,16 +235,16 @@ def test_batch_builds_each_gate_superoperator_once(monkeypatch):
 
 
 def test_noiseless_batch_evolves_one_block_per_op():
-    """Noiseless outputs are exact, not sampled, so a noiseless batch is not
-    fused: each variant's distribution has the bits of evolving its compiled
-    body gate by gate."""
+    """A noiseless batch is not fused, as a plain circuit's evolution is
+    not: each variant's distribution has the bits of evolving its compiled
+    body gate by gate, and its states are Pauli states."""
     from vdcut.simulate import evolve, exact_probs, marginal
 
     cmap = coupling_map_for("heavyhex:3", 8)
     executions = copies_register(4)
     batch = run_circuits(executions, cmap=cmap)
     assert batch.stats.blocks_evolved == batch.stats.ops_evolved
-    assert batch.stats.state_bytes == 16 * 4 ** 8
+    assert batch.stats.state_bytes == 8 * 4 ** 8
     for ex, rec in zip(executions, batch.records, strict=True):
         c = compile_circuit(ex.circuit, cmap=cmap, scale=ex.scale, ideal_diag=ex.ideal_diag,
                             measured=ex.measured)

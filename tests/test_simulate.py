@@ -1,4 +1,4 @@
-"""Density-matrix engine: channels, distributions, sampling, readout."""
+"""Pauli-state engine: channels, distributions, sampling, readout."""
 import tracemalloc
 
 import numpy as np
@@ -25,7 +25,6 @@ from vdcut.simulate import (
     _gate_superop,
     _pauli_transfer,
     _relaxation_transfer,
-    DensityMatrix,
     Distribution,
     FusedCircuit,
     PauliState,
@@ -46,9 +45,7 @@ from helpers import (
     apply_channel,
     as_dict,
     copies_register,
-    density_matrix,
     distribution,
-    ground_state,
     pauli_state,
     purity,
     random_circuit,
@@ -62,28 +59,36 @@ from helpers import (
 
 
 def test_empty_circuit_ground_state():
-    dm = evolve(Circuit(1))
-    assert np.abs(dm.matrix - np.diag([1.0, 0.0])).max() == 0
+    assert np.abs(evolve(Circuit(1)).matrix() - np.diag([1.0, 0.0])).max() == 0
 
 
 def test_full_depolarization_gives_maximally_mixed():
     # zero gate duration disables relaxation, leaving pure depolarization
     nm = NoiseModel(one_qubit_depol=1.0, one_qubit_time=0.0)
-    dm = density_matrix(evolve(blocks(Circuit(1, (x(0),)), nm)))
-    assert np.abs(dm.matrix - np.eye(2) / 2).max() < 1e-15
+    rho = evolve(blocks(Circuit(1, (x(0),)), nm)).matrix()
+    assert np.abs(rho - np.eye(2) / 2).max() < 1e-15
 
 
 def test_noiseless_purity():
     rng = np.random.default_rng(2)
     c = random_circuit(3, 16, rng)
-    assert abs(purity(evolve(c)) - 1.0) < 1e-10
+    assert abs(purity(evolve(c).matrix()) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_state_matrix_round_trips(n):
+    """A state's density matrix, converted to Pauli coefficients and back,
+    is the matrix it came from, on random mixed states."""
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        rho = random_density_matrix(n, rng)
+        assert np.abs(pauli_state(rho).matrix() - rho).max() < 1e-14
 
 
 def test_width_cap(monkeypatch):
     """Admission counts evolve's two buffers (plus ``initial``), and a
     batch's held snapshots on top, against physical memory, and rejects
-    before allocating anything; a Pauli state takes half the bytes of a
-    density tensor."""
+    before allocating anything."""
     from vdcut import runner
     from vdcut.noise import preset
     from vdcut.transpile import coupling_map_for
@@ -97,7 +102,7 @@ def test_width_cap(monkeypatch):
     gib = 2 ** 30
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 7 * gib)
     with pytest.raises(SimulationSizeError):
-        evolve(Circuit(14))        # 2 x 4 GiB
+        evolve(Circuit(15))        # 2 x 8 GiB
     # table 2: 12 qubits, two snapshots plus two buffers of 128 MiB
     monkeypatch.setattr(runner, "evolve", admitted)
     with pytest.raises(Admitted):
@@ -109,25 +114,25 @@ def test_width_cap(monkeypatch):
     # fits in three 8-qubit Pauli tensors, the batch does not, and is refused
     # before its first evolution
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 8 * 4 ** 8)
-    simulate.admit(8, 3, pauli=True)
+    simulate.admit(8, 3)
     monkeypatch.setattr(runner, "evolve", admitted)
     with pytest.raises(SimulationSizeError):
         runner.run_circuits(copies_register(4), noise=preset("basic+gct"),
                             cmap=coupling_map_for("heavyhex:3", 8))
     monkeypatch.undo()
 
-    monkeypatch.setattr(simulate, "_physical_memory", lambda: 2 * 16 * 4 ** 10)
-    evolve(Circuit(10))
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 2 * 8 * 4 ** 10)
+    state = evolve(Circuit(10))
     with pytest.raises(SimulationSizeError):   # before the initial state's width is read
-        evolve(Circuit(10), initial=ground_state(2))
-    pauli = FusedCircuit(10, (), pauli=True)
-    evolve(pauli, initial=evolve(pauli))     # three Pauli tensors
+        evolve(Circuit(10), initial=evolve(Circuit(2)))
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: 3 * 8 * 4 ** 10)
+    evolve(Circuit(10), initial=state)     # three tensors
 
 
 def test_admit_honours_a_cgroup_limit(monkeypatch):
     """Admission takes the smaller of physical memory and the cgroup-v2
     ``memory.max``, and physical memory alone when no limit is set."""
-    tensor = 16 * 4 ** 8
+    tensor = 8 * 4 ** 8
     monkeypatch.setattr(simulate, "_physical_memory", lambda: 4 * tensor)
     monkeypatch.setattr(simulate, "_cgroup_memory_limit", lambda: None)
     simulate.admit(8, 4)
@@ -170,25 +175,18 @@ def test_cgroup_memory_limit_reads_memory_max(monkeypatch, tmp_path):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
 def test_evolve_matches_reference_kernel_bit_for_bit(seed, n, resume, noisy):
-    """The two-buffer kernel computes every block, a noisy Pauli-transfer
-    matrix or a noiseless complex superoperator, as a fresh transpose and
-    product would, byte for byte, and leaves ``initial`` unchanged."""
+    """The two-buffer kernel computes every block, a noisy fused block or a
+    noiseless gate, as a fresh transpose and product would, byte for byte,
+    and leaves ``initial`` unchanged."""
     rng = np.random.default_rng(seed)
     c = random_circuit(n, int(rng.integers(0, 4 * n + 1)), rng)
     fused = blocks(c, preset("basic") if noisy else None)
-    initial = None
-    if resume:
-        dm = DensityMatrix(n, random_density_matrix(n, rng))
-        initial = pauli_state(dm) if noisy else dm
-
-    def tensor(state):
-        return state.coeffs if noisy else state.matrix
-
-    before = None if initial is None else tensor(initial).copy()
+    initial = pauli_state(random_density_matrix(n, rng)) if resume else None
+    before = None if initial is None else initial.coeffs.copy()
     got = evolve(fused, initial=initial)
-    assert tensor(got).tobytes() == reference_kernel(fused, initial=before).tobytes()
+    assert got.coeffs.tobytes() == reference_kernel(fused, initial=before).tobytes()
     if resume:
-        assert tensor(initial).tobytes() == before.tobytes()
+        assert initial.coeffs.tobytes() == before.tobytes()
 
 
 def _orthogonal_blocks(placements, rng: np.random.Generator) -> list[simulate.Block]:
@@ -222,7 +220,7 @@ def test_pauli_evolve_at_every_position_matches_reference_kernel(n, resume, shuf
     ops = _blocks_at_every_position(n, rng)
     if shuffled:
         ops = [ops[i] for i in rng.permutation(len(ops))]
-    fused = FusedCircuit(n, tuple(ops), pauli=True)
+    fused = FusedCircuit(n, tuple(ops))
     initial = PauliState(n, rng.standard_normal((4,) * n)) if resume else None
     before = None if initial is None else initial.coeffs.copy()
     got = evolve(fused, initial=initial)
@@ -244,7 +242,7 @@ def test_pauli_evolve_returns_its_first_buffer(monkeypatch, resume, placements):
     batch's peak RSS by a whole state, through the heap's layout."""
     n = 5
     rng = np.random.default_rng(5)
-    fused = FusedCircuit(n, tuple(_orthogonal_blocks(placements, rng)), pauli=True)
+    fused = FusedCircuit(n, tuple(_orthogonal_blocks(placements, rng)))
     initial = PauliState(n, rng.standard_normal((4,) * n)) if resume else None
     allocated = []
 
@@ -272,7 +270,7 @@ def test_pauli_evolve_allocates_two_state_tensors(resume):
     buffers; perfbench's ``peak_rss_mib`` covers those."""
     n = 9
     rng = np.random.default_rng(9)
-    fused = FusedCircuit(n, tuple(_blocks_at_every_position(n, rng)), pauli=True)
+    fused = FusedCircuit(n, tuple(_blocks_at_every_position(n, rng)))
     coeffs = rng.standard_normal((4,) * n)
     evolve(fused)                     # first-use allocations outside the count
     tracemalloc.start()
@@ -282,7 +280,7 @@ def test_pauli_evolve_allocates_two_state_tensors(resume):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tensor = simulate.state_bytes(n, pauli=True)
+    tensor = simulate.state_bytes(n)
     assert peak <= (2 + resume) * tensor + 256 * 2 ** 10
 
 
@@ -310,14 +308,12 @@ def test_fused_evolution_matches_reference(seed, n, resume):
     noise = preset("basic")
     c = _tagged_random_circuit(n, rng)
     rho = random_density_matrix(n, rng) if resume else None
-    initial = None if rho is None else pauli_state(DensityMatrix(n, rho))
+    initial = None if rho is None else pauli_state(rho)
     before = None if initial is None else initial.coeffs.copy()
     got = evolve(blocks(c, noise), initial=initial)
     want = reference_evolve(c, noise, initial=rho)
-    assert isinstance(got, PauliState)
-    assert np.abs(density_matrix(got).matrix - want).max() < 1e-12
-    assert np.abs(exact_probs(got).probs
-                  - exact_probs(DensityMatrix(n, want)).probs).max() < 1e-12
+    assert np.abs(got.matrix() - want).max() < 1e-12
+    assert np.abs(exact_probs(got).probs - np.diag(want).real).max() < 1e-12
     if resume:
         assert initial.coeffs.tobytes() == before.tobytes()
 
@@ -337,15 +333,14 @@ def test_pauli_probabilities_below_the_floor_are_refused():
 def test_non_hermiticity_preserving_block_is_refused(monkeypatch):
     """A gate whose superoperator does not map Hermitian operators to
     Hermitian ones has no real Pauli-transfer matrix, so building its
-    channel under noise raises, for an ideal (crosstalk) gate too; noiseless
-    blocks are never converted."""
+    channel raises, with or without noise, for an ideal (crosstalk) gate
+    too."""
     left = np.kron(np.diag([1.0, 1j]), np.eye(2))   # rho -> S rho, not S rho S^dag
     monkeypatch.setattr(simulate, "_conjugation_super", lambda u: left)
-    c = Circuit(1, (rz(0.3, 0),))
-    for tag in ("", "xtalk"):
-        with pytest.raises(SimulationError, match="imaginary"):
-            blocks(Circuit(1, (rz(0.3, 0, tag=tag),)), preset("basic"))
-    assert blocks(c).ops[0].superop is left
+    for noise in (None, preset("basic")):
+        for tag in ("", "xtalk"):
+            with pytest.raises(SimulationError, match="imaginary"):
+                blocks(Circuit(1, (rz(0.3, 0, tag=tag),)), noise)
 
 
 def _check_blocks(c: Circuit) -> list:
@@ -397,8 +392,8 @@ def test_three_qubit_block_embeds_members_on_non_adjacent_qubits(pair):
     (block,) = blocks(c, noise).ops
     assert block.superop.shape == (64, 64) and block.gates == 7
     rho = random_density_matrix(5, rng)
-    got = evolve(blocks(c, noise), initial=pauli_state(DensityMatrix(5, rho)))
-    assert np.abs(density_matrix(got).matrix - reference_evolve(c, noise, initial=rho)).max() < 1e-12
+    got = evolve(blocks(c, noise), initial=pauli_state(rho))
+    assert np.abs(got.matrix() - reference_evolve(c, noise, initial=rho)).max() < 1e-12
 
 
 def test_fused_copies_register_fuses_every_single_qubit_op():
@@ -412,9 +407,9 @@ def test_fused_copies_register_fuses_every_single_qubit_op():
     c = compile_circuit(ex.circuit, noise=noise, cmap=coupling_map_for("heavyhex:3", 4))
     groups = _check_blocks(c.body)
     assert all(len(qubits) >= 2 for qubits, _ in groups) and len(groups) < len(c.body.ops)
-    got = density_matrix(evolve(blocks(c.body, noise)))
+    got = evolve(blocks(c.body, noise)).matrix()
     want = reference_evolve(c.body, noise)
-    assert np.abs(got.matrix - want).max() < 1e-12
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_one_memo_shares_blocks_over_a_common_prefix():
@@ -435,17 +430,34 @@ def test_one_memo_shares_blocks_over_a_common_prefix():
     assert blocks(first, noise, memo=memo).ops == a
     assert sum(block.gates for block in a) == len(first.ops)
     for c in (first, second):
-        assert evolve(c).matrix.tobytes() == evolve(blocks(c)).matrix.tobytes()
+        assert evolve(c).coeffs.tobytes() == evolve(blocks(c)).coeffs.tobytes()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_noiseless_evolutions_match_reference(seed, n):
+    """A plain circuit's evolution is the reference density matrix, and a
+    noiseless batch of random circuits on one register measures each one's
+    reference distribution, to rounding."""
+    from vdcut.runner import Execution, run_circuits
+
+    rng = np.random.default_rng(seed)
+    circuits = [random_circuit(n, int(rng.integers(0, 4 * n + 1)), rng) for _ in range(3)]
+    wants = [reference_evolve(c) for c in circuits]
+    for c, want in zip(circuits, wants):
+        assert np.abs(evolve(c).matrix() - want).max() < 1e-12
+    batch = run_circuits([Execution(c) for c in circuits])
+    for rec, want in zip(batch.records, wants):
+        assert np.abs(rec.distribution.probs - np.diag(want).real).max() < 1e-12
 
 
 def test_initial_state_must_match_the_blocks():
-    """Noisy (Pauli) blocks evolve a Pauli state and plain blocks a density
-    matrix; an initial state of the other kind is refused."""
+    """An initial state of another width than the blocks' is refused."""
     c = Circuit(1, (x(0),))
-    with pytest.raises(TypeError):
-        evolve(blocks(c, preset("basic")), initial=ground_state(1))
-    with pytest.raises(TypeError):
-        evolve(c, initial=evolve(blocks(Circuit(1), preset("basic"))))
+    with pytest.raises(ValueError, match="initial state has 2 qubits"):
+        evolve(blocks(c, preset("basic")), initial=evolve(Circuit(2)))
+    with pytest.raises(ValueError, match="initial state has 2 qubits"):
+        evolve(c, initial=evolve(Circuit(2)))
 
 
 def test_channels_preserve_density_matrix_invariants():
@@ -453,7 +465,7 @@ def test_channels_preserve_density_matrix_invariants():
     nm = NoiseModel(gate_crosstalk=True, readout_crosstalk=True)
     for _ in range(40):
         c = random_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 12)), rng)
-        validate(density_matrix(evolve(blocks(c, nm))), atol=1e-10)
+        validate(evolve(blocks(c, nm)).matrix(), atol=1e-10)
 
 
 def test_noiseless_evolve_matches_statevector():
@@ -462,12 +474,14 @@ def test_noiseless_evolve_matches_statevector():
         for _ in range(5):
             c = random_circuit(n, 16, rng)
             psi = statevector(c)
-            assert np.abs(evolve(c).matrix - np.outer(psi, psi.conj())).max() < 1e-12
+            assert np.abs(evolve(c).matrix() - np.outer(psi, psi.conj())).max() < 1e-12
 
 
 def test_gate_superoperator_equals_kron_bit_for_bit():
-    """DIAG, unlike SWAP and RZZ, is not symmetric under swapping its
-    qubits, so its two orientations check the flip to ascending order."""
+    """A gate's channel without noise, and an ideal-tagged gate's under
+    noise, is the Pauli-transfer matrix of kron(u, u*), bit for bit.  DIAG,
+    unlike SWAP and RZZ, is not symmetric under swapping its qubits, so its
+    two orientations check the flip to ascending order."""
     gates = [ry(0.3, 0), rz(-1.1, 0), h(0), x(0), cnot(0, 1), cnot(1, 0),
              rzz(0.7, 0, 1), rzz(0.7, 1, 0), swap(0, 1), swap(1, 0),
              diag_gate_on(0, 1), diag_gate_on(1, 0)]
@@ -477,17 +491,15 @@ def test_gate_superoperator_equals_kron_bit_for_bit():
         u = gate_matrix(g)
         if len(g.qubits) == 2 and g.qubits[0] > g.qubits[1]:
             u = _SWAP_MATRIX @ u @ _SWAP_MATRIX
-        want = np.kron(u, u.conj())
-        assert _gate_superop(g, None, False).tobytes() == want.tobytes(), g
-        # under noise, an ideal-tagged gate is its unitary's Pauli-transfer matrix only
-        ideal = _pauli_transfer(want, len(g.qubits)).tobytes()
-        assert _gate_superop(g, preset("basic"), True).tobytes() == ideal, g
+        want = _pauli_transfer(np.kron(u, u.conj()), len(g.qubits)).tobytes()
+        assert _gate_superop(g, None, False).tobytes() == want, g
+        assert _gate_superop(g, preset("basic"), True).tobytes() == want, g
 
 
 def _relaxed(rho: np.ndarray, t1: float, t2: float, d: float) -> np.ndarray:
     """``rho`` after the closed-form relaxation, applied to its Pauli coefficients."""
-    coeffs = _relaxation_transfer(t1, t2, d) @ pauli_state(DensityMatrix(1, rho)).coeffs
-    return density_matrix(PauliState(1, coeffs)).matrix
+    coeffs = _relaxation_transfer(t1, t2, d) @ pauli_state(rho).coeffs
+    return PauliState(1, coeffs).matrix()
 
 
 def test_thermal_relaxation_fixed_point():
@@ -513,8 +525,8 @@ def test_thermal_relaxation_coherence_decay():
 
 
 def test_exact_probs_examples():
-    assert as_dict(exact_probs(DensityMatrix(1, np.diag([1.0, 0.0])))) == {"0": 1.0}
-    assert as_dict(exact_probs(DensityMatrix(1, np.eye(2) / 2))) == {"0": 0.5, "1": 0.5}
+    assert as_dict(exact_probs(pauli_state(np.diag([1.0, 0.0])))) == {"0": 1.0}
+    assert as_dict(exact_probs(pauli_state(np.eye(2) / 2))) == {"0": 0.5, "1": 0.5}
     bell = evolve(Circuit(2, (h(0), cnot(0, 1))))
     assert as_dict(exact_probs(bell)) == pytest.approx({"00": 0.5, "11": 0.5})
 
@@ -548,22 +560,25 @@ def test_expectation_maxcut_examples():
     assert expectation(distribution({"001": 1.0}, 3), hamiltonian) == pytest.approx(2.0)
     assert expectation(distribution({"000": 1.0}, 3), hamiltonian) == pytest.approx(0.0)
 
-    mixed = DensityMatrix(2, np.eye(4) / 4)
+    mixed = pauli_state(np.eye(4) / 4)
     assert expectation(mixed, PauliObservable(((1.0, "ZZ"),))) == pytest.approx(0.0)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
-def test_diagonal_expectation_equals_trace_bit_for_bit(seed, n):
-    """The I/Z density path returns the float of Tr(O rho) exactly, so the
-    optimizer that reads it follows the same path as with the matrix."""
+def test_pauli_expectation_equals_trace(seed, n):
+    """A Pauli state's expectation of Z strings of every weight, one
+    coefficient per term, is Tr(O rho) of its density matrix."""
     rng = np.random.default_rng(seed)
-    dm = density_matrix(evolve(blocks(random_circuit(n, 4 * n, rng), preset("basic"))))
-    terms = tuple(
-        (float(rng.choice([0.5, -0.5, rng.normal()])), "".join(rng.choice(["I", "Z"], n)))
-        for _ in range(int(rng.integers(1, 3 * n + 2))))
-    obs = PauliObservable(terms)
-    assert expectation(dm, obs) == float(np.trace(obs.matrix() @ dm.matrix).real)
+    state = evolve(blocks(random_circuit(n, 4 * n, rng), preset("basic")))
+    rho = state.matrix()
+    for weight in range(n + 1):
+        zs = rng.choice(n, size=weight, replace=False)
+        terms = [(float(rng.normal()), "".join("Z" if q in zs else "I" for q in range(n)))]
+        terms += [(float(rng.choice([0.5, -0.5, rng.normal()])), "".join(rng.choice(["I", "Z"], n)))
+                  for _ in range(int(rng.integers(0, 3)))]
+        obs = PauliObservable(tuple(terms))
+        assert abs(expectation(state, obs) - np.trace(obs.matrix() @ rho).real) < 1e-12
 
 
 def test_expectation_rejects_offdiagonal_on_distribution():
@@ -574,15 +589,16 @@ def test_expectation_rejects_offdiagonal_on_distribution():
 
 
 def test_expectation_refuses_other_states():
-    """A state that is neither a distribution nor a density matrix is
-    refused by its type, before its width is compared."""
-    state = evolve(blocks(Circuit(1), preset("basic")))
-    assert isinstance(state, PauliState)
+    """A state that is neither a distribution nor a Pauli state, such as
+    its density matrix, is refused by its type, before its width is
+    compared."""
+    state = evolve(Circuit(1))
     for obs in (PauliObservable(((1.0, "Z"),)), PauliObservable(((1.0, "ZZ"),))):
         with pytest.raises(TypeError):
-            expectation(state, obs)
-    with pytest.raises(ValueError, match="width"):
-        expectation(distribution({"0": 1.0}, 1), PauliObservable(((1.0, "ZZ"),)))
+            expectation(state.matrix(), obs)
+    for state in (distribution({"0": 1.0}, 1), state):
+        with pytest.raises(ValueError, match="width"):
+            expectation(state, PauliObservable(((1.0, "ZZ"),)))
 
 
 def test_readout_identity_and_single_qubit():

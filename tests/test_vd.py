@@ -5,7 +5,6 @@ import pytest
 from vdcut.circuit import DIAG, Circuit, PauliObservable, cnot, ry
 from vdcut.noise import NoiseModel
 from vdcut.simulate import (
-    DensityMatrix,
     Distribution,
     blocks,
     evolve,
@@ -24,9 +23,9 @@ from vdcut.vd import (
 )
 
 from helpers import (
-    density_matrix,
     dominant_eigenstate_expectation,
     eigen_spectrum,
+    pauli_state,
     random_density_matrix,
     z_string,
 )
@@ -69,7 +68,7 @@ def test_oracle_pure_state_any_power():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    rho = DensityMatrix(2, np.outer(psi, psi.conj()))
+    rho = pauli_state(np.outer(psi, psi.conj()))
     obs = PauliObservable(((1.0, "ZI"), (0.5, "ZZ")))
     base = oracle_mitigated_expectation(rho, obs, 1)
     for m in (2, 3, 5):
@@ -77,7 +76,7 @@ def test_oracle_pure_state_any_power():
 
 
 def test_oracle_hand_value():
-    rho = DensityMatrix(1, np.diag([0.8, 0.2]))
+    rho = pauli_state(np.diag([0.8, 0.2]))
     z = PauliObservable(((1.0, "Z"),))
     got = oracle_mitigated_expectation(rho, z, 2)
     assert got == pytest.approx((0.64 - 0.04) / (0.64 + 0.04))
@@ -90,27 +89,41 @@ def test_oracle_eigendecomposition_cross_check():
     rng = np.random.default_rng(1)
     z0 = PauliObservable(((1.0, "ZI"),))
     for _ in range(20):
-        rho = DensityMatrix(2, random_density_matrix(2, rng))
+        rho = random_density_matrix(2, rng)
         vals, vecs = eigen_spectrum(rho)
         for m in (1, 2, 3):
             num = sum(
                 vals[k] ** m * np.real(vecs[:, k].conj() @ z0.matrix() @ vecs[:, k])
                 for k in range(4))
             den = float((vals ** m).sum())
-            assert abs(oracle_mitigated_expectation(rho, z0, m) - num / den) < 1e-10
+            assert abs(oracle_mitigated_expectation(pauli_state(rho), z0, m) - num / den) < 1e-10
+
+
+def test_oracle_of_a_converted_state_is_the_matrix_power_value():
+    """The oracle of a density matrix converted to a Pauli state is
+    Tr(O rho^m) / Tr(rho^m) of the matrix itself."""
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        obs = PauliObservable(((0.5, "I" * n), (-0.5, "Z" * n), (2.0, "Z" + "I" * (n - 1))))
+        for _ in range(5):
+            rho = random_density_matrix(n, rng)
+            for m in (1, 2, 3):
+                power = np.linalg.matrix_power(rho, m)
+                want = np.trace(obs.matrix() @ power).real / np.trace(power).real
+                assert abs(oracle_mitigated_expectation(pauli_state(rho), obs, m) - want) < 1e-12
 
 
 def test_oracle_converges_to_dominant_eigenstate():
-    rho = DensityMatrix(1, np.diag([0.8, 0.2]))
+    rho = np.diag([0.8, 0.2])
     z = PauliObservable(((1.0, "Z"),))
-    vals = [oracle_mitigated_expectation(rho, z, m) for m in range(1, 8)]
+    vals = [oracle_mitigated_expectation(pauli_state(rho), z, m) for m in range(1, 8)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(1.0, abs=1e-3)
     assert dominant_eigenstate_expectation(rho, z) == pytest.approx(1.0)
 
 
 def test_oracle_degenerate_trace_error():
-    rho = DensityMatrix(1, np.eye(2) / 2)
+    rho = pauli_state(np.eye(2) / 2)
     z = PauliObservable(((1.0, "Z"),))
     with pytest.raises(EstimatorError):
         oracle_mitigated_expectation(rho, z, 4000)
@@ -208,29 +221,30 @@ def test_estimator_purity_bound():
 
 
 def test_sampled_estimator_matches_oracle_within_5_sigma():
-    """Noisy 1-qubit preparation of diag(0.8, 0.2); sampled mitigated value
-    matches the hand oracle 0.88235..."""
+    """Noisy 1-qubit preparation of diag(0.8, 0.2); the sampled numerator
+    and denominator lie within 5 standard errors of Tr(Z rho^2) = 0.60 and
+    Tr(rho^2) = 0.68, and their ratio near the hand oracle 0.88235..."""
     rho = np.diag([0.8, 0.2]).astype(complex)
     probs = _vd_distribution(rho, 1)
     dist = _as_dist(probs, 2)
     est = estimate_from_distribution(sample(dist, 10 ** 6, seed=11),
                                      PauliObservable(((1.0, "Z"),)), shots=10 ** 6)
-    want = 0.8823529411764706
-    assert abs(est.mitigated - want) < 5 * est.mitigated_se
-    assert est.mitigated == pytest.approx(want, abs=0.01)
+    assert abs(est.numerator - 0.60) < 5 * est.numerator_se
+    assert abs(est.denominator - 0.68) < 5 * est.denominator_se
+    assert est.mitigated == pytest.approx(0.8823529411764706, abs=0.01)
 
 
 def test_noise_free_fixed_point_single_qubit_terms():
     """VD of a noiseless pure-state circuit reproduces ideal single-qubit
     expectations exactly (from exact outcome probabilities)."""
     orig = Circuit(2, (ry(0.7, 0), cnot(0, 1), ry(-0.3, 1)))
-    dm = evolve(orig)
+    state = evolve(orig)
     vd = build_vd_circuit(orig)
     dist = exact_probs(evolve(vd))
     for j in range(2):
         obs = z_string(2, [j])
         est = estimate_from_distribution(dist, obs)
-        assert abs(est.mitigated - expectation(dm, obs)) < 1e-10
+        assert abs(est.mitigated - expectation(state, obs)) < 1e-10
 
 
 def test_noisy_estimator_matches_matrix_oracle():
@@ -238,8 +252,8 @@ def test_noisy_estimator_matches_matrix_oracle():
     applied to the noisy copy state (single-qubit observable)."""
     nm = NoiseModel(two_qubit_depol=5e-2, one_qubit_depol=1e-2)
     orig = Circuit(1, (ry(1.1, 0), ry(-0.4, 0)))
-    rho = density_matrix(evolve(blocks(orig, nm)))
-    probs = _vd_distribution(rho.matrix, 1)
+    rho = evolve(blocks(orig, nm))
+    probs = _vd_distribution(rho.matrix(), 1)
     obs = PauliObservable(((1.0, "Z"),))
     est = estimate_from_distribution(_as_dist(probs, 2), obs)
     want = oracle_mitigated_expectation(rho, obs, 2)
@@ -304,7 +318,7 @@ def test_parity_groups_make_every_term_exact(terms):
             c = full_unitary(Circuit(n, g.gates()))
             probs = _vd_distribution(c @ rho @ c.conj().T, n)
             parts.append(estimate_from_distribution(_as_dist(probs, 2 * n), g.observable))
-        want = oracle_mitigated_expectation(DensityMatrix(n, rho), obs, 2)
+        want = oracle_mitigated_expectation(pauli_state(rho), obs, 2)
         assert abs(ParityEstimate(tuple(parts)).mitigated - want) < 1e-10
 
 

@@ -10,7 +10,7 @@ from vdcut.transpile import decompose_to_basis
 from vdcut.vd import DIAG_UNITARY, build_vd_circuit, diag_gate_on
 from vdcut.zne import FoldingError, extrapolate_linear, fold_diagonalizing
 
-from helpers import density_matrix, embed, full_unitary, purity
+from helpers import embed, full_unitary, purity
 
 
 def _vd(n=2, seed=0):
@@ -94,7 +94,7 @@ def test_fold_amplifies_mixing():
     nm = NoiseModel()
     vd = _vd(n=2, seed=7)
     folded = [decompose_to_basis(fold_diagonalizing(vd, s)) for s in (1, 3, 5)]
-    purities = [purity(density_matrix(evolve(blocks(c, nm)))) for c in folded]
+    purities = [purity(evolve(blocks(c, nm)).matrix()) for c in folded]
     assert purities[0] >= purities[1] >= purities[2]
 
 
