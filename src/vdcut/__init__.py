@@ -25,9 +25,8 @@ from .circuit import (
 from .cutting import (
     CutPoint,
     DiagonalSimulationCache,
-    PairwisePipeline,
     ReconstructionPlan,
-    build_pairwise_pipelines,
+    cut_points,
     cut_wire,
     recombine,
     reconstruct,

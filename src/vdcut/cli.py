@@ -16,7 +16,7 @@ import numpy as np
 
 from .benchmarks import AnsatzSpec, MaxCutProblem, maxcut_hamiltonian, optimize_parameters, ring_problem
 from .circuit import CircuitError
-from .cutting import CutError, CutPoint, cut_wire, run_cut
+from .cutting import cut_points, run_cut
 from .experiments import ConfigError, ExperimentConfig, emit, run_experiment
 from .noise import PRESETS
 from .simulate import SimulationSizeError, evolve, exact_probs, expectation, tv_distance
@@ -138,14 +138,7 @@ def _cmd_cut_check(args) -> int:
                 theta = float(rng.uniform(-np.pi, np.pi))
                 ops.append([ry(theta, q), rz(theta, q), h(q), x(q)][rng.integers(4)])
         circuit = Circuit(n, tuple(ops))
-        valid = []
-        for q in range(n):
-            for p in range(len(ops)):
-                try:
-                    cut_wire(circuit, CutPoint(q, p))
-                    valid.append(CutPoint(q, p))
-                except CutError:
-                    continue
+        valid = cut_points(circuit)
         if not valid:
             continue
         cut = valid[rng.integers(len(valid))]

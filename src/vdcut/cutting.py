@@ -1,22 +1,24 @@
 """Wire cutting: quasiprobability decomposition of a severed wire into
 measure-side and prepare-side fragments, exact reconstruction, the pairwise
-distillation pipelines, and recombination of the mitigated pairwise
+distillation fragments, and recombination of the mitigated pairwise
 distributions into the full output.
+
+One planner serves each cut kind.  A single wire (:func:`cut_points` lists
+the valid cuts) is cut by :func:`cut_wire` and run exactly by
+:func:`run_cut`.  The cut method's pairwise cut is planned by the pure
+:func:`cut_executions` and :func:`cut_estimate`, so a caller can batch the
+fragment runs with its other executions.
 
 Both reconstructions use one form of the cutting identity: the severed
 wire's state is a combination of the four prepared states
 (:data:`PREP_STATES`), weighted by the measure side's trace and its X, Y and
 Z expectations (:func:`_prep_weights`).
 
-A pairwise pipeline cuts both wires of a copy pair (i, n+i) just before
+The pairwise cut severs both wires of a copy pair (i, n+i) just before
 their diagonalizing gate.  The noisy quantum part is then the single-copy
 fragment both copies share (the lightcone of qubit i), run in three
 measurement bases; the diagonalizing gate is simulated noiselessly on the
-prepared cut states.
-
-Planning and reconstruction are pure (:func:`cut_executions`,
-:func:`cut_estimate`), so a caller can batch the fragment runs with its other
-executions."""
+prepared cut states."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -33,7 +35,6 @@ from .circuit import (
     rz,
     x,
 )
-from .noise import NoiseModel
 from .runner import Execution, run_circuits
 from .simulate import Distribution, marginal, outcome_bits
 from .vd import (
@@ -134,6 +135,19 @@ def _split_at(circuit: Circuit, cut: CutPoint) -> tuple[list[Gate], list[Gate], 
     return pre, post, post_qubits
 
 
+def cut_points(circuit: Circuit) -> list[CutPoint]:
+    """Every valid cut of ``circuit``, qubit by qubit, each in gate order."""
+    points = []
+    for q in range(circuit.width):
+        for p in range(len(circuit.ops)):
+            try:
+                _split_at(circuit, CutPoint(q, p))
+            except CutError:
+                continue
+            points.append(CutPoint(q, p))
+    return points
+
+
 def cut_wire(circuit: Circuit, cut: CutPoint) -> tuple[list[Circuit], ReconstructionPlan]:
     """Sever one wire into seven fragment circuits: first the measure side
     in each of :data:`READ_BASES` (the basis change on the cut qubit), then
@@ -162,13 +176,12 @@ def _prep_weights(outputs: Sequence[Distribution], q_pos: int) -> np.ndarray:
     return _PREP_WEIGHTS @ np.stack([z[0] + z[1], z[0] - z[1], x[0] - x[1], y[0] - y[1]])
 
 
-def reconstruct(plan: ReconstructionPlan, outputs: Sequence[Distribution],
-                shots: int | None = None) -> Distribution:
-    """The full-circuit distribution from the outputs of :func:`cut_wire`'s
-    seven fragments, in its order: the prepare side's outcome tensors
-    combined with the prepared-state weights of :func:`_prep_weights`.
-    Small negative entries (quasiprobability noise) are clamped and the
-    result renormalized."""
+def reconstruct(plan: ReconstructionPlan, outputs: Sequence[Distribution]) -> Distribution:
+    """The full-circuit distribution from the exact outputs of
+    :func:`cut_wire`'s seven fragments, in its order: the prepare side's
+    outcome tensors combined with the prepared-state weights of
+    :func:`_prep_weights`.  Negative entries of rounding size are clamped
+    and the result renormalized."""
     if len(outputs) != len(READ_BASES) + len(PREP_STATES):
         raise ReconstructionError(f"expected 7 fragment outputs, got {len(outputs)}")
     q_pos = plan.j_measured.index(plan.cut.qubit)
@@ -177,7 +190,7 @@ def reconstruct(plan: ReconstructionPlan, outputs: Sequence[Distribution],
     # interleave the two bit groups back into ascending qubit order
     order = [b for b in plan.j_measured if b != plan.cut.qubit] + list(plan.k_measured)
     full = np.transpose(acc.reshape((2,) * len(order)), np.argsort(order)).reshape(-1)
-    return _clamp_normalize(full, len(order), shots)[0]
+    return _clamp_normalize(full, len(order), None)[0]
 
 
 def _clamp_normalize(raw: np.ndarray, width: int,
@@ -196,26 +209,22 @@ def _clamp_normalize(raw: np.ndarray, width: int,
     return Distribution(width, clipped / total), min(low, 0.0)
 
 
-def run_cut(circuit: Circuit, cut: CutPoint, *,
-            noise: NoiseModel | None = None,
-            shots: int | None = None, seed: int = 0) -> Distribution:
-    """Convenience executor: run all fragments of a single cut as one batch
-    and stitch the full-circuit distribution."""
+def run_cut(circuit: Circuit, cut: CutPoint) -> Distribution:
+    """Run the fragments of a single cut exactly and noiselessly, as one
+    batch, and stitch the full-circuit distribution."""
     fragments, plan = cut_wire(circuit, cut)
     reads = [plan.j_measured] * len(READ_BASES) + [plan.k_measured] * len(PREP_STATES)
-    batch = run_circuits([Execution(f, shots=shots, seed=seed + 7 * i + 1, measured=bits)
-                          for i, (f, bits) in enumerate(zip(fragments, reads))],
-                         noise=noise)
-    return reconstruct(plan, [rec.output for rec in batch.records], shots=shots)
+    batch = run_circuits([Execution(f, measured=bits) for f, bits in zip(fragments, reads)])
+    return reconstruct(plan, [rec.output for rec in batch.records])
 
 
 # ---------------------------------------------------------------------------
-# pairwise distillation pipelines
+# pairwise distillation fragments
 
 
 class DiagonalSimulationCache:
     """Noiseless classical simulations of a diagonalizing gate, keyed by its
-    unitary bytes and shared across pipelines (identical gates are simulated
+    unitary bytes and shared across pairs (identical gates are simulated
     once)."""
 
     def __init__(self):
@@ -237,29 +246,6 @@ class DiagonalSimulationCache:
                 k[i1, i2] = np.abs(amp) ** 2
         self._tensors[key] = k
         return k
-
-
-@dataclass(frozen=True)
-class PairwisePipeline:
-    """The single-copy fragment that both copies of pair ``pair_index``
-    share: the copy's lightcone of qubit ``pair_index``, up to the cut before
-    the pair's diagonalizing gate."""
-
-    pair_index: int
-    copy_fragment: Circuit
-
-    def executions(self, shots: int | None, seed: int) -> list[Execution]:
-        """The fragment measured on qubit ``pair_index`` in the X, Y and Z bases."""
-        i, base = self.pair_index, self.copy_fragment
-        return [Execution(extend(base, basis_change_gates(basis, i)),
-                          shots=shots, seed=seed + 11 * bi + 3, measured=(i,))
-                for bi, basis in enumerate(READ_BASES)]
-
-
-def build_pairwise_pipelines(original: Circuit) -> list[PairwisePipeline]:
-    """One pipeline per qubit pair (i, n+i) of the distillation circuit, each
-    holding the lightcone of qubit i in ``original``."""
-    return [PairwisePipeline(i, lightcone(original, {i})) for i in range(original.width)]
 
 
 def pairwise_distribution(outputs: Sequence[Distribution], shots: int | None,
@@ -325,11 +311,20 @@ def recombine(unmitigated: Distribution,
 
 def cut_executions(original: Circuit, groups: Sequence[ParityGroup],
                    shots: int | None, seed: int) -> list[Execution]:
-    """Every fragment run of the cut method: group by group (on the group's
-    rotated original), pair by pair, in the X, Y and Z bases."""
-    return [ex for gi, group in enumerate(groups)
-            for p in build_pairwise_pipelines(group.rotated(original))
-            for ex in p.executions(shots, seed + 100_003 * gi + 1009 * (p.pair_index + 1))]
+    """Every fragment run of the cut method: group by group, pair by pair,
+    the single-copy fragment that both copies of pair (i, n+i) share (the
+    lightcone of qubit i in the group's rotated original), read on qubit i
+    in the X, Y and Z bases."""
+    executions = []
+    for gi, group in enumerate(groups):
+        rotated = group.rotated(original)
+        for i in range(rotated.width):
+            fragment = lightcone(rotated, {i})
+            pair_seed = seed + 100_003 * gi + 1009 * (i + 1)
+            executions += [Execution(extend(fragment, basis_change_gates(basis, i)),
+                                     shots=shots, seed=pair_seed + 11 * bi + 3, measured=(i,))
+                           for bi, basis in enumerate(READ_BASES)]
+    return executions
 
 
 def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
@@ -338,7 +333,14 @@ def cut_estimate(groups: Sequence[ParityGroup], joints: Sequence[Distribution],
     """The cut method's estimate from each group's unmitigated joint
     distribution and the outputs of :func:`cut_executions`, in its order,
     with each group's recombination events: the degenerate mass
-    :func:`recombine` injected and the most negative pairwise entry clipped."""
+    :func:`recombine` injected and the most negative pairwise entry clipped.
+    Raises :class:`ReconstructionError` unless there is one joint per group
+    and three outputs per qubit pair of each joint."""
+    if len(joints) != len(groups):
+        raise ReconstructionError(f"expected {len(groups)} joint distributions, got {len(joints)}")
+    count = len(READ_BASES) * sum(joint.width // 2 for joint in joints)
+    if len(fragment_outputs) != count:
+        raise ReconstructionError(f"expected {count} fragment outputs, got {len(fragment_outputs)}")
     cache = DiagonalSimulationCache()
     outputs = iter(fragment_outputs)
     parts, events = [], []

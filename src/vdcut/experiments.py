@@ -35,7 +35,7 @@ from .benchmarks import (
 from .circuit import Circuit, from_text
 from .cutting import READ_BASES, cut_executions, cut_estimate
 from .noise import NOISELESS, NoiseModel, preset
-from .runner import BatchStats, Execution, ExecutionRecord, run_circuits
+from .runner import _MAX_SHOTS, BatchStats, Execution, ExecutionRecord, run_circuits
 from .simulate import expectation, evolve
 from .transpile import coupling_map_for
 from .vd import (
@@ -80,12 +80,14 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must not repeat, got {self.methods}")
         for name in ("reps", "shots", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
+        if not 1 <= self.shots <= _MAX_SHOTS:
+            raise ConfigError(f"shots must be between 1 and {_MAX_SHOTS}, got {self.shots}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not isinstance(self.coupling_map, str):
@@ -125,11 +127,7 @@ class ExperimentConfig:
                 raise ConfigError("it needs a 'ring' size or an 'n'/'edges' pair")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad problem spec {spec!r}: {exc}") from exc
-        known = {
-            "reps", "entanglement", "parameters", "noise", "methods", "shots",
-            "seed", "coupling_map", "circuit_file", "out",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(ExperimentConfig)} - {"problem"}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "methods" in data:

@@ -46,6 +46,9 @@ class ExecutionRecord:
     swaps: int
 
 
+_MAX_SHOTS = 2 ** 63 - 1  # the largest count Generator.multinomial takes (a C long)
+
+
 @dataclass(frozen=True)
 class Execution:
     """One requested execution of a logical circuit: diagonalizing gate fold
@@ -53,8 +56,8 @@ class Execution:
     (``shots=None`` keeps the exact distribution) and the logical qubits it
     reads (``measured=None`` reads every qubit), checked when built:
     ``scale`` is odd, and above 1 only on a circuit with ``DIAG`` gates to
-    fold; ``measured`` is kept as a sorted tuple, the order its bits are
-    read in."""
+    fold; ``shots`` is at most 2**63 - 1; ``measured`` is kept as a sorted
+    tuple, the order its bits are read in."""
 
     circuit: Circuit
     scale: int = 1
@@ -71,7 +74,10 @@ class Execution:
             raise ValueError(f"scale {scale} needs {DIAG} gates to fold, and the circuit has none")
         object.__setattr__(self, "scale", scale)
         if self.shots is not None:
-            object.__setattr__(self, "shots", _integer("shots", self.shots, 1))
+            shots = _integer("shots", self.shots, 1)
+            if shots > _MAX_SHOTS:
+                raise ValueError(f"shots must be at most {_MAX_SHOTS}, got {shots}")
+            object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.measured is not None:
             if not isinstance(self.measured, Iterable):

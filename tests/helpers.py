@@ -7,8 +7,8 @@ import numpy as np
 from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import Circuit, Gate, PauliObservable, gate_matrix
 from vdcut.cutting import (
+    READ_BASES,
     DiagonalSimulationCache,
-    PairwisePipeline,
     cut_executions,
     pairwise_distribution,
 )
@@ -16,7 +16,7 @@ from vdcut.noise import NoiseModel
 from vdcut.runner import Execution, run_circuits
 from vdcut.simulate import Distribution, FusedCircuit, PauliState
 from vdcut.transpile import CouplingMap
-from vdcut.vd import build_vd_circuit, parity_groups
+from vdcut.vd import ParityGroup, build_vd_circuit, parity_groups
 
 
 def distribution(probs: dict[str, float], width: int) -> Distribution:
@@ -115,15 +115,25 @@ def fully_mixed_on(rho: np.ndarray, qubits, n: int) -> np.ndarray:
     return t.reshape(rho.shape)
 
 
-def pairwise(pipe: PairwisePipeline, noise: NoiseModel | None = None,
+def identity_group(width: int) -> ParityGroup:
+    """A parity group that rotates nothing, so the cut method's fragments
+    are cut from the bare circuit."""
+    return ParityGroup((), PauliObservable(((1.0, "I" * width),)))
+
+
+def pairwise(circuit: Circuit, noise: NoiseModel | None = None,
              cmap: CouplingMap | None = None,
-             cache: DiagonalSimulationCache | None = None) -> Distribution:
-    """One pipeline's exact mitigated pairwise distribution, through the
-    pieces the cut method runs: its executions, one batch, and
-    :func:`pairwise_distribution`."""
-    records = run_circuits(pipe.executions(None, 0), noise=noise, cmap=cmap).records
-    return pairwise_distribution([rec.output for rec in records], None,
-                                 DiagonalSimulationCache() if cache is None else cache)[0]
+             cache: DiagonalSimulationCache | None = None) -> list[Distribution]:
+    """Each qubit pair's exact mitigated pairwise distribution, through the
+    pieces the cut method runs: the circuit's :func:`cut_executions` under
+    :func:`identity_group`, one batch, and :func:`pairwise_distribution` on
+    each pair's X, Y and Z outputs."""
+    records = run_circuits(cut_executions(circuit, [identity_group(circuit.width)], None, 0),
+                           noise=noise, cmap=cmap).records
+    cache = DiagonalSimulationCache() if cache is None else cache
+    k = len(READ_BASES)
+    return [pairwise_distribution([rec.output for rec in records[i:i + k]], None, cache)[0]
+            for i in range(0, len(records), k)]
 
 
 _PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])

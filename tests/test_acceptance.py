@@ -15,15 +15,7 @@ import pytest
 
 from vdcut.benchmarks import AnsatzSpec, ring_problem
 from vdcut.circuit import Circuit, PauliObservable
-from vdcut.cutting import (
-    CutError,
-    CutPoint,
-    DiagonalSimulationCache,
-    build_pairwise_pipelines,
-    cut_wire,
-    recombine,
-    run_cut,
-)
+from vdcut.cutting import cut_points, recombine, run_cut
 from vdcut.experiments import ExperimentConfig, emit, run_experiment
 from vdcut.simulate import (
     Distribution,
@@ -243,14 +235,7 @@ def test_criterion_3_cutting_identity():
     while done < 200:
         n = int(rng.integers(2, 5))
         circuit = random_circuit(n, int(rng.integers(3, 12)), rng)
-        cuts = []
-        for q in range(n):
-            for p in range(len(circuit.ops)):
-                try:
-                    cut_wire(circuit, CutPoint(q, p))
-                except CutError:
-                    continue
-                cuts.append(CutPoint(q, p))
+        cuts = cut_points(circuit)
         if not cuts:
             continue
         cut = cuts[int(rng.integers(len(cuts)))]
@@ -264,12 +249,9 @@ def test_criterion_3_cutting_identity():
     theta = _benchmark_parameters(4)
     orig = AnsatzSpec(4).circuit(theta)
     ref = exact_probs(evolve(build_vd_circuit(orig)))
-    cache = DiagonalSimulationCache()
     worst_pair = 0.0
-    for pipe in build_pairwise_pipelines(orig):
-        got = pairwise(pipe, cache=cache)
-        want = marginal(ref, (pipe.pair_index, 4 + pipe.pair_index))
-        worst_pair = max(worst_pair, tv_distance(got, want))
+    for i, got in enumerate(pairwise(orig)):
+        worst_pair = max(worst_pair, tv_distance(got, marginal(ref, (i, 4 + i))))
     elapsed = time.time() - started
     ok = worst_single < 1e-10 and worst_pair < 1e-9 and elapsed < 60
     report(3, ok, f"200 single cuts worst TV {worst_single:.2e}, pairwise "
@@ -416,9 +398,7 @@ def test_criterion_9_recombination():
     theta = _benchmark_parameters(4)
     orig = AnsatzSpec(4).circuit(theta)
     ref = exact_probs(evolve(build_vd_circuit(orig)))
-    cache = DiagonalSimulationCache()
-    mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
-    end_to_end = tv_distance(recombine(ref, mitigated)[0], ref)
+    end_to_end = tv_distance(recombine(ref, pairwise(orig))[0], ref)
     ok = worst_fp < 1e-12 and end_to_end < 1e-9
     report(9, ok, f"fixed point worst TV {worst_fp:.2e} over 500 draws; "
                   f"noiseless end-to-end TV {end_to_end:.2e}")

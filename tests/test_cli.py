@@ -105,7 +105,8 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
                        ("parameters", [0.1, 0.2, 0.3]), ("parameters", [0.1, 0.2, 0.3, "x"]),
                        ("parameters", [0.1, 0.2, 0.3, None]), ("parameters", 5),
                        ("coupling_map", 5), ("circuit_file", 5), ("seed", -1),
-                       ("shots", True), ("reps", True), ("seed", True)):
+                       ("shots", True), ("reps", True), ("seed", True),
+                       ("methods", ["vd", "vd"]), ("shots", 10 ** 20)):
         cfg.write_text(json.dumps({"problem": {"ring": 2}, "reps": 1, key: value}))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     for problem in ({"ring": 1}, {"n": 3, "edges": [[0, 0]]}, {"n": 3, "edges": []},

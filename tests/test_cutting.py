@@ -1,11 +1,9 @@
 """Wire cutting, pairwise pipelines, and recombination."""
-from dataclasses import FrozenInstanceError
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vdcut.benchmarks import real_amplitudes
+from vdcut.benchmarks import maxcut_hamiltonian, real_amplitudes, ring_problem
 from vdcut.circuit import Circuit, cnot, gate_matrix, h, lightcone, ry
 from vdcut.cutting import (
     _PREP_VECTORS,
@@ -17,7 +15,9 @@ from vdcut.cutting import (
     DiagonalSimulationCache,
     ReconstructionError,
     basis_change_gates,
-    build_pairwise_pipelines,
+    cut_estimate,
+    cut_executions,
+    cut_points,
     cut_wire,
     preparation_gates,
     recombine,
@@ -25,6 +25,7 @@ from vdcut.cutting import (
     run_cut,
 )
 from vdcut.noise import NoiseModel, preset
+from vdcut.runner import run_circuits
 from vdcut.simulate import (
     Distribution,
     evolve,
@@ -32,21 +33,9 @@ from vdcut.simulate import (
     marginal,
     tv_distance,
 )
-from vdcut.vd import DIAG_UNITARY, build_vd_circuit
+from vdcut.vd import DIAG_UNITARY, build_vd_circuit, parity_groups
 
-from helpers import as_dict, distribution, pairwise, random_circuit
-
-
-def valid_cuts(circuit):
-    cuts = []
-    for q in range(circuit.width):
-        for p in range(len(circuit.ops)):
-            try:
-                cut_wire(circuit, CutPoint(q, p))
-            except CutError:
-                continue
-            cuts.append(CutPoint(q, p))
-    return cuts
+from helpers import as_dict, distribution, identity_group, pairwise, random_circuit
 
 
 def test_cut_produces_three_j_and_four_k_fragments():
@@ -92,6 +81,22 @@ def test_cut_validation():
         cut_wire(c, CutPoint(0, 5))  # position outside circuit
 
 
+def test_cut_points_are_the_cuts_cut_wire_accepts_in_qubit_then_gate_order():
+    assert cut_points(Circuit(2, (h(0), cnot(0, 1)))) == [CutPoint(0, 0)]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        c = random_circuit(int(rng.integers(2, 5)), int(rng.integers(3, 12)), rng)
+        points = cut_points(c)
+        assert points == sorted(points, key=lambda cut: (cut.qubit, cut.position))
+        for q in range(c.width):
+            for p in range(len(c.ops)):
+                if CutPoint(q, p) in points:
+                    cut_wire(c, CutPoint(q, p))
+                else:
+                    with pytest.raises(CutError):
+                        cut_wire(c, CutPoint(q, p))
+
+
 def test_cut_on_fresh_wire_preserves_state():
     c = Circuit(1, (ry(0.0, 0), h(0)))
     d = run_cut(c, CutPoint(0, 0))
@@ -117,7 +122,7 @@ def test_cut_identity_random_circuits():
     done = 0
     while done < 25:
         c = random_circuit(int(rng.integers(2, 5)), int(rng.integers(3, 12)), rng)
-        cuts = valid_cuts(c)
+        cuts = cut_points(c)
         if not cuts:
             continue
         cut = cuts[int(rng.integers(len(cuts)))]
@@ -125,15 +130,6 @@ def test_cut_identity_random_circuits():
         ref = exact_probs(evolve(c))
         assert tv_distance(got, ref) < 1e-10
         done += 1
-
-
-def test_sampled_cut_identity_within_tolerance():
-    rng = np.random.default_rng(13)
-    c = Circuit(2, (ry(0.8, 0), cnot(0, 1), ry(-0.5, 1)))
-    cut = CutPoint(1, 1)
-    got = run_cut(c, cut, shots=10 ** 6, seed=5)
-    ref = exact_probs(evolve(c))
-    assert tv_distance(got, ref) < 5e-3
 
 
 def test_reconstruction_negativity_error():
@@ -149,35 +145,51 @@ def test_reconstruction_negativity_error():
 
 
 def test_pairwise_pipeline_structure():
+    """Pair by pair, the fragment is the lightcone of qubit i, read on qubit
+    i in the X, Y and Z bases."""
     orig = Circuit(3, (ry(0.9, 0), cnot(0, 1), ry(0.4, 2), h(1)))
-    pipes = build_pairwise_pipelines(orig)
-    assert [p.pair_index for p in pipes] == [0, 1, 2]
-    for i, pipe in enumerate(pipes):
-        assert pipe.copy_fragment.width == orig.width
-        assert pipe.copy_fragment.ops == lightcone(orig, {i}).ops
-    assert pipes[0].copy_fragment.ops == (orig.ops[0], orig.ops[1])
-    assert pipes[2].copy_fragment.ops == (orig.ops[2],)
+    executions = cut_executions(orig, [identity_group(3)], None, 0)
+    cones = [(orig.ops[0], orig.ops[1]), (orig.ops[0], orig.ops[1], orig.ops[3]),
+             (orig.ops[2],)]
+    assert [(ex.circuit.width, ex.circuit.ops, ex.measured) for ex in executions] == [
+        (3, cone + tuple(basis_change_gates(basis, i)), (i,))
+        for i, cone in enumerate(cones) for basis in READ_BASES]
 
 
 def test_pairwise_fragment_counts():
     """A double-cut pipeline has 3x3 measure variants collapsing to three
     runnable fragments (the copies are identical) and 4x4 prepare variants
-    evaluated classically at constant cost."""
+    evaluated classically at constant cost.  Group by group, pair by pair,
+    each fragment is cut from the group's rotated circuit and gets its own
+    seed."""
     theta = np.linspace(0.1, 1.2, 9)
     orig = real_amplitudes(3, 2, "circular", theta)
-    pipes = build_pairwise_pipelines(orig)
-    assert len(pipes) == 3
-    for pipe in pipes:
-        i = pipe.pair_index
-        executions = pipe.executions(shots=100, seed=5)
-        assert [(ex.circuit.ops, ex.measured) for ex in executions] == [
-            (lightcone(orig, {i}).ops + tuple(basis_change_gates(basis, i)), (i,))
-            for basis in ("X", "Y", "Z")]
-        assert [(ex.shots, ex.seed) for ex in executions] == [(100, 8), (100, 19), (100, 30)]
-    with pytest.raises(FrozenInstanceError):
-        pipes[0].pair_index = 1
+    groups = parity_groups(maxcut_hamiltonian(ring_problem(3)))
+    executions = cut_executions(orig, groups, shots=100, seed=5)
+    assert [(ex.circuit.ops, ex.measured) for ex in executions] == [
+        (lightcone(group.rotated(orig), {i}).ops + tuple(basis_change_gates(basis, i)), (i,))
+        for group in groups for i in range(3) for basis in READ_BASES]
+    assert [ex.shots for ex in executions] == [100] * 18
+    assert [ex.seed for ex in executions] == [
+        1017, 1028, 1039, 2026, 2037, 2048, 3035, 3046, 3057,
+        101020, 101031, 101042, 102029, 102040, 102051, 103038, 103049, 103060]
     cache = DiagonalSimulationCache()
     assert cache.tensor(DIAG_UNITARY).shape == (4, 4, 4)
+
+
+def test_cut_estimate_refuses_wrong_counts():
+    """One ring-2 group takes one joint and 2 pairs x 3 bases = 6 fragment
+    outputs; fewer or more of either are refused, not cut short."""
+    orig = real_amplitudes(2, 1, "circular", [0.3, 1.1, 0.7, 0.2])
+    groups = parity_groups(maxcut_hamiltonian(ring_problem(2)))
+    joint = exact_probs(evolve(build_vd_circuit(orig, groups[0].gates())))
+    outputs = [rec.output for rec in
+               run_circuits(cut_executions(orig, groups, None, 0)).records]
+    assert len(outputs) == 6
+    assert len(cut_estimate(groups, [joint], outputs, None).parts) == 1
+    for joints, count in (([joint], 5), ([joint], 9), ([], 6), ([joint, joint], 6)):
+        with pytest.raises(ReconstructionError, match="expected"):
+            cut_estimate(groups, joints, (outputs * 2)[:count], None)
 
 
 def test_pairwise_noiseless_matches_vd_marginals():
@@ -186,10 +198,8 @@ def test_pairwise_noiseless_matches_vd_marginals():
     orig = real_amplitudes(4, 2, "circular", theta)
     ref = exact_probs(evolve(build_vd_circuit(orig)))
     cache = DiagonalSimulationCache()
-    for pipe in build_pairwise_pipelines(orig):
-        got = pairwise(pipe, cache=cache)
-        want = marginal(ref, (pipe.pair_index, 4 + pipe.pair_index))
-        assert tv_distance(got, want) < 1e-9
+    for i, got in enumerate(pairwise(orig, cache=cache)):
+        assert tv_distance(got, marginal(ref, (i, 4 + i))) < 1e-9
     assert cache.hits == 3  # identical gates simulated once
 
 
@@ -197,8 +207,7 @@ def test_pairwise_fully_depolarized_is_uniform():
     nm = NoiseModel(one_qubit_depol=1.0, one_qubit_time=0.0,
                     two_qubit_time=0.0)
     orig = Circuit(1, (ry(0.7, 0),))
-    (pipe,) = build_pairwise_pipelines(orig)
-    got = pairwise(pipe, nm)
+    (got,) = pairwise(orig, nm)
     assert np.abs(got.probs - 0.25).max() < 1e-12
 
 
@@ -217,11 +226,9 @@ def test_pairwise_closer_to_ideal_than_uncut_marginals():
     vd = build_vd_circuit(orig)
     ideal = exact_probs(evolve(vd))
     noisy = run_circuit(vd, noise=nm, cmap=cmap).distribution
-    cache = DiagonalSimulationCache()
     wins = 0
-    for pipe in build_pairwise_pipelines(orig):
-        pair = (pipe.pair_index, 4 + pipe.pair_index)
-        mitigated = pairwise(pipe, nm, cmap=cmap, cache=cache)
+    for i, mitigated in enumerate(pairwise(orig, nm, cmap=cmap)):
+        pair = (i, 4 + i)
         d_mit = tv_distance(mitigated, marginal(ideal, pair))
         d_raw = tv_distance(marginal(noisy, pair), marginal(ideal, pair))
         wins += d_mit < d_raw
@@ -260,7 +267,5 @@ def test_recombined_noiseless_end_to_end():
     theta = rng.uniform(0, 2 * np.pi, 12)
     orig = real_amplitudes(4, 2, "circular", theta)
     ref = exact_probs(evolve(build_vd_circuit(orig)))
-    cache = DiagonalSimulationCache()
-    mitigated = [pairwise(p, cache=cache) for p in build_pairwise_pipelines(orig)]
-    assert tv_distance(recombine(ref, mitigated)[0], ref) < 1e-9
+    assert tv_distance(recombine(ref, pairwise(orig))[0], ref) < 1e-9
 

@@ -36,6 +36,11 @@ def test_config_validation():
         _fast_config(methods=("teleport",))
     with pytest.raises(ConfigError):
         _fast_config(shots=0)
+    with pytest.raises(ConfigError, match="repeat"):
+        _fast_config(methods=("vd", "vd"))
+    with pytest.raises(ConfigError, match="shots"):
+        _fast_config(shots=2 ** 63)
+    assert _fast_config(shots=2 ** 63 - 1).shots == 2 ** 63 - 1
     for bad in ({"noise": "bogus"}, {"coupling_map": "ring"},
                 {"coupling_map": "heavyhex:x"}, {"entanglement": "star"},
                 {"problem": ring_problem(12), "coupling_map": "heavyhex:3"},

@@ -8,14 +8,14 @@ import pytest
 from vdcut import runner, simulate
 from vdcut.benchmarks import real_amplitudes
 from vdcut.circuit import Circuit
-from vdcut.cutting import build_pairwise_pipelines
+from vdcut.cutting import cut_executions
 from vdcut.noise import NoiseModel, preset
 from vdcut.runner import Execution, compile_circuit, run_circuits
 from vdcut.simulate import blocks, marginal
 from vdcut.transpile import CouplingMap, coupling_map_for, route
 from vdcut.vd import build_vd_circuit
 
-from helpers import copies_register, single_register
+from helpers import copies_register, identity_group, single_register
 
 
 def test_batch_matches_separate_runs():
@@ -29,9 +29,8 @@ def test_batch_matches_separate_runs():
               Execution(vd, shots=500, seed=3)]
     # distinct circuits of one register: the bare circuit and the X/Y/Z
     # fragments of both pairs, as an experiment's single-copy batch holds them
-    single = [Execution(orig, shots=500, seed=4)] + [
-        ex for pipe in build_pairwise_pipelines(orig)
-        for ex in pipe.executions(500, 5 + 100 * pipe.pair_index)]
+    single = [Execution(orig, shots=500, seed=4)] + cut_executions(
+        orig, [identity_group(2)], 500, 5)
     assert len(single) == 7
     batches = [run_circuits(executions, noise=noise, cmap=cmap).records
                for executions in (copies, single)]
@@ -129,7 +128,7 @@ def test_execution_checks_its_inputs_when_built(monkeypatch):
     execution is built, before anything is compiled; read qubits are kept
     sorted, so one circuit read as (2, 0) and as [0, 2] compiles once."""
     circuit = real_amplitudes(3, 1, "circular", np.linspace(0.2, 1.4, 6))
-    for bad in ({"shots": 0}, {"shots": 2.5}, {"shots": True}, {"seed": -1},
+    for bad in ({"shots": 0}, {"shots": 2.5}, {"shots": True}, {"shots": 2 ** 63}, {"seed": -1},
                 {"seed": 1.0}, {"measured": (0.5,)}, {"measured": [0, 3]},
                 {"measured": 1}, {"scale": 0}, {"scale": 2}, {"scale": 3.0},
                 {"scale": True}, {"scale": 3}):  # the last: no DIAG gate to fold
@@ -140,6 +139,7 @@ def test_execution_checks_its_inputs_when_built(monkeypatch):
     with pytest.raises(ValueError, match="odd"):
         Execution(vd, scale=2)
     assert Execution(circuit, shots=np.int64(5), measured=[2, 0]).measured == (0, 2)
+    assert Execution(circuit, shots=2 ** 63 - 1).shots == 2 ** 63 - 1
     calls = []
     monkeypatch.setattr(runner, "compile_circuit",
                         lambda *a, **k: calls.append(k["measured"]) or compile_circuit(*a, **k))
